@@ -257,8 +257,13 @@ def load_dataset(spec: str) -> TaskData:
     )
 
 
-def _dataset_task(data: TaskData) -> str:
-    return data.kind
+def _load_for_task(cfg: RunConfig) -> TaskData:
+    data = load_dataset(cfg.dataset)
+    if data.kind != cfg.task:
+        raise ConfigError(
+            f"dataset {cfg.dataset!r} is {data.kind}-level but task is {cfg.task!r}"
+        )
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +321,7 @@ def _run_plan_into(cfg: RunConfig, data: TaskData, out: Path) -> list[float]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    data = load_dataset(cfg.dataset)
-    if _dataset_task(data) != cfg.task:
-        raise ConfigError(
-            f"dataset {cfg.dataset!r} is {_dataset_task(data)}-level but task is {cfg.task!r}"
-        )
+    data = _load_for_task(cfg)
     make_plan(cfg, data, cfg.seeds[0])  # validate the full plan before writing
     _run_plan_into(cfg, data, Path(cfg.out))
     return 0
@@ -344,11 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     attr, ok = SWEEP_PARAMS[args.parameter]
     if not all(ok(v) for v in values):
         raise ConfigError(f"invalid {args.parameter} values: {values}")
-    data = load_dataset(cfg.dataset)
-    if _dataset_task(data) != cfg.task:
-        raise ConfigError(
-            f"dataset {cfg.dataset!r} is {_dataset_task(data)}-level but task is {cfg.task!r}"
-        )
+    data = _load_for_task(cfg)
     points = []
     for v in values:
         sub = dataclasses.replace(cfg, **{attr: v})

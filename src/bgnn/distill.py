@@ -112,55 +112,28 @@ def adaptive_temperature(module: TemperatureModule, t: Tensor | np.ndarray) -> T
     return T.add_scalar(T.scale(unit, module.tau_max - module.tau_min), module.tau_min)
 
 
-@dataclass
-class DistillState:
-    """Frozen per-step distillation inputs."""
-
-    teacher_logits: np.ndarray  # constant; never a Tensor on any tape
-    lam: float
-    tau: Tensor | np.ndarray | float = 1.0
-    scope: str = "all"  # "all" | "train"
-
-    def __post_init__(self):
-        self.teacher_logits = np.asarray(self.teacher_logits, dtype=np.float64)
-        if self.lam < 0:
-            raise ConfigError(f"distillation weight must be non-negative, got {self.lam}")
-        if self.scope not in ("all", "train"):
-            raise ConfigError(f"unknown distillation scope {self.scope!r}")
-
-
-def _tau_parts(tau, idx: np.ndarray, m: int):
+def _tau_parts(tau, m: int):
     """Split tau into (tape-side value for the student, detached array)."""
     if isinstance(tau, Tensor):
-        if tau.shape not in ((), (m,)):
-            raise ContractError(f"tau shape {tau.shape} does not fit {m} samples")
         if tau.shape == ():
-            sel = T.gather_rows(T.reshape(tau, (1,)), np.zeros(idx.size, dtype=np.int64))
-        else:
-            sel = T.gather_rows(tau, idx)
-        return sel, sel.data[:, None]
+            tau = T.gather_rows(T.reshape(tau, (1,)), np.zeros(m, dtype=np.int64))
+        elif tau.shape != (m,):
+            raise ContractError(f"tau shape {tau.shape} does not fit {m} samples")
+        return tau, tau.data[:, None]
     arr = np.asarray(tau, dtype=np.float64)
     if arr.shape == ():
         return float(arr), float(arr)
     if arr.shape != (m,):
         raise ContractError(f"tau shape {arr.shape} does not fit {m} samples")
-    return Tensor(arr[idx]), arr[idx][:, None]
+    return Tensor(arr), arr[:, None]
 
 
-def kd_loss(
-    z: Tensor,
-    t: np.ndarray,
-    tau,
-    scope_mask: np.ndarray | None = None,
-    rescale_tau_sq: bool = False,
-) -> Tensor:
+def kd_loss(z: Tensor, t: np.ndarray, tau) -> Tensor:
     """Soft cross-entropy between softened teacher and student predictions.
 
-    Sums -softmax(t/tau) . log softmax(z/tau) over in-scope samples. The
-    softened teacher is constant; tau may be a scalar, an array, or a
-    per-sample Tensor (gradients then flow to whatever produced it).
-    ``rescale_tau_sq`` multiplies each sample's term by tau^2, the
-    gradient-magnitude-preserving convention; off by default.
+    Sums -softmax(t/tau) . log softmax(z/tau) over all rows. The softened
+    teacher is constant; tau may be a scalar, an array, or a per-sample
+    Tensor (gradients then flow to whatever produced it).
     """
     t = np.asarray(t, dtype=np.float64)
     if z.shape != t.shape or z.ndim != 2:
@@ -168,21 +141,10 @@ def kd_loss(
     tau_vals = tau.data if isinstance(tau, Tensor) else np.asarray(tau, dtype=np.float64)
     if np.any(tau_vals <= 0.0):
         raise ContractError("temperatures must be positive")
-    m = z.shape[0]
-    idx = np.flatnonzero(scope_mask) if scope_mask is not None else np.arange(m)
-    if idx.size == 0:
-        return Tensor(0.0)
-    z_s = T.gather_rows(z, idx)
-    tau_t, tau_np = _tau_parts(tau, idx, m)
-    soft_teacher = _softmax_np(t[idx], tau_np)  # constant target
-    log_p = T.log(T.clamp_min(T.softmax_rows(z_s, tau_t), PROB_FLOOR))
-    ce = T.neg(T.sum_rows(T.mul(log_p, Tensor(soft_teacher))))
-    if rescale_tau_sq:
-        if isinstance(tau_t, Tensor):
-            ce = T.mul(ce, T.mul(tau_t, tau_t))
-        else:
-            ce = T.scale(ce, tau_t * tau_t)
-    return T.sum_all(ce)
+    tau_t, tau_np = _tau_parts(tau, z.shape[0])
+    soft_teacher = _softmax_np(t, tau_np)  # constant target
+    log_p = T.log(T.clamp_min(T.softmax_rows(z, tau_t), PROB_FLOOR))
+    return T.sum_all(T.neg(T.sum_rows(T.mul(log_p, Tensor(soft_teacher)))))
 
 
 def kd_gradient_reference(z, t, tau) -> np.ndarray:

@@ -223,11 +223,19 @@ def load_json_bundle(path) -> Graph:
             if key not in feats:
                 raise FormatError(f"bundle {path.name}: sparse features missing key {key!r}")
         shape = tuple(feats["shape"])
+        if len(shape) != 2 or min(shape) < 0:
+            raise FormatError(f"bundle {path.name}: key 'features' has shape {shape}")
         x = np.zeros(shape)
         idx = np.asarray(feats["indices"], dtype=np.int64).reshape(-1, 2)
-        if idx.size and (idx[:, 0].max() >= shape[0] or idx[:, 1].max() >= shape[1]):
+        values = np.asarray(feats["values"], dtype=np.float64)
+        if values.shape != (idx.shape[0],):
+            raise FormatError(
+                f"bundle {path.name}: key 'features' has {values.size} values "
+                f"for {idx.shape[0]} indices"
+            )
+        if idx.size and (idx.min() < 0 or np.any(idx.max(axis=0) >= shape)):
             raise FormatError(f"bundle {path.name}: key 'features' index out of range")
-        x[idx[:, 0], idx[:, 1]] = np.asarray(feats["values"], dtype=np.float64)
+        x[idx[:, 0], idx[:, 1]] = values
     else:
         x = np.asarray(feats, dtype=np.float64)
 
@@ -485,29 +493,6 @@ def batch_graphs(graphs: list[Graph]) -> GraphBatch:
         [g.graph_label if g.graph_label is not None else -1 for g in graphs], dtype=np.int64
     )
     return GraphBatch(graph=merged, graph_ids=graph_ids, n_graphs=len(graphs), labels=labels)
-
-
-def unbatch(batch: GraphBatch) -> list[Graph]:
-    """Inverse of batch_graphs (labels restored, masks not carried)."""
-    out = []
-    for gid in range(batch.n_graphs):
-        node_sel = np.flatnonzero(batch.graph_ids == gid)
-        offset = node_sel[0] if node_sel.size else 0
-        if batch.graph.n_edges:
-            e = batch.graph.edges
-            keep = batch.graph_ids[e[:, 0]] == gid
-            edges = e[keep] - offset
-        else:
-            edges = np.zeros((0, 2), dtype=np.int64)
-        out.append(
-            Graph(
-                n_nodes=node_sel.size,
-                edges=edges,
-                features=Tensor(batch.graph.features.data[node_sel]),
-                graph_label=int(batch.labels[gid]) if batch.labels[gid] >= 0 else None,
-            )
-        )
-    return out
 
 
 def generate_sbm(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .graph_data import Graph, GraphBatch, mean_aggregator, normalize_adjacency, sample_neighbors
 from .sparse import SparseMatrix
 from .tensor import Tensor
@@ -305,10 +305,11 @@ def _checkpoint_entries(model: GnnModel) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(model: GnnModel, path_prefix) -> None:
-    """Write <prefix>.json (config, seed, array manifest) and <prefix>.bin.
+    """Write <prefix>.bin, then <prefix>.json (config, seed, array manifest).
 
     The binary holds every array flattened in manifest order as
-    little-endian float64.
+    little-endian float64. The manifest is written last, so it only ever
+    describes a binary that is already complete.
     """
     prefix = Path(path_prefix)
     entries = _checkpoint_entries(model)
@@ -318,31 +319,50 @@ def save_checkpoint(model: GnnModel, path_prefix) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in entries],
     }
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries)
-    tmp = prefix.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest), encoding="utf-8")
-    tmp.replace(prefix.with_suffix(".json"))
     tmp = prefix.with_suffix(".bin.tmp")
     tmp.write_bytes(blob)
     tmp.replace(prefix.with_suffix(".bin"))
+    tmp = prefix.with_suffix(".json.tmp")
+    tmp.write_text(json.dumps(manifest), encoding="utf-8")
+    tmp.replace(prefix.with_suffix(".json"))
 
 
 def load_checkpoint(path_prefix) -> GnnModel:
+    """Rebuild a model from <prefix>.json and <prefix>.bin.
+
+    The manifest must name exactly the arrays the config implies, with
+    their shapes, and the binary must hold exactly those values; anything
+    else raises FormatError.
+    """
     prefix = Path(path_prefix)
-    manifest = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
-    config = ModelConfig(**manifest["config"])
-    model = init_model(config, manifest["seed"])
-    blob = prefix.with_suffix(".bin").read_bytes()
-    offset = 0
+    where = prefix.with_suffix(".json")
+    try:
+        manifest = json.loads(where.read_text(encoding="utf-8"))
+        config = ModelConfig(**manifest["config"])
+        seed = int(manifest["seed"])
+        specs = [(str(a["name"]), tuple(a["shape"])) for a in manifest["arrays"]]
+    except (ValueError, KeyError, TypeError) as e:
+        raise FormatError(f"checkpoint manifest {where} is malformed: {e}") from e
+    model = init_model(config, seed)
     entries = dict(_checkpoint_entries(model))
-    for spec_entry in manifest["arrays"]:
-        shape = tuple(spec_entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-        name = spec_entry["name"]
-        if name not in entries:
-            raise ConfigError(f"checkpoint array {name!r} does not match the config")
-        entries[name][...] = arr
-    if offset != len(blob):
-        raise ConfigError("checkpoint binary length does not match its manifest")
+    names = [name for name, _ in specs]
+    if sorted(names) != sorted(entries):
+        missing = sorted(set(entries) - set(names))
+        extra = sorted(set(names) - set(entries))
+        raise FormatError(
+            f"checkpoint {where} arrays do not match its config: "
+            f"missing {missing}, unexpected {extra}"
+        )
+    blob = prefix.with_suffix(".bin").read_bytes()
+    if len(blob) != 8 * sum(a.size for a in entries.values()):
+        raise FormatError("checkpoint binary length does not match its manifest")
+    offset = 0
+    for name, shape in specs:
+        target = entries[name]
+        if shape != target.shape:
+            raise FormatError(
+                f"checkpoint array {name!r} has shape {shape}, config needs {target.shape}"
+            )
+        target[...] = np.frombuffer(blob, "<f8", target.size, offset).reshape(shape)
+        offset += target.size * 8
     return model

@@ -1,8 +1,8 @@
 """Training orchestration: supervised baselines, sequential distillation
 with boosting and adaptive temperature, fixed-temperature baselines,
-ensembling, and evaluation.
+evaluation, and persistence.
 
-One shared training core backs both the supervised baseline and the
+One training core backs both the supervised baseline and the
 distillation step, so switching every distillation feature off reduces a
 step to plain supervised training bit for bit (same seed, same rng
 streams, same update order). Random streams are derived per purpose from
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,11 @@ from . import tensor as T
 from .boosting import SampleWeights, init_weights, samme_r_update, weighted_label_loss
 from .distill import adaptive_temperature, init_temperature_module, kd_loss
 from .errors import ConfigError, ContractError, TrainingError
-from .graph_data import DatasetSplit, Graph, batch_graphs
+from .graph_data import DatasetSplit, Graph, GraphBatch, batch_graphs
 from .models import GnnModel, ModelConfig, build_forward_context, init_model, model_forward
 from .optim import Adam
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, backward
 
-LAMBDA_GRID = (0.1, 0.5, 1.0, 5.0, 10.0)
-LR_GRID = (0.005, 0.01, 0.05)
 DEFAULT_EPOCHS = {"node": 300, "graph": 200}
 
 
@@ -43,6 +41,7 @@ class TaskData:
     graph: Graph | None = None
     graphs: list[Graph] | None = None
     split: DatasetSplit | None = None
+    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def node_level(cls, graph: Graph) -> "TaskData":
@@ -97,10 +96,27 @@ class TaskData:
             raise ContractError(f"unknown split {split!r}")
         return np.asarray(idx)
 
+    def forward_input(self, config: ModelConfig) -> tuple[Graph | GraphBatch, dict]:
+        """The full-data forward input (the graph, or every graph batched)
+        and its forward context, built once per architecture.
+
+        The context depends only on the graph and the architecture, so
+        node-task training, every evaluation and teacher logits share it.
+        """
+        if config.arch not in self._inputs:
+            inp = self.graph if self.kind == "node" else batch_graphs(self.graphs)
+            g = inp.graph if isinstance(inp, GraphBatch) else inp
+            self._inputs[config.arch] = (inp, build_forward_context(config, g))
+        return self._inputs[config.arch]
+
 
 @dataclass
 class TrainPlan:
-    """Sequence of models to train: teachers first, final student last."""
+    """Sequence of models to train: teachers first, final student last.
+
+    Distillation covers every node of the node task and the training
+    graphs of the graph task.
+    """
 
     models: list[ModelConfig]
     task: str = "node"
@@ -113,11 +129,8 @@ class TrainPlan:
     fixed_tau: float = 4.0
     tau_min: float = 1.0
     tau_max: float = 4.0
-    kd_scope: str = ""  # default: all nodes / training graphs
     batch_size: int = 32
     seed: int = 0
-    temp_variant: str = "auto"  # entropy first step, concat afterwards
-    rescale_tau_sq: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -135,15 +148,6 @@ class TrainPlan:
             raise ConfigError("lambda must be non-negative")
         if self.fixed_tau <= 0:
             raise ConfigError("fixed tau must be positive")
-        if not self.kd_scope:
-            self.kd_scope = "all" if self.task == "node" else "train"
-        if self.kd_scope == "all" and self.task == "graph":
-            raise ConfigError(
-                "graph-task distillation covers training graphs only; "
-                "mini-batches carry no teacher rows for the others"
-            )
-        if self.kd_scope not in ("all", "train"):
-            raise ConfigError(f"unknown kd scope {self.kd_scope!r}")
         if self.epochs is None:
             self.epochs = DEFAULT_EPOCHS[self.task]
         if not self.label:
@@ -173,22 +177,6 @@ class TrainMetrics:
             raise ContractError(f"accuracy {self.test_acc} outside [0, 1]")
 
 
-@dataclass
-class _KdSetup:
-    """Frozen per-step distillation inputs for the shared training core."""
-
-    teacher_logits: np.ndarray
-    lam: float
-    adaptive: bool
-    variant: str
-    fixed_tau: float
-    tau_min: float
-    tau_max: float
-    scope: str
-    rescale_tau_sq: bool
-    temp_seed: int
-
-
 def _one_hot(labels: np.ndarray, c: int) -> np.ndarray:
     return np.eye(c)[np.asarray(labels, dtype=np.int64)]
 
@@ -216,11 +204,9 @@ def _restore(model: GnnModel, snap: dict) -> None:
 
 def predict_logits(model: GnnModel, data: TaskData) -> np.ndarray:
     """Eval-mode logits for every sample (node or graph), full neighborhoods."""
-    if data.kind == "node":
-        logits, _ = model_forward(model, data.graph, training=False)
-        return logits.data.copy()
-    logits, _ = model_forward(model, batch_graphs(data.graphs), training=False)
-    return logits.data.copy()
+    inp, ctx = data.forward_input(model.config)
+    logits, _ = model_forward(model, inp, training=False, ctx=ctx)
+    return logits.data
 
 
 def predict(model: GnnModel, data: TaskData) -> np.ndarray:
@@ -233,10 +219,6 @@ class EvalResult:
     sample_ids: np.ndarray
     true: np.ndarray
     pred: np.ndarray
-
-    @property
-    def correct(self) -> np.ndarray:
-        return self.true == self.pred
 
 
 def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
@@ -260,16 +242,27 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
     )
 
 
-def top5of10(accuracies) -> float:
-    """Mean of the best five out of exactly ten values."""
-    vals = np.asarray(accuracies, dtype=np.float64)
-    if vals.shape != (10,):
-        raise ContractError(f"need exactly 10 values, got {vals.shape}")
-    return float(np.sort(vals)[5:].mean())
-
-
 # ---------------------------------------------------------------------------
-# shared training core
+# training core
+
+
+def _epoch_batches(config: ModelConfig, data: TaskData, plan: TrainPlan, train_idx, shuffle):
+    """Yield one epoch's training batches as (forward input, ctx, sample ids
+    of the logits rows, logits rows under the label loss or None for all).
+
+    The node task is a single full-graph batch whose label loss covers the
+    training nodes in ``train_idx`` order; it draws nothing from
+    ``shuffle``. The graph task yields shuffled ``batch_size`` chunks of
+    training graphs.
+    """
+    if data.kind == "node":
+        inp, ctx = data.forward_input(config)
+        yield inp, ctx, np.arange(data.n_samples), train_idx
+        return
+    order = shuffle.permutation(train_idx)
+    for start in range(0, order.size, plan.batch_size):
+        chunk = order[start : start + plan.batch_size]
+        yield batch_graphs([data.graphs[i] for i in chunk]), None, chunk, None
 
 
 def _train_student(
@@ -278,8 +271,11 @@ def _train_student(
     plan: TrainPlan,
     seed: int,
     weights: np.ndarray | None = None,
-    kd: _KdSetup | None = None,
+    teacher_logits: np.ndarray | None = None,
+    variant: str = "entropy_only",
 ) -> tuple[GnnModel, TrainMetrics]:
+    """Train a fresh model on weighted label loss, plus the distillation
+    term against ``teacher_logits`` when given and ``plan.lam`` > 0."""
     t0 = time.perf_counter()
     streams = _rng_streams(seed)
     model = init_model(config, seed)
@@ -288,116 +284,65 @@ def _train_student(
     c = data.n_classes
     if config.n_classes != c:
         raise ContractError(f"model has {config.n_classes} classes, data has {c}")
-    y_train = _one_hot(labels[train_idx], c)
-    if weights is None:
-        weights = np.full(train_idx.size, 1.0 / train_idx.size)
+    sample_w = np.zeros(data.n_samples)
+    sample_w[train_idx] = 1.0 / train_idx.size if weights is None else weights
 
     params = {f"model.{k}": v for k, v in model.trainable().items()}
+    distill = teacher_logits is not None and plan.lam > 0
     temp_module = None
-    active_kd = kd is not None and kd.lam > 0
-    if active_kd and kd.adaptive:
+    if distill and plan.adaptive_temp:
+        temp_seed = int(np.random.SeedSequence([seed, 3]).generate_state(1)[0])
         temp_module = init_temperature_module(
-            kd.variant, c, kd.temp_seed, kd.tau_min, kd.tau_max
+            variant, c, temp_seed, plan.tau_min, plan.tau_max
         )
         params.update({f"temp.{k}": v for k, v in temp_module.trainable().items()})
     opt = Adam(params, lr=plan.lr, weight_decay=plan.weight_decay)
-
-    if active_kd:
-        scope_global = (
-            np.ones(data.n_samples, dtype=bool)
-            if kd.scope == "all"
-            else np.isin(np.arange(data.n_samples), train_idx)
-        )
-        n_scope = int(scope_global.sum())
+    kd_scale = plan.lam / (data.n_samples if data.kind == "node" else train_idx.size)
 
     per_epoch: list[dict] = []
     best = {"val_acc": -1.0, "snap": _snapshot(model)}
-
-    def epoch_eval() -> float:
-        return evaluate(model, data, "val").accuracy
-
-    if data.kind == "node":
-        g = data.graph
-        ctx = build_forward_context(config, g)
-        for epoch in range(plan.epochs):
+    for epoch in range(plan.epochs):
+        losses = []
+        for inp, ctx, ids, rows in _epoch_batches(
+            config, data, plan, train_idx, streams["shuffle"]
+        ):
+            label_ids = ids if rows is None else ids[rows]
             with Tape() as tape:
                 logits, _ = model_forward(
-                    model, g, training=True, rng=streams["dropout"], ctx=ctx
+                    model, inp, training=True, rng=streams["dropout"], ctx=ctx
                 )
-                probs = T.softmax_rows(T.gather_rows(logits, train_idx))
-                loss = weighted_label_loss(probs, y_train, weights)
-                if active_kd:
+                scored = logits if rows is None else T.gather_rows(logits, rows)
+                loss = weighted_label_loss(
+                    T.softmax_rows(scored), _one_hot(labels[label_ids], c), sample_w[label_ids]
+                )
+                if distill:
+                    t = teacher_logits[ids]
                     tau = (
-                        adaptive_temperature(temp_module, kd.teacher_logits)
-                        if kd.adaptive
-                        else kd.fixed_tau
+                        adaptive_temperature(temp_module, t)
+                        if temp_module is not None
+                        else plan.fixed_tau
                     )
-                    kdl = kd_loss(
-                        logits,
-                        kd.teacher_logits,
-                        tau,
-                        scope_mask=scope_global,
-                        rescale_tau_sq=kd.rescale_tau_sq,
-                    )
-                    loss = T.add(loss, T.scale(kdl, kd.lam / n_scope))
+                    loss = T.add(loss, T.scale(kd_loss(logits, t, tau), kd_scale))
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             backward(loss, tape)
+            # Every recorded tensor points back at its tape; emptying the tape
+            # frees the step's activations now instead of at the next cyclic GC.
+            tape.entries.clear()
             opt.step()
             opt.zero_grad()
-            val_acc = epoch_eval()
-            per_epoch.append({"epoch": epoch, "train_loss": loss_val, "val_acc": val_acc})
-            if val_acc > best["val_acc"]:
-                best = {"val_acc": val_acc, "snap": _snapshot(model)}
-    else:
-        graphs = data.graphs
-        weight_by_graph = np.zeros(len(graphs))
-        weight_by_graph[train_idx] = weights
-        for epoch in range(plan.epochs):
-            order = streams["shuffle"].permutation(train_idx)
-            epoch_losses = []
-            for start in range(0, order.size, plan.batch_size):
-                chunk = order[start : start + plan.batch_size]
-                batch = batch_graphs([graphs[i] for i in chunk])
-                with Tape() as tape:
-                    logits, _ = model_forward(
-                        model, batch, training=True, rng=streams["dropout"]
-                    )
-                    probs = T.softmax_rows(logits)
-                    loss = weighted_label_loss(
-                        probs, _one_hot(labels[chunk], c), weight_by_graph[chunk]
-                    )
-                    if active_kd:
-                        tau = (
-                            adaptive_temperature(temp_module, kd.teacher_logits[chunk])
-                            if kd.adaptive
-                            else kd.fixed_tau
-                        )
-                        kdl = kd_loss(
-                            logits,
-                            kd.teacher_logits[chunk],
-                            tau,
-                            rescale_tau_sq=kd.rescale_tau_sq,
-                        )
-                        loss = T.add(loss, T.scale(kdl, kd.lam / n_scope))
-                loss_val = float(loss.data)
-                if not np.isfinite(loss_val):
-                    raise TrainingError(f"training diverged at epoch {epoch}")
-                backward(loss, tape)
-                opt.step()
-                opt.zero_grad()
-                epoch_losses.append(loss_val)
-            val_acc = epoch_eval()
-            per_epoch.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                    "val_acc": val_acc,
-                }
-            )
-            if val_acc > best["val_acc"]:
-                best = {"val_acc": val_acc, "snap": _snapshot(model)}
+            losses.append(loss_val)
+        val_acc = evaluate(model, data, "val").accuracy
+        per_epoch.append(
+            {
+                "epoch": epoch,
+                "train_loss": float(np.mean(losses)) if losses else 0.0,
+                "val_acc": val_acc,
+            }
+        )
+        if val_acc > best["val_acc"]:
+            best = {"val_acc": val_acc, "snap": _snapshot(model)}
 
     _restore(model, best["snap"])
     test_acc = evaluate(model, data, "test").accuracy
@@ -466,20 +411,8 @@ def train_bgnn_step(
         probs = e / e.sum(axis=1, keepdims=True)
         weights = samme_r_update(weights, probs, _one_hot(labels[train_idx], c))
 
-    kd = _KdSetup(
-        teacher_logits=t_logits,
-        lam=plan.lam,
-        adaptive=plan.adaptive_temp,
-        variant=variant if plan.temp_variant == "auto" else plan.temp_variant,
-        fixed_tau=plan.fixed_tau,
-        tau_min=plan.tau_min,
-        tau_max=plan.tau_max,
-        scope=plan.kd_scope,
-        rescale_tau_sq=plan.rescale_tau_sq,
-        temp_seed=int(np.random.SeedSequence([seed, 3]).generate_state(1)[0]),
-    )
     student, metrics = _train_student(
-        student_config, data, plan, seed, weights=weights.weights, kd=kd
+        student_config, data, plan, seed, weights.weights, t_logits, variant
     )
 
     teacher_pred = t_logits.argmax(axis=1)
@@ -496,8 +429,8 @@ def run_sequential(plan: TrainPlan, data: TaskData) -> tuple[GnnModel, list[Trai
     """Train the plan's model chain, each step distilling from the last.
 
     Step i uses seed plan.seed + i. The temperature module sees entropy
-    alone on the first distillation step and [logits, entropy] afterwards
-    unless the plan pins a variant. Weights carry across steps.
+    alone on the first distillation step and [logits, entropy] afterwards.
+    Weights carry across steps.
     """
     model, metrics = train_supervised(plan.models[0], data, plan, plan.seed)
     all_metrics = [metrics]
@@ -525,18 +458,13 @@ def run_fixed_kd_baseline(
         raise ConfigError(f"tau must be positive, got {tau}")
     out = []
     for seed in seeds:
-        step_plan = TrainPlan(
+        step_plan = replace(
+            plan,
             models=[teacher_config, student_config],
-            task=plan.task,
-            epochs=plan.epochs,
-            lr=plan.lr,
-            weight_decay=plan.weight_decay,
             lam=lam,
             boosting=False,
             adaptive_temp=False,
             fixed_tau=tau,
-            kd_scope=plan.kd_scope,
-            batch_size=plan.batch_size,
             seed=seed,
             label=f"kd tau={tau:g} lam={lam:g}",
         )
@@ -547,19 +475,6 @@ def run_fixed_kd_baseline(
         )
         out.append(metrics)
     return out
-
-
-def ensemble_predict(models: list[GnnModel], data: TaskData) -> tuple[np.ndarray, float]:
-    """Argmax of mean eval-mode logits; ties resolve to the lowest class."""
-    if not models:
-        raise ContractError("ensemble needs at least one model")
-    classes = {m.config.n_classes for m in models}
-    if len(classes) > 1:
-        raise ContractError(f"ensemble members disagree on class count: {sorted(classes)}")
-    mean_logits = np.mean([predict_logits(m, data) for m in models], axis=0)
-    preds = mean_logits.argmax(axis=1)
-    acc = evaluate(preds, data, "test").accuracy
-    return preds, acc
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +505,3 @@ def save_predictions(result: EvalResult, path) -> None:
     for sid, t, p in zip(result.sample_ids, result.true, result.pred):
         lines.append(f"{int(sid)},{int(t)},{int(p)}")
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_predictions(path) -> EvalResult:
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if rows[0] != "sample_id,true,pred":
-        raise ContractError(f"unexpected predictions header {rows[0]!r}")
-    data = np.array([[int(x) for x in row.split(",")] for row in rows[1:]], dtype=np.int64)
-    if data.size == 0:
-        raise ContractError("empty predictions file")
-    acc = float((data[:, 1] == data[:, 2]).mean())
-    return EvalResult(accuracy=acc, sample_ids=data[:, 0], true=data[:, 1], pred=data[:, 2])

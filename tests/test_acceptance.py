@@ -442,7 +442,7 @@ def test_08_distillation_beats_supervised_cora():
         model, _ = train_supervised(gcn, data, plan, seed=seed)
         nokd.append(evaluate(model, data, "test").accuracy)
         chain = TrainPlan(models=(gat, gcn), task="node", seed=seed)
-        metrics = run_sequential(chain, data)
+        _, metrics = run_sequential(chain, data)
         bgnn.append(metrics[-1].test_acc)
     print(f"[criterion 8/cora] NoKD {np.mean(nokd):.4f} vs BGNN {np.mean(bgnn):.4f}")
     assert float(np.mean(bgnn)) > float(np.mean(nokd))

@@ -334,6 +334,25 @@ class TestCka:
         )
         assert code == 2
 
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        d = tmp_path / "TOY"
+        assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
+        ckpt = self.make_checkpoint(tmp_path)
+        blob = ckpt.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes()[:-3])
+        code = run(
+            "cka",
+            "--checkpoints",
+            str(ckpt),
+            "--dataset",
+            f"tu:{d}",
+            "--out",
+            str(tmp_path / "cka.csv"),
+        )
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "cka.csv").exists()
+
     def test_node_dataset_rejected(self, tmp_path):
         ckpt = self.make_checkpoint(tmp_path)
         code = run(

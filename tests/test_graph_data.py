@@ -21,7 +21,6 @@ from bgnn.graph_data import (
     random_split,
     sample_neighbors,
     save_json_bundle,
-    unbatch,
 )
 from bgnn.tensor import Tensor
 from bgnn import tensor as T
@@ -164,6 +163,25 @@ class TestJsonBundle:
         g = load_json_bundle(p)
         assert g.features.shape == (2, 5)
         assert g.features.data[0, 3] == 2.0 and g.features.data[1, 0] == 5.0
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            {"indices": [[-1, 0]], "values": [1.0], "shape": [2, 5]},
+            {"indices": [[0, -2]], "values": [1.0], "shape": [2, 5]},
+            {"indices": [[0, 5]], "values": [1.0], "shape": [2, 5]},
+            {"indices": [[0, 1], [1, 2]], "values": [1.0], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": [1.0, 2.0], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": [1.0], "shape": [2, 5, 1]},
+        ],
+    )
+    def test_bad_sparse_features_rejected(self, tmp_path, features):
+        p = self.minimal_bundle(tmp_path)
+        obj = json.loads(p.read_text())
+        obj["features"] = features
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="features"):
+            load_json_bundle(p)
 
     def test_round_trip_canonical(self, tmp_path):
         g = generate_sbm(5, 2, 0.8, 0.2, 4, seed=3)
@@ -380,15 +398,6 @@ class TestBatching:
         pooled = T.segment_sum(b.graph.features, b.graph_ids, b.n_graphs).data
         for i, g in enumerate(gs):
             np.testing.assert_allclose(pooled[i], g.features.data.sum(axis=0))
-
-    def test_unbatch_round_trip(self):
-        gs = self.graphs()
-        back = unbatch(batch_graphs(gs))
-        for orig, rec in zip(gs, back):
-            assert orig.n_nodes == rec.n_nodes
-            np.testing.assert_array_equal(orig.edges, rec.edges)
-            np.testing.assert_allclose(orig.features.data, rec.features.data)
-            assert orig.graph_label == rec.graph_label
 
     def test_feature_dim_mismatch(self):
         g1, _ = self.graphs()

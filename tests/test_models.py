@@ -1,10 +1,13 @@
 """GNN layers, initialization, forward passes, checkpoints."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bgnn import tensor as T
-from bgnn.errors import ConfigError, ContractError, ShapeError
+from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
 from bgnn.graph_data import Graph, batch_graphs, generate_sbm, normalize_adjacency
 from bgnn.models import (
     GnnModel,
@@ -403,3 +406,72 @@ class TestCheckpoints:
         save_checkpoint(m, tmp_path / "s")
         b, _ = model_forward(load_checkpoint(tmp_path / "s"), g, training=False)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def saved(self, tmp_path):
+        cfg = ModelConfig(arch="gcn", in_dim=4, hidden_dim=6, n_classes=2, batch_norm=True)
+        prefix = tmp_path / "m"
+        save_checkpoint(init_model(cfg, 3), prefix)
+        return prefix
+
+    def edit_manifest(self, prefix, edit):
+        path = prefix.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_manifest_missing_array_rejected(self, tmp_path):
+        prefix = self.saved(tmp_path)
+        self.edit_manifest(
+            prefix, lambda m: m.update(arrays=[a for a in m["arrays"] if a["name"] != "layer2.b"])
+        )
+        with pytest.raises(FormatError, match="layer2.b"):
+            load_checkpoint(prefix)
+
+    def test_manifest_unknown_array_rejected(self, tmp_path):
+        prefix = self.saved(tmp_path)
+        self.edit_manifest(prefix, lambda m: m["arrays"].append({"name": "ghost", "shape": []}))
+        with pytest.raises(FormatError, match="ghost"):
+            load_checkpoint(prefix)
+
+    def test_manifest_shape_mismatch_rejected(self, tmp_path):
+        prefix = self.saved(tmp_path)
+
+        def widen(m):
+            m["arrays"][1]["shape"] = [1]
+
+        self.edit_manifest(prefix, widen)
+        with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(prefix)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        prefix = self.saved(tmp_path)
+        self.edit_manifest(prefix, lambda m: m["config"].update(colour="red"))
+        with pytest.raises(FormatError):
+            load_checkpoint(prefix)
+
+    def test_malformed_json_rejected(self, tmp_path):
+        prefix = self.saved(tmp_path)
+        prefix.with_suffix(".json").write_text('{"config": ')
+        with pytest.raises(FormatError):
+            load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("delta", [-8, -3, 8])
+    def test_binary_length_mismatch_rejected(self, tmp_path, delta):
+        prefix = self.saved(tmp_path)
+        path = prefix.with_suffix(".bin")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:delta] if delta < 0 else blob + bytes(delta))
+        with pytest.raises(FormatError, match="length"):
+            load_checkpoint(prefix)
+
+    def test_binary_written_before_manifest(self, tmp_path, monkeypatch):
+        written = []
+        replace = Path.replace
+
+        def spy(self, target):
+            written.append(Path(target).suffix)
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", spy)
+        self.saved(tmp_path)
+        assert written == [".bin", ".json"]
