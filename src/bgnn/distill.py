@@ -17,6 +17,8 @@ from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import PROB_FLOOR, Tensor
 
+TEMP_HIDDEN = 64  # hidden units of the temperature module's MLP
+
 
 def _softmax_np(z: np.ndarray, tau=1.0) -> np.ndarray:
     s = z / tau
@@ -38,7 +40,6 @@ class TemperatureModule:
     n_classes: int
     tau_min: float = 1.0
     tau_max: float = 4.0
-    hidden: int = 64
     params: dict[str, Tensor] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -63,18 +64,17 @@ def init_temperature_module(
     seed: int,
     tau_min: float = 1.0,
     tau_max: float = 4.0,
-    hidden: int = 64,
 ) -> TemperatureModule:
-    """Glorot hidden layer; zero output layer, so training starts at the
-    midpoint of the temperature range."""
-    mod = TemperatureModule(variant, n_classes, tau_min, tau_max, hidden)
+    """Glorot hidden layer of TEMP_HIDDEN units; zero output layer, so
+    training starts at the midpoint of the temperature range."""
+    mod = TemperatureModule(variant, n_classes, tau_min, tau_max)
     rng = np.random.default_rng(seed)
     d = mod.in_dim
-    bound = np.sqrt(6.0 / (d + hidden))
+    bound = np.sqrt(6.0 / (d + TEMP_HIDDEN))
     mod.params = {
-        "W1": Tensor(rng.uniform(-bound, bound, (d, hidden)), True),
-        "b1": Tensor(np.zeros(hidden), True),
-        "W2": Tensor(np.zeros((hidden, 1)), True),
+        "W1": Tensor(rng.uniform(-bound, bound, (d, TEMP_HIDDEN)), True),
+        "b1": Tensor(np.zeros(TEMP_HIDDEN), True),
+        "W2": Tensor(np.zeros((TEMP_HIDDEN, 1)), True),
         "b2": Tensor(np.zeros(1), True),
     }
     return mod
@@ -115,11 +115,9 @@ def adaptive_temperature(module: TemperatureModule, t: Tensor | np.ndarray) -> T
 def _tau_parts(tau, m: int):
     """Split tau into (tape-side value for the student, detached array)."""
     if isinstance(tau, Tensor):
-        if tau.shape == ():
-            tau = T.gather_rows(T.reshape(tau, (1,)), np.zeros(m, dtype=np.int64))
-        elif tau.shape != (m,):
+        if tau.shape not in ((), (m,)):
             raise ContractError(f"tau shape {tau.shape} does not fit {m} samples")
-        return tau, tau.data[:, None]
+        return tau, tau.data.reshape(-1, 1)
     arr = np.asarray(tau, dtype=np.float64)
     if arr.shape == ():
         return float(arr), float(arr)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .sparse import SparseMatrix
 from .tensor import Tensor
 
@@ -56,19 +56,8 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def neighbors(self) -> list[np.ndarray]:
-        """Per-node neighbor arrays (directed interpretation of edges)."""
-        order = np.argsort(self.edges[:, 0], kind="stable") if self.n_edges else np.array([], int)
-        src = self.edges[order, 0] if self.n_edges else np.array([], int)
-        dst = self.edges[order, 1] if self.n_edges else np.array([], int)
-        bounds = np.searchsorted(src, np.arange(self.n_nodes + 1))
-        return [dst[bounds[i] : bounds[i + 1]] for i in range(self.n_nodes)]
-
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.n_edges:
-            np.add.at(d, self.edges[:, 0], 1)
-        return d
+        return np.bincount(self.edges[:, 0], minlength=self.n_nodes)
 
 
 @dataclass
@@ -109,7 +98,16 @@ class DatasetSplit:
 
 
 def _read_int_lines(path: Path) -> list[int]:
-    return [int(line.strip()) for line in path.read_text().splitlines() if line.strip()]
+    values = []
+    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise FormatError(
+                    f"{path.name}:{line_no}: expected an integer, got {line.strip()!r}"
+                ) from None
+    return values
 
 
 def load_tu_dataset(directory, name: str) -> list[Graph]:
@@ -158,7 +156,12 @@ def load_tu_dataset(directory, name: str) -> list[Graph]:
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise FormatError(f"{paths['A'].name}:{line_no}: expected two ids, got {line!r}")
-        u, v = int(parts[0]) - 1, int(parts[1]) - 1
+        try:
+            u, v = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError:
+            raise FormatError(
+                f"{paths['A'].name}:{line_no}: expected integer ids, got {line!r}"
+            ) from None
         if not (0 <= u < n_total and 0 <= v < n_total):
             raise FormatError(f"{paths['A'].name}:{line_no}: node id out of range")
         if graph_ids[u] != graph_ids[v]:
@@ -206,8 +209,11 @@ def load_json_bundle(path) -> Graph:
     ({indices: [[row, col], ...], values, shape}).
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as e:
+        raise FormatError(f"bundle {path.name} is not valid JSON: {e}") from e
     for key in ("n_nodes", "edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
         if key not in obj:
             raise FormatError(f"bundle {path.name} missing key {key!r}")
@@ -237,9 +243,23 @@ def load_json_bundle(path) -> Graph:
             raise FormatError(f"bundle {path.name}: key 'features' index out of range")
         x[idx[:, 0], idx[:, 1]] = values
     else:
-        x = np.asarray(feats, dtype=np.float64)
+        try:
+            x = np.asarray(feats, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"bundle {path.name}: key 'features' is not a matrix: {e}") from e
+    if x.ndim != 2 or x.shape[0] != n:
+        raise FormatError(
+            f"bundle {path.name}: key 'features' has shape {x.shape}, expected {n} rows"
+        )
 
-    labels = np.asarray(obj["labels"], dtype=np.int64)
+    labels = obj["labels"]
+    if not (
+        isinstance(labels, list)
+        and len(labels) == n
+        and all(type(c) is int and c >= 0 for c in labels)
+    ):
+        raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
+    labels = np.asarray(labels, dtype=np.int64)
     masks = {}
     for key in ("train_idx", "val_idx", "test_idx"):
         idx = np.asarray(obj[key], dtype=np.int64)
@@ -265,8 +285,11 @@ def save_json_bundle(g: Graph, path) -> None:
     Canonical form: undirected edges stored once with src < dst, sorted;
     features written sparse when fewer than a quarter of entries are
     nonzero, dense otherwise. load(save(g)) reproduces the same bundle
-    byte-for-byte on a second save.
+    byte-for-byte on a second save. The graph must carry node labels,
+    since the loader requires one per node.
     """
+    if g.node_labels is None:
+        raise ContractError("a JSON bundle needs node labels")
     lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
     hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if g.n_edges else np.zeros((0, 2), int)
@@ -285,7 +308,7 @@ def save_json_bundle(g: Graph, path) -> None:
         "n_nodes": g.n_nodes,
         "edges": pairs.tolist(),
         "features": features,
-        "labels": (g.node_labels if g.node_labels is not None else np.zeros(0, int)).tolist(),
+        "labels": g.node_labels.tolist(),
         "train_idx": _mask_to_idx(g.train_mask),
         "val_idx": _mask_to_idx(g.val_mask),
         "test_idx": _mask_to_idx(g.test_mask),
@@ -356,9 +379,8 @@ def random_split(
     labels: np.ndarray | None,
     ratios: tuple[float, float, float],
     seed: int,
-    stratified: bool = True,
 ) -> DatasetSplit:
-    """Seeded train/val/test split, stratified per class by default.
+    """Seeded train/val/test split, stratified per class when labels are given.
 
     Within each class, floor(ratio * count) items go to val and test and
     the remainder to train. Classes smaller than the number of nonzero
@@ -384,7 +406,7 @@ def random_split(
     train: list = []
     val: list = []
     test: list = []
-    if stratified and labels is not None:
+    if labels is not None:
         labels = np.asarray(labels)
         leftovers = []
         for c in np.unique(labels):
@@ -431,46 +453,37 @@ def apply_split_masks(g: Graph, split: DatasetSplit) -> Graph:
 
 
 def sample_neighbors(
-    g: Graph, fanouts, rng: np.random.Generator
-) -> list[list[np.ndarray]]:
-    """Per-layer uniform neighbor samples without replacement.
+    g: Graph, fanout, rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges (rows, cols) kept for each node, grouped by row.
 
-    ``fanouts`` is one entry per layer, each a positive int or "all".
-    Returns, for each layer, a list of sampled-neighbor arrays per node;
-    zero-degree nodes get empty arrays.
+    ``fanout`` "all" keeps every edge in stable source order and draws
+    nothing. A positive int keeps a uniform sample of at most that many
+    out-edges per node, without replacement: every edge gets a random key
+    from ``rng``, and each row keeps its ``fanout`` smallest keys.
     """
-    if isinstance(fanouts, (int, str)):
-        fanouts = [fanouts]
-    neigh = g.neighbors()
-    layers = []
-    for fanout in fanouts:
-        if fanout == "all":
-            layers.append([n.copy() for n in neigh])
-            continue
-        fanout = int(fanout)
-        if fanout < 1:
-            raise ConfigError(f"fanout must be at least 1 or 'all', got {fanout}")
-        layer = []
-        for nbrs in neigh:
-            if len(nbrs) <= fanout:
-                layer.append(nbrs.copy())
-            else:
-                layer.append(rng.choice(nbrs, size=fanout, replace=False))
-        layers.append(layer)
-    return layers
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    if fanout == "all":
+        order = np.argsort(src, kind="stable")
+        return src[order], dst[order]
+    fanout = int(fanout)
+    if fanout < 1:
+        raise ConfigError(f"fanout must be at least 1 or 'all', got {fanout}")
+    order = np.lexsort((rng.random(g.n_edges), src))
+    rows, cols = src[order], dst[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)  # position within its row
+    keep = rank < fanout
+    return rows[keep], cols[keep]
 
 
-def mean_aggregator(samples: list[np.ndarray], n_nodes: int) -> SparseMatrix:
-    """Row-stochastic operator averaging each node's sampled neighbors."""
-    rows, cols, vals = [], [], []
-    for i, nbrs in enumerate(samples):
-        if len(nbrs) == 0:
-            continue
-        w = 1.0 / len(nbrs)
-        rows += [i] * len(nbrs)
-        cols += list(nbrs)
-        vals += [w] * len(nbrs)
-    return SparseMatrix.from_coo(n_nodes, n_nodes, rows, cols, vals)
+def mean_aggregator(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> SparseMatrix:
+    """Row-stochastic operator averaging each node's kept neighbors.
+
+    Each edge weighs 1 / (edges kept in its row); rows without edges stay
+    zero, so an isolated node's neighbor mean is the zero vector.
+    """
+    counts = np.bincount(rows, minlength=n_nodes)
+    return SparseMatrix.from_coo(n_nodes, n_nodes, rows, cols, 1.0 / counts[rows])
 
 
 def batch_graphs(graphs: list[Graph]) -> GraphBatch:

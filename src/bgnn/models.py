@@ -47,6 +47,8 @@ class ModelConfig:
             self.activation = "elu" if self.arch == "gat" else "relu"
         if self.activation not in ("relu", "elu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.n_layers < 2:
             raise ConfigError("at least two message-passing layers required")
         if self.task not in ("node", "graph"):
@@ -186,14 +188,14 @@ def gat_layer(
 def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     """Precompute the per-graph structures a forward pass needs.
 
-    Reused across epochs; sampling-mode GraphSage draws fresh samples per
-    forward from the stored neighbor lists.
+    Reused across epochs. GraphSage keeps the full-neighborhood mean
+    operator; a sampling GraphSage draws a fresh sample from the graph's
+    edges on every training forward instead.
     """
     if config.arch == "gcn":
         return {"adj": normalize_adjacency(g)}
     if config.arch == "sage":
-        full = sample_neighbors(g, "all", np.random.default_rng(0))[0]
-        return {"neighbors": full, "mean_op": mean_aggregator(full, g.n_nodes)}
+        return {"mean_op": mean_aggregator(*sample_neighbors(g, "all"), g.n_nodes)}
     loops = np.arange(g.n_nodes)
     src = np.concatenate([g.edges[:, 0], loops]) if g.n_edges else loops
     dst = np.concatenate([g.edges[:, 1], loops]) if g.n_edges else loops
@@ -253,8 +255,7 @@ def model_forward(
             h = gcn_layer(h, ctx["adj"], model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
         elif cfg.arch == "sage":
             if sampling:
-                (sample,) = sample_neighbors(g, int(cfg.fanout), rng)
-                op = mean_aggregator(sample, g.n_nodes)
+                op = mean_aggregator(*sample_neighbors(g, cfg.fanout, rng), g.n_nodes)
             else:
                 op = ctx["mean_op"]
             h = sage_layer(h, op, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])

@@ -1,9 +1,7 @@
 """Adam optimizer over named parameter collections.
 
-Bias-corrected first and second moments; weight decay is coupled by
-default (decay added to the gradient before the moment updates) with a
-decoupled variant that subtracts lr*wd*param directly from the parameter
-instead.
+Bias-corrected first and second moments; weight decay is coupled (L2):
+wd*param is added to the gradient before the moment updates.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        decoupled: bool = False,
     ):
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
@@ -35,7 +32,6 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decoupled = decoupled
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -49,7 +45,7 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            if self.weight_decay and not self.decoupled:
+            if self.weight_decay:
                 g = g + self.weight_decay * p.data
             m = self._m[name]
             v = self._v[name]
@@ -58,8 +54,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and self.decoupled:
-                p.data -= self.lr * self.weight_decay * p.data
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -148,6 +148,12 @@ class TrainPlan:
             raise ConfigError("lambda must be non-negative")
         if self.fixed_tau <= 0:
             raise ConfigError("fixed tau must be positive")
+        if not 1.0 <= self.tau_min < self.tau_max:
+            raise ConfigError(
+                f"need 1 <= tau_min < tau_max, got tau_min {self.tau_min}, tau_max {self.tau_max}"
+            )
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs is None:
             self.epochs = DEFAULT_EPOCHS[self.task]
         if not self.label:

@@ -350,13 +350,9 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
 def _as_tau_column(tau, m: int) -> tuple[np.ndarray, Tensor | None]:
     """Return (column of τ values broadcastable over rows, source tensor or None)."""
     if isinstance(tau, Tensor):
-        if tau.shape == ():
-            col = tau.data.reshape(1, 1)
-        elif tau.shape == (m,):
-            col = tau.data.reshape(m, 1)
-        else:
+        if tau.shape not in ((), (m,)):
             raise ShapeError(f"tau shape {tau.shape} does not match {m} rows")
-        return col, tau
+        return tau.data.reshape(-1, 1), tau
     col = np.full((1, 1), float(tau))
     return col, None
 
@@ -388,7 +384,8 @@ def softmax_rows(z: Tensor, tau=1.0) -> Tensor:
             _accum(z, ds / tau_col)
         if tau_t is not None and tape and _tracked(tau_t, tape):
             dtau = -(ds * z.data).sum(axis=1, keepdims=True) / (tau_col**2)
-            _accum(tau_t, dtau.reshape(tau_t.shape))
+            # a scalar tau scales every row, so its gradient sums the rows' terms
+            _accum(tau_t, dtau.reshape(tau_t.shape) if tau_t.ndim else dtau.sum())
 
     return _record(out, inputs, back)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bgnn import cli
 from bgnn.cli import load_config_file, load_dataset, main
 from bgnn.errors import ConfigError
 from bgnn.graph_data import load_json_bundle, load_tu_dataset
@@ -15,6 +16,10 @@ from bgnn.models import ModelConfig, init_model, save_checkpoint
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("training started before the plan was validated")
 
 
 def train_args(out, **extra):
@@ -92,6 +97,48 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_failure_exits_1(self, tmp_path):
         assert run(*train_args(tmp_path / "r", lr="1e200", epochs="30")) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"plan": "bgnn", "teachers": "gcn", "tau_min": 0.5},
+            {"plan": "bgnn", "teachers": "gcn", "tau_max": 0.9},
+            {"dropout": 1.0},
+        ],
+    )
+    def test_invalid_plan_values_exit_2_before_training(self, tmp_path, monkeypatch, flags):
+        monkeypatch.setattr(cli, "run_sequential", fail_if_called)
+        out = tmp_path / "r"
+        assert run(*train_args(out, **flags)) == 2
+        assert not out.exists()
+
+    def test_graph_batch_size_zero_exits_2_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_sequential", fail_if_called)
+        toy = tmp_path / "TOY"
+        assert run("make-fixtures", "--kind", "tu_toy", "--out", str(toy)) == 0
+        out = tmp_path / "r"
+        argv = train_args(out, task="graph", dataset=f"tu:{toy}", batch_size=0)
+        assert run(*argv) == 2
+        assert not out.exists()
+
+    def test_invalid_sweep_point_exits_2_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_sequential", fail_if_called)
+        out = tmp_path / "s"
+        argv = train_args(out, plan="kd", teachers="gcn", dropout=1.0)
+        argv[0] = "sweep"
+        assert run(*argv, "--parameter", "tau", "--values", "2") == 2
+        assert not out.exists()
+
+    def test_bad_bundle_labels_exit_2(self, tmp_path, capsys):
+        assert run("make-fixtures", "--kind", "json_toy", "--out", str(tmp_path)) == 0
+        bundle = tmp_path / "toy.json"
+        obj = json.loads(bundle.read_text())
+        obj["labels"] = obj["labels"][:-1]
+        bundle.write_text(json.dumps(obj))
+        out = tmp_path / "r"
+        assert run(*train_args(out, dataset=bundle)) == 2
+        assert "key 'labels'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_task_dataset_mismatch_exits_2(self, tmp_path):
         assert run(*train_args(tmp_path / "r", task="graph")) == 2

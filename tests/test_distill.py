@@ -213,3 +213,19 @@ class TestGradientOracle:
         np.testing.assert_allclose(z.grad, kd_gradient_reference(z, t, tau), atol=1e-10)
         assert tau.grad is not None  # student branch feeds the temperature
 
+    def test_scalar_tensor_tau_matches_shared_per_row_tau(self):
+        rng = np.random.default_rng(14)
+        z0 = rng.standard_normal((4, 3))
+        t = rng.standard_normal((4, 3))
+        grads = []
+        for tau in (Tensor(np.array(2.5), True), Tensor(np.full(4, 2.5), True)):
+            z = Tensor(z0.copy(), requires_grad=True)
+            with Tape() as tape:
+                loss = kd_loss(z, t, tau)
+            backward(loss, tape)
+            grads.append((loss.data, z.grad, tau.grad))
+        (loss_s, z_s, tau_s), (loss_r, z_r, tau_r) = grads
+        np.testing.assert_allclose(loss_s, loss_r, rtol=1e-14)
+        np.testing.assert_allclose(z_s, z_r, rtol=1e-14)
+        assert tau_s.shape == ()
+        np.testing.assert_allclose(tau_s, tau_r.sum(), rtol=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgnn.errors import ConfigError, FormatError, ShapeError
+from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
 from bgnn.graph_data import (
     DatasetSplit,
     Graph,
@@ -50,12 +50,9 @@ class TestGraphValidation:
                 val_mask=m,
             )
 
-    def test_degrees_and_neighbors(self):
-        g = tiny_graph(n=3, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
-        np.testing.assert_array_equal(g.degrees(), [1, 2, 1])
-        nb = g.neighbors()
-        np.testing.assert_array_equal(sorted(nb[1]), [0, 2])
-        np.testing.assert_array_equal(nb[0], [1])
+    def test_degrees(self):
+        g = tiny_graph(n=4, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
+        np.testing.assert_array_equal(g.degrees(), [1, 2, 1, 0])
 
 
 class TestTuLoader:
@@ -97,6 +94,12 @@ class TestTuLoader:
         a = tmp_path / "TOY_A.txt"
         a.write_text(a.read_text() + "\n1, 4")  # line 13 joins the two triangles
         with pytest.raises(FormatError, match="TOY_A.txt:13"):
+            load_tu_dataset(tmp_path, "TOY")
+
+    def test_non_integer_graph_label_reports_line(self, tmp_path):
+        self.write_two_triangles(tmp_path)
+        (tmp_path / "TOY_graph_labels.txt").write_text("1\nfoo\n")
+        with pytest.raises(FormatError, match="TOY_graph_labels.txt:2"):
             load_tu_dataset(tmp_path, "TOY")
 
     def test_graph_with_no_edges_loads(self, tmp_path):
@@ -146,6 +149,31 @@ class TestJsonBundle:
         obj["train_idx"] = [5]
         p.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match="train_idx"):
+            load_json_bundle(p)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("labels", [0]),  # shorter than n_nodes
+            ("labels", [0, -1]),  # negative class
+            ("labels", [0, 1.5]),  # not an integer
+            ("features", [[1.0, 0.0], [0.0]]),  # ragged rows
+            ("features", [[1.0, 0.0]]),  # fewer rows than nodes
+            ("features", {"indices": [], "values": [], "shape": [1, 2]}),
+        ],
+    )
+    def test_bad_labels_or_features_named(self, tmp_path, key, value):
+        p = self.minimal_bundle(tmp_path)
+        obj = json.loads(p.read_text())
+        obj[key] = value
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=f"b.json: key '{key}'"):
+            load_json_bundle(p)
+
+    def test_malformed_json_named(self, tmp_path):
+        p = self.minimal_bundle(tmp_path)
+        p.write_text(p.read_text()[:-1])
+        with pytest.raises(FormatError, match="b.json is not valid JSON"):
             load_json_bundle(p)
 
     def test_sparse_features_densified(self, tmp_path):
@@ -200,11 +228,20 @@ class TestJsonBundle:
         save_json_bundle(load_json_bundle(p1), p2)
         assert p1.read_text() == p2.read_text()
 
+    def test_save_needs_labels(self, tmp_path):
+        with pytest.raises(ContractError):
+            save_json_bundle(tiny_graph(), tmp_path / "u.json")
+
     def test_sparse_round_trip(self, tmp_path):
         x = np.zeros((6, 10))
         x[0, 1] = 3.0
         x[5, 9] = -2.0
-        g = Graph(n_nodes=6, edges=np.array([[0, 1], [1, 0]]), features=Tensor(x))
+        g = Graph(
+            n_nodes=6,
+            edges=np.array([[0, 1], [1, 0]]),
+            features=Tensor(x),
+            node_labels=np.zeros(6, dtype=np.int64),
+        )
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_json_bundle(g, p1)
         assert "indices" in p1.read_text()  # density 2/60 stays sparse on disk
@@ -312,6 +349,21 @@ class TestRandomSplit:
         assert len(s.train_idx) == 10 and len(s.val_idx) == 10 and len(s.test_idx) == 10
 
 
+def random_edges(draw, n, simple):
+    """Directed edges on n nodes; simple graphs have no loops or duplicates."""
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if simple:
+        pairs = pairs.filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=40, unique=simple))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def random_graphs(draw, simple=False):
+    n = draw(st.integers(1, 9))
+    return tiny_graph(n=n, edges=random_edges(draw, n, simple), dim=1)
+
+
 class TestSampleNeighbors:
     def star(self, n=11):
         edges = [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
@@ -319,20 +371,20 @@ class TestSampleNeighbors:
 
     def test_fanout_all_identity(self):
         g = self.star()
-        (layer,) = sample_neighbors(g, "all", np.random.default_rng(0))
-        nb = g.neighbors()
-        for got, want in zip(layer, nb):
-            np.testing.assert_array_equal(np.sort(got), np.sort(want))
+        rows, cols = sample_neighbors(g, "all")
+        order = np.argsort(g.edges[:, 0], kind="stable")
+        np.testing.assert_array_equal(rows, g.edges[order, 0])
+        np.testing.assert_array_equal(cols, g.edges[order, 1])
 
     def test_underfull_returns_everything(self):
         g = tiny_graph(n=4, edges=((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)))
-        (layer,) = sample_neighbors(g, 5, np.random.default_rng(0))
-        assert len(layer[0]) == 3
+        rows, cols = sample_neighbors(g, 5, np.random.default_rng(0))
+        np.testing.assert_array_equal(np.sort(cols[rows == 0]), [1, 2, 3])
 
     def test_without_replacement(self):
         g = self.star()
-        (layer,) = sample_neighbors(g, 4, np.random.default_rng(1))
-        assert len(np.unique(layer[0])) == 4
+        rows, cols = sample_neighbors(g, 4, np.random.default_rng(1))
+        assert len(np.unique(cols[rows == 0])) == 4
 
     def test_uniform_frequencies(self):
         g = self.star(11)  # hub has 10 neighbors
@@ -340,28 +392,48 @@ class TestSampleNeighbors:
         counts = np.zeros(11)
         trials = 10_000
         for _ in range(trials):
-            (layer,) = sample_neighbors(g, 4, rng)
-            counts[layer[0]] += 1
+            rows, cols = sample_neighbors(g, 4, rng)
+            counts[cols[rows == 0]] += 1
         freq = counts[1:] / trials
         np.testing.assert_allclose(freq, 0.4, atol=0.02)
 
     def test_zero_degree_node_gets_empty(self):
         g = tiny_graph(n=3, edges=((0, 1), (1, 0)))
-        (layer,) = sample_neighbors(g, 3, np.random.default_rng(0))
-        assert len(layer[2]) == 0
+        rows, _ = sample_neighbors(g, 3, np.random.default_rng(0))
+        assert not np.any(rows == 2)
 
-    def test_per_layer_fanouts(self):
-        g = self.star()
-        layers = sample_neighbors(g, [2, "all"], np.random.default_rng(0))
-        assert len(layers) == 2
-        assert len(layers[0][0]) == 2 and len(layers[1][0]) == 10
+    def test_fanout_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            sample_neighbors(self.star(), 0, np.random.default_rng(0))
 
     def test_mean_aggregator_rows(self):
         g = tiny_graph(n=3, edges=((0, 1), (1, 0), (0, 2), (2, 0)))
-        (layer,) = sample_neighbors(g, "all", np.random.default_rng(0))
-        op = mean_aggregator(layer, 3).to_dense()
+        op = mean_aggregator(*sample_neighbors(g, "all"), 3).to_dense()
         np.testing.assert_allclose(op[0], [0.0, 0.5, 0.5])
         np.testing.assert_allclose(op.sum(axis=1), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs())
+    def test_full_mean_operator_matches_dense_oracle(self, g):
+        counts = np.zeros((g.n_nodes, g.n_nodes))
+        np.add.at(counts, (g.edges[:, 0], g.edges[:, 1]), 1.0)
+        deg = counts.sum(axis=1, keepdims=True)
+        want = np.divide(counts, deg, out=np.zeros_like(counts), where=deg > 0)
+        got = mean_aggregator(*sample_neighbors(g, "all"), g.n_nodes).to_dense()
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(simple=True), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_sampled_rows_are_subsets_of_neighborhoods(self, g, fanout, seed):
+        rows, cols = sample_neighbors(g, fanout, np.random.default_rng(seed))
+        assert np.all(np.diff(rows) >= 0)
+        op = mean_aggregator(rows, cols, g.n_nodes).to_dense()
+        deg = g.degrees()
+        for v in range(g.n_nodes):
+            support = np.flatnonzero(op[v])
+            assert set(support) <= set(g.edges[g.edges[:, 0] == v, 1])
+            assert support.size == min(deg[v], fanout)
+            np.testing.assert_allclose(op[v].sum(), 1.0 if deg[v] else 0.0)
 
 
 class TestBatching:

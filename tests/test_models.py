@@ -59,6 +59,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(arch="gat", in_dim=4, hidden_dim=10, n_classes=2, heads=8)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.0])
+    def test_dropout_outside_unit_interval(self, p):
+        with pytest.raises(ConfigError, match="dropout"):
+            ModelConfig(arch="gcn", in_dim=4, hidden_dim=8, n_classes=2, dropout=p)
+
     def test_layer_dims(self):
         c = ModelConfig(arch="gcn", in_dim=1433, hidden_dim=16, n_classes=7)
         assert c.layer_dims() == [1433, 16, 7]

@@ -63,25 +63,6 @@ class TestAdam:
         np.testing.assert_allclose(q.data, [1.0])
         assert p.data[0] != 1.0
 
-    def test_coupled_vs_decoupled_decay_differ(self):
-        def run(decoupled):
-            p = make_param([1.0])
-            opt = Adam({"p": p}, lr=0.1, weight_decay=0.5, decoupled=decoupled)
-            for _ in range(3):
-                p.grad = np.array([0.3])
-                opt.step()
-            return p.data[0]
-
-        assert run(False) != run(True)
-
-    def test_decoupled_decay_shrinks_param_directly(self):
-        p = make_param([10.0])
-        opt = Adam({"p": p}, lr=0.1, weight_decay=0.1, decoupled=True)
-        p.grad = np.array([0.0])
-        opt.step()
-        # moments stay zero, so the update is exactly the decay term
-        np.testing.assert_allclose(p.data, [10.0 * (1 - 0.1 * 0.1)])
-
     def test_zero_grad_clears(self):
         p = make_param([1.0])
         opt = Adam({"p": p})

@@ -114,6 +114,17 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             TrainPlan(models=[gcn_cfg()], lam=-0.5)
 
+    @pytest.mark.parametrize(
+        "bad", [{"tau_min": 0.5}, {"tau_max": 0.9}, {"tau_min": 3.0, "tau_max": 3.0}]
+    )
+    def test_tau_range(self, bad):
+        with pytest.raises(ConfigError, match="tau_min"):
+            TrainPlan(models=[gcn_cfg()], **bad)
+
+    def test_batch_size_at_least_one(self):
+        with pytest.raises(ConfigError, match="batch size"):
+            TrainPlan(models=[graph_cfg()], task="graph", batch_size=0)
+
     def test_default_epochs_by_task(self):
         assert TrainPlan(models=[gcn_cfg()]).epochs == 300
         assert TrainPlan(models=[graph_cfg()], task="graph").epochs == 200

@@ -129,6 +129,15 @@ class TestSoftmaxRows:
             np.array([1.5, 2.0, 3.0]),
         )
 
+    def test_gradient_wrt_scalar_tau(self):
+        g = rng(9)
+        z = g.standard_normal((3, 2))
+        w = g.standard_normal((3, 2))
+        check_grads(
+            lambda tau: T.sum_all(T.mul(T.softmax_rows(Tensor(z), tau=tau), Tensor(w))),
+            np.array(2.0),
+        )
+
     def test_gradient_wrt_logits_and_tau_jointly(self):
         g = rng(8)
         w = g.standard_normal((2, 3))
