@@ -5,12 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .graph_data import Graph, batch_graphs
+from .graph_data import Graph, atomic_write, batch_graphs
 from .models import GnnModel, model_forward
 
 
@@ -39,17 +38,21 @@ def extract_layer_representations(
     """Mean node embedding per graph at every layer, eval mode.
 
     Row g of layer matrix l is the average of graph g's node embeddings
-    after layer l's activation.
+    after layer l's activation. One eval forward over all graphs batched
+    block-diagonally gives each node the same embedding as a forward over
+    its graph alone.
     """
     if not graphs:
         raise ContractError("need at least one graph")
-    per_layer: list[list[np.ndarray]] = [[] for _ in range(model.config.n_layers)]
-    for g in graphs:
-        data = batch_graphs([g]) if model.config.task == "graph" else g
-        _, reps = model_forward(model, data, training=False)
-        for layer, r in zip(per_layer, reps):
-            layer.append(r.data.mean(axis=0))
-    return RepresentationSet(tag=tag or model.config.arch, layers=[np.stack(m) for m in per_layer])
+    batch = batch_graphs(graphs)
+    data = batch if model.config.task == "graph" else batch.graph
+    _, reps = model_forward(model, data, training=False)
+    bounds = np.cumsum([0] + [g.n_nodes for g in graphs])
+    layers = [
+        np.stack([r.data[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])
+        for r in reps
+    ]
+    return RepresentationSet(tag=tag or model.config.arch, layers=layers)
 
 
 def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
@@ -108,7 +111,4 @@ def save_cka_csv(rows: list[dict], path) -> None:
         lines.append(
             f"{r['model_a']},{r['layer_a']},{r['model_b']},{r['layer_b']},{r['cka']:.6f}"
         )
-    path = Path(path)
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -32,6 +32,7 @@ from .analysis import cka_matrix, extract_layer_representations, save_cka_csv
 from .errors import BgnnError, ConfigError, FormatError
 from .graph_data import (
     apply_split_masks,
+    atomic_write,
     generate_sbm,
     load_json_bundle,
     load_tu_dataset,
@@ -43,7 +44,7 @@ from .pipeline import (
     TaskData,
     TrainPlan,
     evaluate,
-    run_sequential,
+    run_plans,
     save_metrics,
     save_predictions,
 )
@@ -304,34 +305,34 @@ def make_plan(cfg: RunConfig, data: TaskData, seed: int) -> TrainPlan:
     )
 
 
-def _run_plan_into(cfg: RunConfig, data: TaskData, out: Path) -> list[float]:
-    """Train per seed, write artifacts, return final-step test accuracies."""
-    out.mkdir(parents=True, exist_ok=True)
-    accs = []
-    for seed in cfg.seeds:
-        plan = make_plan(cfg, data, seed)
-        model, metrics = run_sequential(plan, data)
-        for i, m in enumerate(metrics):
-            save_metrics(m, out / f"metrics_step{i}_seed{seed}.json")
+def _run_points(points: list[tuple[RunConfig, Path]], data: TaskData) -> list[list[float]]:
+    """Train every seed of every (config, output dir) point in one
+    ``run_plans`` call and write its artifacts; return each point's
+    final-step test accuracies. Every plan is validated before any
+    directory is made."""
+    jobs = [(i, out, make_plan(cfg, data, seed))
+            for i, (cfg, out) in enumerate(points) for seed in cfg.seeds]
+    for _, out in points:
+        out.mkdir(parents=True, exist_ok=True)
+    accs: list[list[float]] = [[] for _ in points]
+    results = run_plans([plan for _, _, plan in jobs], data)
+    for (i, out, plan), (model, metrics) in zip(jobs, results):
+        seed = plan.seed
+        for step, m in enumerate(metrics):
+            save_metrics(m, out / f"metrics_step{step}_seed{seed}.json")
         save_predictions(evaluate(model, data, "test"), out / f"predictions_seed{seed}.csv")
         save_checkpoint(model, out / f"model_seed{seed}")
-        accs.append(metrics[-1].test_acc)
+        accs[i].append(metrics[-1].test_acc)
     return accs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    data = _load_for_task(cfg)
-    make_plan(cfg, data, cfg.seeds[0])  # validate the full plan before writing
-    _run_plan_into(cfg, data, Path(cfg.out))
+    _run_points([(cfg, Path(cfg.out))], _load_for_task(cfg))
     return 0
 
 
-SWEEP_PARAMS = {  # attribute + value constraint
-    "tau": ("fixed_tau", lambda v: v > 0),
-    "lambda": ("lam", lambda v: v >= 0),
-    "lr": ("lr", lambda v: v > 0),
-}
+SWEEP_PARAMS = {"tau": "fixed_tau", "lambda": "lam", "lr": "lr"}  # -> RunConfig attribute
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -342,27 +343,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad sweep values {args.values!r}: {e}") from e
     if not values:
         raise ConfigError("sweep needs at least one value")
-    attr, ok = SWEEP_PARAMS[args.parameter]
-    if not all(ok(v) for v in values):
-        raise ConfigError(f"invalid {args.parameter} values: {values}")
     data = _load_for_task(cfg)
+    out = Path(cfg.out)
     points = []
     for v in values:
-        sub = dataclasses.replace(cfg, **{attr: v})
+        sub = dataclasses.replace(cfg, **{SWEEP_PARAMS[args.parameter]: v})
         if args.parameter == "tau":
             sub.adaptive_temp = False  # a fixed-temperature sweep point
-        make_plan(sub, data, sub.seeds[0])
-        points.append(sub)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for v, sub in zip(values, points):
-        accs = _run_plan_into(sub, data, out / f"{args.parameter}={v:g}")
-        rows.append((v, float(np.mean(accs)), float(np.std(accs))))
-    lines = ["value,mean_acc,std"] + [f"{v:g},{m:.6f},{s:.6f}" for v, m, s in rows]
-    tmp = out / "sweep.csv.tmp"
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(out / "sweep.csv")
+        points.append((sub, out / f"{args.parameter}={v:g}"))
+    accs = _run_points(points, data)
+    lines = ["value,mean_acc,std"] + [
+        f"{v:g},{np.mean(a):.6f},{np.std(a):.6f}" for v, a in zip(values, accs)
+    ]
+    atomic_write(out / "sweep.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -422,9 +415,7 @@ def _write_tu_toy(out: Path, seed: int) -> None:
         ("TOY_graph_labels.txt", graph_labels),
         ("TOY_node_labels.txt", node_labels),
     ):
-        tmp = out / (name + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tmp.replace(out / name)
+        atomic_write(out / name, "\n".join(lines) + "\n")
 
 
 def cmd_make_fixtures(args: argparse.Namespace) -> int:

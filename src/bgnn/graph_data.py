@@ -201,6 +201,23 @@ def load_tu_dataset(directory, name: str) -> list[Graph]:
 # JSON node-classification bundle
 
 
+def _int_array(value, path: Path, key: str, pairs: bool = False) -> np.ndarray:
+    """``value`` as an int64 list, or a list of [a, b] pairs when ``pairs``.
+    Floats, strings, booleans and ragged or misshapen lists raise
+    FormatError naming the file and the key; nothing is truncated."""
+    tail = (2,) if pairs else ()
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.size == 0:
+        return np.zeros((0, *tail), dtype=np.int64)
+    if arr.dtype.kind != "i" or arr.shape[1:] != tail or arr.ndim != len(tail) + 1:
+        want = "a list of [a, b] integer pairs" if pairs else "a list of integers"
+        raise FormatError(f"bundle {path.name}: key {key!r} must be {want}")
+    return arr.astype(np.int64)
+
+
 def load_json_bundle(path) -> Graph:
     """Load a node-classification graph from a JSON bundle.
 
@@ -217,8 +234,10 @@ def load_json_bundle(path) -> Graph:
     for key in ("n_nodes", "edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
         if key not in obj:
             raise FormatError(f"bundle {path.name} missing key {key!r}")
-    n = int(obj["n_nodes"])
-    stored = np.asarray(obj["edges"], dtype=np.int64).reshape(-1, 2)
+    n = obj["n_nodes"]
+    if type(n) is not int or n < 0:
+        raise FormatError(f"bundle {path.name}: key 'n_nodes' must be a non-negative integer")
+    stored = _int_array(obj["edges"], path, "edges", pairs=True)
     if stored.size and (stored.min() < 0 or stored.max() >= n):
         raise FormatError(f"bundle {path.name}: key 'edges' has endpoint out of range")
     edges = np.concatenate([stored, stored[:, ::-1]], axis=0) if stored.size else stored
@@ -228,11 +247,11 @@ def load_json_bundle(path) -> Graph:
         for key in ("indices", "values", "shape"):
             if key not in feats:
                 raise FormatError(f"bundle {path.name}: sparse features missing key {key!r}")
-        shape = tuple(feats["shape"])
+        shape = tuple(_int_array(feats["shape"], path, "features").tolist())
         if len(shape) != 2 or min(shape) < 0:
             raise FormatError(f"bundle {path.name}: key 'features' has shape {shape}")
         x = np.zeros(shape)
-        idx = np.asarray(feats["indices"], dtype=np.int64).reshape(-1, 2)
+        idx = _int_array(feats["indices"], path, "features", pairs=True)
         values = np.asarray(feats["values"], dtype=np.float64)
         if values.shape != (idx.shape[0],):
             raise FormatError(
@@ -252,17 +271,12 @@ def load_json_bundle(path) -> Graph:
             f"bundle {path.name}: key 'features' has shape {x.shape}, expected {n} rows"
         )
 
-    labels = obj["labels"]
-    if not (
-        isinstance(labels, list)
-        and len(labels) == n
-        and all(type(c) is int and c >= 0 for c in labels)
-    ):
+    labels = _int_array(obj["labels"], path, "labels")
+    if labels.shape != (n,) or np.any(labels < 0):
         raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
-    labels = np.asarray(labels, dtype=np.int64)
     masks = {}
     for key in ("train_idx", "val_idx", "test_idx"):
-        idx = np.asarray(obj[key], dtype=np.int64)
+        idx = _int_array(obj[key], path, key)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise FormatError(f"bundle {path.name}: key {key!r} index out of range")
         m = np.zeros(n, dtype=bool)
@@ -313,8 +327,17 @@ def save_json_bundle(g: Graph, path) -> None:
         "val_idx": _mask_to_idx(g.val_mask),
         "test_idx": _mask_to_idx(g.test_mask),
     }
+    atomic_write(path, json.dumps(obj))
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write through a temporary file and a rename, so that ``path`` never
+    holds a partly written file."""
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(obj), encoding="utf-8")
+    if isinstance(data, bytes):
+        tmp.write_bytes(data)
+    else:
+        tmp.write_text(data, encoding="utf-8")
     tmp.replace(path)
 
 

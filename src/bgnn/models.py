@@ -17,7 +17,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, FormatError, ShapeError
-from .graph_data import Graph, GraphBatch, mean_aggregator, normalize_adjacency, sample_neighbors
+from .graph_data import (
+    Graph, GraphBatch, atomic_write, mean_aggregator, normalize_adjacency, sample_neighbors
+)
 from .sparse import SparseMatrix
 from .tensor import Tensor
 
@@ -320,12 +322,8 @@ def save_checkpoint(model: GnnModel, path_prefix) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in entries],
     }
     blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries)
-    tmp = prefix.with_suffix(".bin.tmp")
-    tmp.write_bytes(blob)
-    tmp.replace(prefix.with_suffix(".bin"))
-    tmp = prefix.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest), encoding="utf-8")
-    tmp.replace(prefix.with_suffix(".json"))
+    atomic_write(prefix.with_suffix(".bin"), blob)
+    atomic_write(prefix.with_suffix(".json"), json.dumps(manifest))
 
 
 def load_checkpoint(path_prefix) -> GnnModel:

@@ -21,12 +21,14 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not (np.isfinite(lr) and lr > 0.0):
+            raise ConfigError(f"learning rate must be a finite positive number, got {lr}")
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ConfigError(f"betas must lie in [0, 1), got {betas}")
-        if weight_decay < 0.0:
-            raise ConfigError(f"weight decay must be non-negative, got {weight_decay}")
+        if not (np.isfinite(weight_decay) and weight_decay >= 0.0):
+            raise ConfigError(
+                f"weight decay must be a finite non-negative number, got {weight_decay}"
+            )
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -1,6 +1,5 @@
 """Training orchestration: supervised baselines, sequential distillation
-with boosting and adaptive temperature, fixed-temperature baselines,
-evaluation, and persistence.
+with boosting and adaptive temperature, evaluation, and persistence.
 
 One training core backs both the supervised baseline and the
 distillation step, so switching every distillation feature off reduces a
@@ -14,9 +13,9 @@ from its own substream so enabling it never shifts the others.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import tensor as T
 from .boosting import SampleWeights, init_weights, samme_r_update, weighted_label_loss
 from .distill import adaptive_temperature, init_temperature_module, kd_loss
 from .errors import ConfigError, ContractError, TrainingError
-from .graph_data import DatasetSplit, Graph, GraphBatch, batch_graphs
+from .graph_data import DatasetSplit, Graph, GraphBatch, atomic_write, batch_graphs
 from .models import GnnModel, ModelConfig, build_forward_context, init_model, model_forward
 from .optim import Adam
 from .tensor import Tape, backward
@@ -144,18 +143,26 @@ class TrainPlan:
         for m in self.models:
             if m.task != self.task:
                 raise ConfigError("model task does not match plan task")
-        if self.lam < 0:
-            raise ConfigError("lambda must be non-negative")
-        if self.fixed_tau <= 0:
-            raise ConfigError("fixed tau must be positive")
-        if not 1.0 <= self.tau_min < self.tau_max:
+        for what, value, positive in (
+            ("learning rate", self.lr, True),
+            ("weight decay", self.weight_decay, False),
+            ("lambda", self.lam, False),
+            ("fixed tau", self.fixed_tau, True),
+        ):
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                rule = "positive" if positive else "non-negative"
+                raise ConfigError(f"{what} must be a finite {rule} number, got {value}")
+        if not 1.0 <= self.tau_min < self.tau_max < math.inf:
             raise ConfigError(
-                f"need 1 <= tau_min < tau_max, got tau_min {self.tau_min}, tau_max {self.tau_max}"
+                f"need 1 <= tau_min < tau_max < inf, "
+                f"got tau_min {self.tau_min}, tau_max {self.tau_max}"
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs is None:
             self.epochs = DEFAULT_EPOCHS[self.task]
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if not self.label:
             self.label = self.describe()
 
@@ -431,83 +438,56 @@ def train_bgnn_step(
     return student, weights, metrics
 
 
-def run_sequential(plan: TrainPlan, data: TaskData) -> tuple[GnnModel, list[TrainMetrics]]:
-    """Train the plan's model chain, each step distilling from the last.
+def run_plans(
+    plans: list[TrainPlan], data: TaskData
+) -> list[tuple[GnnModel, list[TrainMetrics]]]:
+    """Train every plan's model chain, each step distilling from the last.
 
     Step i uses seed plan.seed + i. The temperature module sees entropy
     alone on the first distillation step and [logits, entropy] afterwards.
     Weights carry across steps.
+
+    The first step is plain supervised training, so plans that agree on
+    its inputs (first model, epochs, lr, weight decay, batch size and
+    seed) share one trained first model: a tau or lambda sweep trains
+    each teacher once per seed. Each plan still gets its own metrics,
+    labelled with its own plan. Results come back in plan order.
     """
-    model, metrics = train_supervised(plan.models[0], data, plan, plan.seed)
-    all_metrics = [metrics]
-    weights = init_weights(data.split_idx("train").size, data.n_classes)
-    for i, cfg in enumerate(plan.models[1:], start=1):
-        variant = "entropy_only" if i == 1 else "concat"
-        model, weights, metrics = train_bgnn_step(
-            model, cfg, data, weights, plan, plan.seed + i, variant=variant
-        )
-        all_metrics.append(metrics)
-    return model, all_metrics
-
-
-def run_fixed_kd_baseline(
-    teacher_config: ModelConfig,
-    student_config: ModelConfig,
-    data: TaskData,
-    tau: float,
-    lam: float,
-    plan: TrainPlan,
-    seeds,
-) -> list[TrainMetrics]:
-    """Constant-temperature distillation: boosting off, uniform weights."""
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    out = []
-    for seed in seeds:
-        step_plan = replace(
-            plan,
-            models=[teacher_config, student_config],
-            lam=lam,
-            boosting=False,
-            adaptive_temp=False,
-            fixed_tau=tau,
-            seed=seed,
-            label=f"kd tau={tau:g} lam={lam:g}",
-        )
-        teacher, _ = train_supervised(teacher_config, data, step_plan, seed)
+    firsts: dict = {}
+    results = []
+    for plan in plans:
+        key = (astuple(plan.models[0]), plan.epochs, plan.lr, plan.weight_decay,
+               plan.batch_size, plan.seed)
+        if key not in firsts:
+            firsts[key] = train_supervised(plan.models[0], data, plan, plan.seed)
+        model, first_metrics = firsts[key]
+        all_metrics = [replace(first_metrics, plan=plan.label)]
         weights = init_weights(data.split_idx("train").size, data.n_classes)
-        _, _, metrics = train_bgnn_step(
-            teacher, student_config, data, weights, step_plan, seed + 1
-        )
-        out.append(metrics)
-    return out
+        for i, cfg in enumerate(plan.models[1:], start=1):
+            variant = "entropy_only" if i == 1 else "concat"
+            model, weights, metrics = train_bgnn_step(
+                model, cfg, data, weights, plan, plan.seed + i, variant=variant
+            )
+            all_metrics.append(metrics)
+        results.append((model, all_metrics))
+    return results
+
+
+def run_sequential(plan: TrainPlan, data: TaskData) -> tuple[GnnModel, list[TrainMetrics]]:
+    """Train one plan's model chain; see ``run_plans``."""
+    return run_plans([plan], data)[0]
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def save_metrics(metrics: TrainMetrics, path) -> None:
-    obj = {
-        "plan": metrics.plan,
-        "seed": metrics.seed,
-        "per_epoch": metrics.per_epoch,
-        "test_acc": metrics.test_acc,
-        "teacher_mis_acc": metrics.teacher_mis_acc,
-        "wall_ms": metrics.wall_ms,
-    }
-    _atomic_write(path, json.dumps(obj))
+    atomic_write(path, json.dumps(asdict(metrics)))
 
 
 def save_predictions(result: EvalResult, path) -> None:
     lines = ["sample_id,true,pred"]
     for sid, t, p in zip(result.sample_ids, result.true, result.pred):
         lines.append(f"{int(sid)},{int(t)},{int(p)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

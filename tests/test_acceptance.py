@@ -37,7 +37,7 @@ from bgnn.pipeline import (
     TaskData,
     TrainPlan,
     evaluate,
-    run_fixed_kd_baseline,
+    run_plans,
     run_sequential,
     train_bgnn_step,
     train_supervised,
@@ -466,27 +466,25 @@ def test_09_boosting_helps_teacher_missed_nodes(sbm_study):
 
 def test_10_fixed_tau_sweep_and_adaptive_competitive(sbm_data):
     teacher_cfg = _sbm_teacher_cfg(heads=4)
-    plan = TrainPlan(models=(teacher_cfg, _SBM_STUDENT), task="node",
-                     epochs=SBM_EPOCHS, seed=0)
-    fixed_means = {}
-    for tau in range(1, 11):
-        ms = run_fixed_kd_baseline(
-            teacher_cfg, _SBM_STUDENT, sbm_data, float(tau), 1.0, plan, SWEEP_SEEDS
-        )
-        assert len(ms) == len(SWEEP_SEEDS)
-        assert all(np.isfinite(m.test_acc) for m in ms)
-        fixed_means[tau] = float(np.mean([m.test_acc for m in ms]))
-    best_tau, best = max(fixed_means.items(), key=lambda kv: kv[1])
+    taus = range(1, 11)
 
-    adaptive = []
-    w0 = init_weights(sbm_data.split.train_idx.size, 3)
-    for s in SWEEP_SEEDS:
-        p = TrainPlan(models=(teacher_cfg, _SBM_STUDENT), task="node",
-                      epochs=SBM_EPOCHS, boosting=False, seed=s)
-        teacher, _ = train_supervised(teacher_cfg, sbm_data, p, seed=s)
-        _, _, metrics = train_bgnn_step(teacher, _SBM_STUDENT, sbm_data, w0, p, seed=s + 1)
-        adaptive.append(metrics.test_acc)
-    adap = float(np.mean(adaptive))
+    def plan(seed, **kw):
+        return TrainPlan(models=(teacher_cfg, _SBM_STUDENT), task="node",
+                         epochs=SBM_EPOCHS, boosting=False, seed=seed, **kw)
+
+    # One run_plans call: the teacher does not read tau, lambda or the
+    # temperature module, so every leg shares one trained teacher per seed.
+    fixed = [plan(s, adaptive_temp=False, fixed_tau=float(tau), lam=1.0)
+             for tau in taus for s in SWEEP_SEEDS]
+    adaptive = [plan(s) for s in SWEEP_SEEDS]
+    results = run_plans(fixed + adaptive, sbm_data)
+    assert len(results) == len(fixed) + len(adaptive)
+    accs = [metrics[-1].test_acc for _, metrics in results]
+    assert all(np.isfinite(accs))
+    n = len(SWEEP_SEEDS)
+    fixed_means = {tau: float(np.mean(accs[k * n:(k + 1) * n])) for k, tau in enumerate(taus)}
+    best_tau, best = max(fixed_means.items(), key=lambda kv: kv[1])
+    adap = float(np.mean(accs[-n:]))
     line = " ".join(f"{t}:{v:.3f}" for t, v in fixed_means.items())
     print(f"[criterion 10] fixed sweep {line}; best tau={best_tau} ({best:.4f}); "
           f"adaptive {adap:.4f} (floor best-0.01)")

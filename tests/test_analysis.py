@@ -151,6 +151,26 @@ class TestExtraction:
             for l, r in enumerate(layer_reps):
                 assert np.allclose(reps.layers[l][i], r.data.mean(axis=0))
 
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    @pytest.mark.parametrize("task", ["graph", "node"])
+    def test_one_batched_forward_matches_per_graph_forwards(self, arch, task):
+        no_edges = np.zeros((0, 2), dtype=np.int64)
+        isolated = Graph(2, no_edges, Tensor(np.ones((2, 3))), graph_label=0)
+        gs = [small_graph(seed=5), isolated, small_graph(n_nodes=6, seed=6)]
+        cfg = ModelConfig(arch=arch, in_dim=3, hidden_dim=4, n_classes=2, heads=2,
+                          batch_norm=True, task=task)
+        model = init_model(cfg, 1)
+        reps = extract_layer_representations(model, gs)
+        from bgnn.graph_data import batch_graphs
+
+        for i, g in enumerate(gs):
+            data = batch_graphs([g]) if task == "graph" else g
+            _, layer_reps = model_forward(model, data, training=False)
+            for l, r in enumerate(layer_reps):
+                np.testing.assert_allclose(
+                    reps.layers[l][i], r.data.mean(axis=0), rtol=1e-12, atol=1e-12
+                )
+
     def test_layer_count_override(self):
         gs = [small_graph(seed=3)]
         reps = extract_layer_representations(self.graph_model(n_layers=4), gs)

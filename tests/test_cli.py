@@ -104,16 +104,23 @@ class TestTrain:
             {"plan": "bgnn", "teachers": "gcn", "tau_min": 0.5},
             {"plan": "bgnn", "teachers": "gcn", "tau_max": 0.9},
             {"dropout": 1.0},
+            {"plan": "kd", "teachers": "gcn", "lambda": "nan"},
+            {"plan": "kd", "teachers": "gcn", "fixed_tau": "inf"},
+            {"lr": "inf"},
+            {"lr": 0},
+            {"weight_decay": "nan"},
+            {"plan": "bgnn", "teachers": "gcn", "tau_max": "inf"},
+            {"epochs": -3},
         ],
     )
     def test_invalid_plan_values_exit_2_before_training(self, tmp_path, monkeypatch, flags):
-        monkeypatch.setattr(cli, "run_sequential", fail_if_called)
+        monkeypatch.setattr(cli, "run_plans", fail_if_called)
         out = tmp_path / "r"
         assert run(*train_args(out, **flags)) == 2
         assert not out.exists()
 
     def test_graph_batch_size_zero_exits_2_before_training(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_sequential", fail_if_called)
+        monkeypatch.setattr(cli, "run_plans", fail_if_called)
         toy = tmp_path / "TOY"
         assert run("make-fixtures", "--kind", "tu_toy", "--out", str(toy)) == 0
         out = tmp_path / "r"
@@ -122,7 +129,7 @@ class TestTrain:
         assert not out.exists()
 
     def test_invalid_sweep_point_exits_2_before_training(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_sequential", fail_if_called)
+        monkeypatch.setattr(cli, "run_plans", fail_if_called)
         out = tmp_path / "s"
         argv = train_args(out, plan="kd", teachers="gcn", dropout=1.0)
         argv[0] = "sweep"
@@ -251,42 +258,36 @@ class TestSweep:
         assert run(*self.sweep_args(tmp_path / "s", "tau", "")) == 2
         assert not (tmp_path / "s").exists()
 
-    def test_invalid_values_exit_2(self, tmp_path):
-        assert run(*self.sweep_args(tmp_path / "s", "tau", "0")) == 2
-        assert run(*self.sweep_args(tmp_path / "s", "lr", "-1")) == 2
+    def test_invalid_values_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_plans", fail_if_called)
+        for parameter, values in [
+            ("tau", "0"), ("lr", "-1"), ("tau", "1,inf"), ("lambda", "1,nan"), ("lr", "inf")
+        ]:
+            assert run(*self.sweep_args(tmp_path / "s", parameter, values)) == 2
+        assert not (tmp_path / "s").exists()
 
     def test_single_value_sweep_matches_train(self, tmp_path):
-        sweep_out = tmp_path / "sweep"
-        assert run(*self.sweep_args(sweep_out, "tau", "2")) == 0
-        train_out = tmp_path / "train"
-        assert (
-            run(
-                "train",
-                "--dataset",
-                "sbm:small",
-                "--plan",
-                "kd",
-                "--teachers",
-                "gcn",
-                "--student",
-                "gcn",
-                "--hidden",
-                "8",
-                "--epochs",
-                "2",
-                "--fixed-tau",
-                "2",
-                "--seeds",
-                "0",
-                "--out",
-                str(train_out),
-            )
-            == 0
-        )
-        a = json.loads((sweep_out / "tau=2" / "metrics_step1_seed0.json").read_text())
-        b = json.loads((train_out / "metrics_step1_seed0.json").read_text())
-        assert a["per_epoch"] == b["per_epoch"]
-        assert a["test_acc"] == b["test_acc"]
+        """Every sweep point, one value or several, writes what its own
+        ``bgnn train`` run writes, although the points share a teacher."""
+        for parameter, values, flag in [
+            ("tau", "2", "fixed-tau"), ("tau", "2,4", "fixed-tau"), ("lambda", "0.5,1", "lambda")
+        ]:
+            sweep_out = tmp_path / f"sweep_{parameter}_{values}"
+            assert run(*self.sweep_args(sweep_out, parameter, values)) == 0
+            for v in values.split(","):
+                train_out = tmp_path / f"train_{parameter}_{v}"
+                argv = self.sweep_args(train_out, parameter, values)[5:]
+                assert run("train", *argv, f"--{flag}", v) == 0
+                point = sweep_out / f"{parameter}={v}"
+                for step in (0, 1):
+                    name = f"metrics_step{step}_seed0.json"
+                    a = json.loads((point / name).read_text())
+                    b = json.loads((train_out / name).read_text())
+                    assert a["per_epoch"] == b["per_epoch"]
+                    assert a["test_acc"] == b["test_acc"]
+                    assert a["plan"] == b["plan"]
+                for name in ("predictions_seed0.csv", "model_seed0.json", "model_seed0.bin"):
+                    assert (point / name).read_bytes() == (train_out / name).read_bytes()
 
 
 class TestFixtures:

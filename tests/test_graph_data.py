@@ -160,6 +160,16 @@ class TestJsonBundle:
             ("features", [[1.0, 0.0], [0.0]]),  # ragged rows
             ("features", [[1.0, 0.0]]),  # fewer rows than nodes
             ("features", {"indices": [], "values": [], "shape": [1, 2]}),
+            ("n_nodes", "two"),
+            ("n_nodes", 2.0),
+            ("n_nodes", -1),
+            ("edges", [[0, 1.7]]),  # would truncate to [0, 1]
+            ("edges", [[0, 1, 1]]),  # three ids in one edge row
+            ("edges", [[0, 1], [1]]),  # ragged
+            ("edges", [0, 1]),  # flat, not pairs
+            ("train_idx", [0.9]),  # would truncate to node 0
+            ("val_idx", ["1"]),
+            ("test_idx", [[1]]),
         ],
     )
     def test_bad_labels_or_features_named(self, tmp_path, key, value):
@@ -201,6 +211,10 @@ class TestJsonBundle:
             {"indices": [[0, 1], [1, 2]], "values": [1.0], "shape": [2, 5]},
             {"indices": [[0, 1]], "values": [1.0, 2.0], "shape": [2, 5]},
             {"indices": [[0, 1]], "values": [1.0], "shape": [2, 5, 1]},
+            {"indices": [[0, 1.5]], "values": [1.0], "shape": [2, 5]},
+            {"indices": [[0, 1, 2]], "values": [1.0], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": [1.0], "shape": [2, 5.5]},
+            {"indices": [[0, 1]], "values": [1.0], "shape": "2x5"},
         ],
     )
     def test_bad_sparse_features_rejected(self, tmp_path, features):

@@ -77,6 +77,10 @@ class TestAdam:
             Adam({"p": make_param([1.0])}, betas=(1.0, 0.999))
         with pytest.raises(ConfigError):
             Adam({"p": make_param([1.0])}, weight_decay=-0.1)
+        for bad in ({"lr": np.inf}, {"lr": np.nan}, {"weight_decay": np.inf},
+                    {"weight_decay": np.nan}):
+            with pytest.raises(ConfigError, match="finite"):
+                Adam({"p": make_param([1.0])}, **bad)
 
     def test_convergence_on_quadratic(self):
         p = make_param([5.0, -3.0])

@@ -3,6 +3,7 @@ boosting interplay, sequential plans, evaluation, artifacts."""
 
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -27,7 +28,6 @@ from bgnn.pipeline import (
     evaluate,
     predict,
     predict_logits,
-    run_fixed_kd_baseline,
     run_sequential,
     save_metrics,
     save_predictions,
@@ -115,10 +115,39 @@ class TestPlanValidation:
             TrainPlan(models=[gcn_cfg()], lam=-0.5)
 
     @pytest.mark.parametrize(
-        "bad", [{"tau_min": 0.5}, {"tau_max": 0.9}, {"tau_min": 3.0, "tau_max": 3.0}]
+        "bad",
+        [
+            {"tau_min": 0.5},
+            {"tau_max": 0.9},
+            {"tau_min": 3.0, "tau_max": 3.0},
+            {"tau_max": math.inf},
+            {"tau_min": math.nan},
+            {"tau_max": math.nan},
+        ],
     )
     def test_tau_range(self, bad):
         with pytest.raises(ConfigError, match="tau_min"):
+            TrainPlan(models=[gcn_cfg()], **bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"lr": 0.0},
+            {"lr": -0.1},
+            {"lr": math.inf},
+            {"lr": math.nan},
+            {"weight_decay": -1e-4},
+            {"weight_decay": math.inf},
+            {"weight_decay": math.nan},
+            {"lam": math.inf},
+            {"lam": math.nan},
+            {"fixed_tau": 0.0},
+            {"fixed_tau": math.inf},
+            {"fixed_tau": math.nan},
+        ],
+    )
+    def test_numbers_finite_and_in_range(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
             TrainPlan(models=[gcn_cfg()], **bad)
 
     def test_batch_size_at_least_one(self):
@@ -332,21 +361,40 @@ class TestSequential:
         assert metrics[0].teacher_mis_acc is None
 
 
-class TestFixedKdBaseline:
-    def test_one_metrics_row_per_seed(self, node_data):
-        cfg_t, cfg_s = gcn_cfg(), gcn_cfg(hidden_dim=12)
-        plan = quick_plan([cfg_t, cfg_s], epochs=3)
-        rows = run_fixed_kd_baseline(cfg_t, cfg_s, node_data, 2.0, 0.5, plan, seeds=[0, 1])
-        assert len(rows) == 2
-        for r in rows:
-            assert "tau=2" in r.plan
-            assert 0.0 <= r.test_acc <= 1.0
+class TestRunPlans:
+    @pytest.mark.parametrize(
+        "field, values, shared",
+        [("fixed_tau", (2.0, 4.0), True), ("lam", (0.5, 1.0), True), ("lr", (0.01, 0.02), False)],
+    )
+    def test_first_model_shared_exactly_when_first_step_inputs_match(
+        self, node_data, monkeypatch, field, values, shared
+    ):
+        calls = []
+        orig = P.train_supervised
 
-    def test_rejects_bad_tau(self, node_data):
-        cfg = gcn_cfg()
-        plan = quick_plan([cfg, cfg], epochs=1)
-        with pytest.raises(ConfigError):
-            run_fixed_kd_baseline(cfg, cfg, node_data, 0.0, 1.0, plan, seeds=[0])
+        def spy(config, data, plan, seed):
+            calls.append(seed)
+            return orig(config, data, plan, seed)
+
+        monkeypatch.setattr(P, "train_supervised", spy)
+        cfg_t, cfg_s = gcn_cfg(), gcn_cfg(hidden_dim=12)
+        seeds = (0, 1)
+        plans = [
+            quick_plan([cfg_t, cfg_s], epochs=3, seed=s, **{"lam": 1.0, field: v})
+            for v in values
+            for s in seeds
+        ]
+        results = P.run_plans(plans, node_data)
+        assert len(calls) == (len(seeds) if shared else len(plans))
+        monkeypatch.undo()
+        for plan, (model, metrics) in zip(plans, results):
+            ref_model, ref_metrics = run_sequential(plan, node_data)
+            assert params_equal(model, ref_model)
+            assert [m.plan for m in metrics] == [plan.label, plan.label]
+            for m, ref in zip(metrics, ref_metrics):
+                assert m.per_epoch == ref.per_epoch
+                assert m.test_acc == ref.test_acc
+                assert m.teacher_mis_acc == ref.teacher_mis_acc
 
 
 class TestEnsembleAndEvaluate:
