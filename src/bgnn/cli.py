@@ -97,6 +97,11 @@ class RunConfig:
             raise ConfigError(f"plan {self.plan!r} needs at least one teacher")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        for seed in self.seeds:
+            if not isinstance(seed, int) or seed < 0:
+                raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in {self.seeds}")
 
 
 def _parse_bool(s: str) -> bool:
@@ -184,6 +189,10 @@ def load_config_file(path) -> dict:
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    try:
+        seeds = _parse_int_list(args.seeds) if args.seeds else None
+    except ValueError as e:
+        raise ConfigError(f"bad --seeds {args.seeds!r}: {e}") from e
     if getattr(args, "config", None):
         for attr, value in load_config_file(args.config).items():
             setattr(cfg, attr, value)
@@ -206,7 +215,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         "fixed_tau": args.fixed_tau,
         "tau_min": args.tau_min,
         "tau_max": args.tau_max,
-        "seeds": _parse_int_list(args.seeds) if args.seeds else None,
+        "seeds": seeds,
         "out": args.out,
     }
     for attr, value in overrides.items():
@@ -343,17 +352,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad sweep values {args.values!r}: {e}") from e
     if not values:
         raise ConfigError("sweep needs at least one value")
+    names = [f"{v:g}" for v in values]  # each point's directory and sweep.csv label
+    if len(set(names)) != len(names):
+        raise ConfigError(f"sweep values {args.values!r} give duplicate point names {names}")
     data = _load_for_task(cfg)
     out = Path(cfg.out)
     points = []
-    for v in values:
+    for v, name in zip(values, names):
         sub = dataclasses.replace(cfg, **{SWEEP_PARAMS[args.parameter]: v})
         if args.parameter == "tau":
             sub.adaptive_temp = False  # a fixed-temperature sweep point
-        points.append((sub, out / f"{args.parameter}={v:g}"))
+        points.append((sub, out / f"{args.parameter}={name}"))
     accs = _run_points(points, data)
     lines = ["value,mean_acc,std"] + [
-        f"{v:g},{np.mean(a):.6f},{np.std(a):.6f}" for v, a in zip(values, accs)
+        f"{name},{np.mean(a):.6f},{np.std(a):.6f}" for name, a in zip(names, accs)
     ]
     atomic_write(out / "sweep.csv", "\n".join(lines) + "\n")
     return 0

@@ -361,9 +361,7 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
         cols = np.concatenate([pairs[:, 1], np.arange(g.n_nodes)])
     else:
         rows = cols = np.arange(g.n_nodes)
-    deg = np.zeros(g.n_nodes)
-    np.add.at(deg, rows, 1.0)
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n_nodes))
     vals = inv_sqrt[rows] * inv_sqrt[cols]
     return SparseMatrix.from_coo(g.n_nodes, g.n_nodes, rows, cols, vals)
 

@@ -4,6 +4,10 @@ Only the handful of operations the models need: construction from COO
 triples, dense conversion, sparse @ dense, and transposition (cached,
 since the backward pass of every product needs it). Values are float64;
 indices are int64. No scipy.
+
+:func:`scatter_add` is the one scatter kernel of the package: the sparse
+product, the segment reductions and the gather backward all sum rows
+into buckets through it.
 """
 
 from __future__ import annotations
@@ -13,10 +17,31 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 
+def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of x into n buckets: ``out[b] = sum of x[j] with ids[j] == b``.
+
+    x is a vector or an (m, k) matrix and ids an int64 vector of length m.
+    ``np.bincount`` adds each column's entries into a zeroed bucket one at
+    a time in index order, so the result is bitwise equal to an unbuffered
+    in-place scatter (the ``at`` method of ``np.add``) into zeros. Callers
+    check ``0 <= ids < n`` first, since ``np.bincount`` raises on a
+    negative id and silently grows past ``minlength``.
+    """
+    if x.ndim == 1:
+        return np.bincount(ids, weights=x, minlength=n)
+    cols = np.asfortranarray(x)  # each column contiguous for np.bincount
+    out = np.empty((n, x.shape[1]))
+    for j in range(x.shape[1]):
+        out[:, j] = np.bincount(ids, weights=cols[:, j], minlength=n)
+    return out
+
+
 class SparseMatrix:
     """CSR matrix: within each row, column indices strictly increase."""
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_transpose")
+    __slots__ = (
+        "n_rows", "n_cols", "row_offsets", "col_indices", "values", "_transpose", "_row_ids"
+    )
 
     def __init__(self, n_rows: int, n_cols: int, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
@@ -25,6 +50,7 @@ class SparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self._transpose: "SparseMatrix | None" = None
+        self._row_ids: np.ndarray | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -54,6 +80,13 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.col_indices.shape[0]
 
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Row of each stored entry (length nnz); computed once and cached."""
+        if self._row_ids is None:
+            self._row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
+        return self._row_ids
+
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, values) -> "SparseMatrix":
         """Build from coordinate triples; duplicate (row, col) entries are summed."""
@@ -75,19 +108,15 @@ class SparseMatrix:
             new_group[0] = True
             new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
             group_id = np.cumsum(new_group) - 1
-            n_groups = group_id[-1] + 1
-            summed = np.zeros(n_groups)
-            np.add.at(summed, group_id, v)
+            summed = scatter_add(group_id, v, group_id[-1] + 1)
             r, c, v = r[new_group], c[new_group], summed
         row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(row_offsets, r + 1, 1)
-        np.cumsum(row_offsets, out=row_offsets)
+        np.cumsum(np.bincount(r, minlength=n_rows), out=row_offsets[1:])
         return cls(n_rows, n_cols, row_offsets, c, v)
 
     def to_dense(self) -> np.ndarray:
         d = np.zeros((self.n_rows, self.n_cols))
-        row_of = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        d[row_of, self.col_indices] = self.values
+        d[self.row_ids, self.col_indices] = self.values
         return d
 
     def matmul_dense(self, d: np.ndarray) -> np.ndarray:
@@ -97,17 +126,17 @@ class SparseMatrix:
             raise ShapeError(
                 f"matmul_dense: sparse {self.n_rows}x{self.n_cols} incompatible with {d.shape}"
             )
-        out = np.zeros((self.n_rows, d.shape[1]))
-        row_of = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        np.add.at(out, row_of, self.values[:, None] * d[self.col_indices])
-        return out
+        # one (k, nnz) product array, scaled in place: row j holds
+        # values * d[col_indices, j], contiguous for the scatter
+        prods = np.take(np.ascontiguousarray(d.T), self.col_indices, axis=1)
+        prods *= self.values
+        return scatter_add(self.row_ids, prods.T, self.n_rows)
 
     def transpose(self) -> "SparseMatrix":
         """Transposed copy; computed once and cached on both matrices."""
         if self._transpose is None:
-            row_of = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
             t = SparseMatrix.from_coo(
-                self.n_cols, self.n_rows, self.col_indices, row_of, self.values
+                self.n_cols, self.n_rows, self.col_indices, self.row_ids, self.values
             )
             t._transpose = self
             self._transpose = t

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, scatter_add
 
 PROB_FLOOR = 1e-10  # lower clamp applied before taking logs of probabilities
 
@@ -399,9 +399,7 @@ def segment_sum(x: Tensor, segment_ids: Sequence[int], n_segments: int) -> Tenso
         raise ShapeError(f"segment_ids length {ids.shape} does not match {x.shape[0]} rows")
     if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
         raise IndexError(f"segment id out of range [0, {n_segments})")
-    acc = np.zeros((n_segments, x.shape[1]))
-    np.add.at(acc, ids, x.data)
-    out = Tensor(acc)
+    out = Tensor(scatter_add(ids, x.data, n_segments))
 
     def back(g):
         _accum(x, g[ids])
@@ -421,14 +419,12 @@ def segment_softmax(e: Tensor, segment_ids: Sequence[int], n_segments: int) -> T
     seg_max = np.full(n_segments, -np.inf)
     np.maximum.at(seg_max, ids, e.data)
     shifted = np.exp(e.data - seg_max[ids])
-    denom = np.zeros(n_segments)
-    np.add.at(denom, ids, shifted)
+    denom = scatter_add(ids, shifted, n_segments)
     y = shifted / denom[ids]
     out = Tensor(y)
 
     def back(g):
-        seg_dot = np.zeros(n_segments)
-        np.add.at(seg_dot, ids, g * y)
+        seg_dot = scatter_add(ids, g * y, n_segments)
         _accum(e, y * (g - seg_dot[ids]))
 
     return _record(out, (e,), back)
@@ -459,9 +455,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     out = Tensor(x.data[idx])
 
     def back(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        # the scatter sums into zeros before adding to an existing x.grad
+        flat = g.reshape((idx.size,) + x.shape[1:])
+        _accum(x, scatter_add(idx.ravel(), flat, x.shape[0]))
 
     return _record(out, (x,), back)
 

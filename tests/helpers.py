@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and the
+scatter reference the bincount kernel is checked against."""
 
 from __future__ import annotations
 
@@ -49,3 +50,17 @@ def check_grads(build_loss, *arrays, rtol: float = 1e-4, atol: float = 1e-7) -> 
         np.testing.assert_allclose(
             analytic[i], numeric, rtol=rtol, atol=atol, err_msg=f"gradient mismatch on input {i}"
         )
+
+
+def add_at_reference(ids, x, n: int) -> np.ndarray:
+    """The unbuffered ufunc scatter (np.add.at into zeros) that every
+    scatter kernel must match bit for bit."""
+    out = np.zeros((n,) + np.shape(x)[1:])
+    np.add.at(out, ids, x)
+    return out
+
+
+def wide_range(g: np.random.Generator, shape) -> np.ndarray:
+    """Normal values scaled over 16 decades, so that summing them in a
+    different order changes the bits."""
+    return g.standard_normal(shape) * 10.0 ** g.integers(-8, 9, shape)

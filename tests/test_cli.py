@@ -111,6 +111,9 @@ class TestTrain:
             {"weight_decay": "nan"},
             {"plan": "bgnn", "teachers": "gcn", "tau_max": "inf"},
             {"epochs": -3},
+            {"seeds": "1.5"},
+            {"seeds": "-1"},
+            {"seeds": "0,0"},
         ],
     )
     def test_invalid_plan_values_exit_2_before_training(self, tmp_path, monkeypatch, flags):
@@ -206,9 +209,17 @@ class TestConfigFile:
         assert "[mystery]" in capsys.readouterr().err
 
     def test_bad_value_reports_key(self, tmp_path, capsys):
-        ini = self.write(tmp_path, "[train]\nepochs = banana\n")
-        assert run("train", "--config", str(ini)) == 2
-        assert "epochs" in capsys.readouterr().err
+        out = tmp_path / "run"
+        for line, key in [
+            ("[train]\nepochs = banana", "epochs"),
+            ("seeds = 1.5", "seeds"),
+            ("seeds = -1", "seeds"),
+            ("seeds = 2,2", "seeds"),
+        ]:
+            ini = self.write(tmp_path, f"[run]\nout = {out}\n{line}\n")
+            assert run("train", "--config", str(ini)) == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "gone.ini")) == 2
@@ -261,7 +272,8 @@ class TestSweep:
     def test_invalid_values_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_plans", fail_if_called)
         for parameter, values in [
-            ("tau", "0"), ("lr", "-1"), ("tau", "1,inf"), ("lambda", "1,nan"), ("lr", "inf")
+            ("tau", "0"), ("lr", "-1"), ("tau", "1,inf"), ("lambda", "1,nan"), ("lr", "inf"),
+            ("tau", "2,2.0000001"), ("lambda", "1,1"),
         ]:
             assert run(*self.sweep_args(tmp_path / "s", parameter, values)) == 2
         assert not (tmp_path / "s").exists()

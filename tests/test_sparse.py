@@ -2,11 +2,33 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgnn.errors import FormatError, ShapeError
-from bgnn.sparse import SparseMatrix
+from bgnn.sparse import SparseMatrix, scatter_add
+
+from helpers import add_at_reference, wide_range
+
+
+class TestScatterAdd:
+    @given(
+        m=st.integers(0, 60),
+        n=st.integers(1, 12),
+        k=st.sampled_from([None, 0, 1, 16]),  # None: a vector
+        seed=st.integers(0, 10**6),
+    )
+    @example(m=0, n=3, k=None, seed=0)
+    @example(m=0, n=3, k=16, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equals_add_at(self, m, n, k, seed):
+        g = np.random.default_rng(seed)
+        used = int(g.integers(1, n + 1))  # buckets from `used` on stay empty
+        ids = g.integers(0, used, m)
+        x = wide_range(g, m if k is None else (m, k))
+        out = scatter_add(ids, x, n)
+        assert out.shape == add_at_reference(ids, x, n).shape
+        assert np.array_equal(out, add_at_reference(ids, x, n))
 
 
 class TestConstruction:
@@ -90,6 +112,30 @@ class TestProducts:
         )
         d = g.standard_normal((n, k))
         np.testing.assert_allclose(s.matmul_dense(d), s.to_dense() @ d, atol=1e-12)
+
+    @given(
+        n_rows=st.integers(1, 15),
+        n_cols=st.integers(1, 15),
+        nnz=st.integers(0, 80),
+        k=st.sampled_from([0, 1, 16]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(n_rows=4, n_cols=3, nnz=0, k=16, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_dense_bitwise_equals_add_at(self, n_rows, n_cols, nnz, k, seed):
+        """Trailing empty rows (rows past `used`) and isolated columns
+        (columns never drawn) included; both products of the pair."""
+        g = np.random.default_rng(seed)
+        used = int(g.integers(1, n_rows + 1))
+        s = SparseMatrix.from_coo(
+            n_rows, n_cols, g.integers(0, used, nnz), g.integers(0, n_cols, nnz),
+            wide_range(g, nnz),
+        )
+        for a in (s, s.transpose()):
+            d = wide_range(g, (a.n_cols, k))
+            row_of = np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
+            ref = add_at_reference(row_of, a.values[:, None] * d[a.col_indices], a.n_rows)
+            assert np.array_equal(a.matmul_dense(d), ref)
 
     def test_matmul_shape_error(self):
         s = SparseMatrix.from_coo(2, 3, [0], [0], [1.0])

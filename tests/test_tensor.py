@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgnn.errors import ContractError, DomainError, ShapeError
@@ -10,7 +10,7 @@ from bgnn.sparse import SparseMatrix
 from bgnn import tensor as T
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import check_grads, tape_grad
+from helpers import add_at_reference, check_grads, tape_grad, wide_range
 
 
 def rng(seed=0):
@@ -18,6 +18,26 @@ def rng(seed=0):
 
 
 small = st.integers(min_value=1, max_value=4)
+
+
+def forward_and_grad(op, x, seed):
+    """op(x) and the gradient reaching x when the op's output gradient is
+    a fixed random array w (loss = sum(op(x) * w) passes w on exactly)."""
+    t = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = op(t)
+        w = wide_range(np.random.default_rng(seed), out.shape)
+        loss = T.sum_all(T.mul(out, Tensor(w)))
+    backward(loss, tape)
+    return out.data, w, t.grad if t.grad is not None else np.zeros_like(x)
+
+
+scatter_cases = dict(
+    m=st.integers(0, 40),
+    n=st.integers(1, 10),
+    k=st.sampled_from([0, 1, 16]),
+    seed=st.integers(0, 10**6),
+)
 
 
 class TestMatmul:
@@ -205,8 +225,40 @@ class TestSegmentOps:
         np.testing.assert_allclose(out.data, [[0.0], [0.0], [1.0]])
 
     def test_segment_sum_out_of_range(self):
-        with pytest.raises(IndexError):
-            T.segment_sum(Tensor([[1.0]]), [1], 1)
+        for ids in ([1], [-1]):
+            with pytest.raises(IndexError):
+                T.segment_sum(Tensor([[1.0]]), ids, 1)
+
+    def test_segment_softmax_out_of_range(self):
+        for ids in ([0, 2], [-1, 0]):
+            with pytest.raises(IndexError):
+                T.segment_softmax(Tensor([1.0, 2.0]), ids, 2)
+
+    @given(**scatter_cases)
+    @example(m=0, n=3, k=16, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_segment_sum_bitwise_equals_add_at(self, m, n, k, seed):
+        g = np.random.default_rng(seed)
+        ids = g.integers(0, int(g.integers(1, n + 1)), m)  # trailing segments empty
+        x = wide_range(g, (m, k))
+        out, w, grad = forward_and_grad(lambda t: T.segment_sum(t, ids, n), x, seed)
+        assert np.array_equal(out, add_at_reference(ids, x, n))
+        assert np.array_equal(grad, w[ids])
+
+    @given(**scatter_cases)
+    @example(m=0, n=3, k=0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_segment_softmax_bitwise_equals_add_at(self, m, n, k, seed):
+        g = np.random.default_rng(seed)
+        ids = g.integers(0, int(g.integers(1, n + 1)), m)
+        e = g.standard_normal(m) * 10.0 ** g.integers(-3, 3, m)
+        out, w, grad = forward_and_grad(lambda t: T.segment_softmax(t, ids, n), e, seed)
+        seg_max = np.full(n, -np.inf)
+        np.maximum.at(seg_max, ids, e)
+        shifted = np.exp(e - seg_max[ids])
+        y = shifted / add_at_reference(ids, shifted, n)[ids]
+        assert np.array_equal(out, y)
+        assert np.array_equal(grad, y * (w - add_at_reference(ids, w * y, n)[ids]))
 
     @given(n=st.integers(2, 12), d=small, seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -282,8 +334,39 @@ class TestConcatGatherReshape:
         np.testing.assert_allclose(grad, expect)
 
     def test_gather_out_of_range(self):
-        with pytest.raises(IndexError):
-            T.gather_rows(Tensor(np.ones((2, 2))), [2])
+        for idx in ([2], [0, -1]):
+            with pytest.raises(IndexError):
+                T.gather_rows(Tensor(np.ones((2, 2))), idx)
+            with pytest.raises(IndexError):
+                T.gather_rows(Tensor(np.ones(2)), idx)
+
+    @given(vector=st.booleans(), **scatter_cases)
+    @example(vector=False, m=0, n=3, k=16, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_gather_rows_bitwise_equals_add_at(self, vector, m, n, k, seed):
+        """Rows never gathered (isolated nodes) get zero gradient."""
+        g = np.random.default_rng(seed)
+        x = g.standard_normal(n if vector else (n, k))
+        idx = g.integers(0, int(g.integers(1, n + 1)), m)
+        out, w, grad = forward_and_grad(lambda t: T.gather_rows(t, idx), x, seed)
+        assert np.array_equal(out, x[idx])
+        assert np.array_equal(grad, add_at_reference(idx, w, n))
+
+    def test_gather_backward_onto_existing_grad(self):
+        """With x.grad already set and a repeated index, the backward sums
+        the gathered gradients first, then adds them to x.grad; adding each
+        straight into x.grad rounds differently (here 1 + 2e-16 vs 1)."""
+        x = Tensor(np.zeros(2), requires_grad=True)
+        w = np.array([1e-16, 1e-16])
+        with Tape() as tape:
+            picked = T.gather_rows(x, [0, 0])  # its backward runs last
+            loss = T.add(T.sum_all(T.mul(picked, Tensor(w))), T.sum_all(x))
+        backward(loss, tape)
+        straight = np.ones(2)
+        np.add.at(straight, [0, 0], w)
+        assert np.array_equal(x.grad, np.ones(2) + add_at_reference(np.array([0, 0]), w, 2))
+        np.testing.assert_allclose(x.grad, straight, rtol=1e-15)
+        assert x.grad[0] != straight[0]
 
     def test_reshape_roundtrip_gradient(self):
         g = rng(17)
