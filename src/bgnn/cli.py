@@ -1,14 +1,10 @@
 """Command-line entry point: train, sweep, cka, make-fixtures.
 
-Configuration comes from an INI file (sections below), command-line flags
-override file values. Every input is validated before any training starts
+Configuration comes from an INI file whose sections and keys are the
+``SETTINGS`` table; command-line flags override file values and parse
+exactly like them. Every input is validated before any training starts
 or any file is written. Exit codes: 0 success, 1 runtime failure,
 2 usage/config error.
-
-    [run]     task, dataset, plan, seeds, out
-    [model]   student, teachers, hidden, layers, dropout, heads, batch_norm
-    [train]   epochs, lr, weight_decay, batch_size
-    [distill] lambda, boosting, adaptive_temp, fixed_tau, tau_min, tau_max
 
 Datasets: ``sbm:small|medium|large`` (synthetic, fixed seed), a ``.json``
 node-classification bundle path, or ``tu:DIR`` for a TU-format directory.
@@ -39,7 +35,7 @@ from .graph_data import (
     random_split,
     save_json_bundle,
 )
-from .models import ModelConfig, load_checkpoint, save_checkpoint
+from .models import ARCHITECTURES, ModelConfig, load_checkpoint, save_checkpoint
 from .pipeline import (
     TaskData,
     TrainPlan,
@@ -49,7 +45,6 @@ from .pipeline import (
     save_predictions,
 )
 
-ARCHS = ("gcn", "sage", "gat")
 PLANS = ("nokd", "kd", "bgnn")
 DATASET_SEED = 1234  # synthetic datasets and splits are fixed across runs
 SPLIT_RATIOS = (0.8, 0.1, 0.1)
@@ -68,20 +63,20 @@ class RunConfig:
     teachers: tuple = ()
     student: str = "gcn"
     hidden: int = 64
-    layers: int = 2
-    dropout: float = 0.5
-    heads: int = 8
-    batch_norm: bool = False
-    epochs: int | None = None
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    batch_size: int = 32
-    lam: float = 1.0
-    boosting: bool = True
-    adaptive_temp: bool = True
-    fixed_tau: float = 4.0
-    tau_min: float = 1.0
-    tau_max: float = 4.0
+    layers: int = ModelConfig.n_layers
+    dropout: float = ModelConfig.dropout
+    heads: int = ModelConfig.heads
+    batch_norm: bool = ModelConfig.batch_norm
+    epochs: int | None = TrainPlan.epochs
+    lr: float = TrainPlan.lr
+    weight_decay: float = TrainPlan.weight_decay
+    batch_size: int = TrainPlan.batch_size
+    lam: float = TrainPlan.lam
+    boosting: bool = TrainPlan.boosting
+    adaptive_temp: bool = TrainPlan.adaptive_temp
+    fixed_tau: float = TrainPlan.fixed_tau
+    tau_min: float = TrainPlan.tau_min
+    tau_max: float = TrainPlan.tau_max
     seeds: tuple = (0,)
     out: str = "runs"
 
@@ -91,8 +86,8 @@ class RunConfig:
         if self.plan not in PLANS:
             raise ConfigError(f"plan must be one of {PLANS}, got {self.plan!r}")
         for arch in (self.student, *self.teachers):
-            if arch not in ARCHS:
-                raise ConfigError(f"architecture must be one of {ARCHS}, got {arch!r}")
+            if arch not in ARCHITECTURES:
+                raise ConfigError(f"architecture must be one of {ARCHITECTURES}, got {arch!r}")
         if self.plan in ("kd", "bgnn") and not self.teachers:
             raise ConfigError(f"plan {self.plan!r} needs at least one teacher")
         if not self.seeds:
@@ -121,31 +116,43 @@ def _parse_str_list(s: str) -> tuple:
     return tuple(x.strip() for x in s.split(",") if x.strip())
 
 
-# (section, key) -> (RunConfig attribute, parser)
-CONFIG_SCHEMA = {
-    ("run", "task"): ("task", str),
-    ("run", "dataset"): ("dataset", str),
-    ("run", "plan"): ("plan", str),
-    ("run", "seeds"): ("seeds", _parse_int_list),
-    ("run", "out"): ("out", str),
-    ("model", "student"): ("student", str),
-    ("model", "teachers"): ("teachers", _parse_str_list),
-    ("model", "hidden"): ("hidden", int),
-    ("model", "layers"): ("layers", int),
-    ("model", "dropout"): ("dropout", float),
-    ("model", "heads"): ("heads", int),
-    ("model", "batch_norm"): ("batch_norm", _parse_bool),
-    ("train", "epochs"): ("epochs", int),
-    ("train", "lr"): ("lr", float),
-    ("train", "weight_decay"): ("weight_decay", float),
-    ("train", "batch_size"): ("batch_size", int),
-    ("distill", "lambda"): ("lam", float),
-    ("distill", "boosting"): ("boosting", _parse_bool),
-    ("distill", "adaptive_temp"): ("adaptive_temp", _parse_bool),
-    ("distill", "fixed_tau"): ("fixed_tau", float),
-    ("distill", "tau_min"): ("tau_min", float),
-    ("distill", "tau_max"): ("tau_max", float),
+# RunConfig attribute -> (INI section, INI key, parser). On the command line
+# each setting is the flag --<key> with "-" for "_", parsed by the same
+# parser, except the three booleans, which are the SWITCHES below.
+SETTINGS = {
+    "task": ("run", "task", str),
+    "dataset": ("run", "dataset", str),
+    "plan": ("run", "plan", str),
+    "seeds": ("run", "seeds", _parse_int_list),
+    "out": ("run", "out", str),
+    "student": ("model", "student", str),
+    "teachers": ("model", "teachers", _parse_str_list),
+    "hidden": ("model", "hidden", int),
+    "layers": ("model", "layers", int),
+    "dropout": ("model", "dropout", float),
+    "heads": ("model", "heads", int),
+    "batch_norm": ("model", "batch_norm", _parse_bool),
+    "epochs": ("train", "epochs", int),
+    "lr": ("train", "lr", float),
+    "weight_decay": ("train", "weight_decay", float),
+    "batch_size": ("train", "batch_size", int),
+    "lam": ("distill", "lambda", float),
+    "boosting": ("distill", "boosting", _parse_bool),
+    "adaptive_temp": ("distill", "adaptive_temp", _parse_bool),
+    "fixed_tau": ("distill", "fixed_tau", float),
+    "tau_min": ("distill", "tau_min", float),
+    "tau_max": ("distill", "tau_max", float),
 }
+# RunConfig attribute -> (flag, the value the flag sets)
+SWITCHES = {
+    "batch_norm": ("--batch-norm", True),
+    "boosting": ("--no-boost", False),
+    "adaptive_temp": ("--no-adaptive-temp", False),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _anchor(path: Path, lines: list[str], pattern: str) -> str:
@@ -168,63 +175,37 @@ def load_config_file(path) -> dict:
         cp.read_string(text, source=str(path))
     except configparser.Error as e:
         raise ConfigError(str(e)) from e
-    sections = {s for s, _ in CONFIG_SCHEMA}
+    schema = {(sec, key): (attr, parse) for attr, (sec, key, parse) in SETTINGS.items()}
+    sections = {sec for sec, _ in schema}
     values = {}
     for sec in cp.sections():
         if sec not in sections:
             where = _anchor(path, lines, rf"\s*\[{re.escape(sec)}\]")
             raise ConfigError(f"{where}: unknown section [{sec}]")
         for key, raw in cp.items(sec):
-            if (sec, key) not in CONFIG_SCHEMA:
-                where = _anchor(path, lines, rf"\s*{re.escape(key)}\s*[=:]")
+            where = _anchor(path, lines, rf"\s*{re.escape(key)}\s*[=:]")
+            if (sec, key) not in schema:
                 raise ConfigError(f"{where}: unknown key {key!r} in [{sec}]")
-            attr, parse = CONFIG_SCHEMA[(sec, key)]
+            attr, parse = schema[(sec, key)]
             try:
                 values[attr] = parse(raw)
             except ValueError as e:
-                where = _anchor(path, lines, rf"\s*{re.escape(key)}\s*[=:]")
                 raise ConfigError(f"{where}: bad value for {key!r}: {e}") from e
     return values
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    try:
-        seeds = _parse_int_list(args.seeds) if args.seeds else None
-    except ValueError as e:
-        raise ConfigError(f"bad --seeds {args.seeds!r}: {e}") from e
-    if getattr(args, "config", None):
-        for attr, value in load_config_file(args.config).items():
-            setattr(cfg, attr, value)
-    overrides = {
-        "task": args.task,
-        "dataset": args.dataset,
-        "plan": args.plan,
-        "teachers": _parse_str_list(args.teachers) if args.teachers else None,
-        "student": args.student,
-        "hidden": args.hidden,
-        "layers": args.layers,
-        "dropout": args.dropout,
-        "heads": args.heads,
-        "batch_norm": args.batch_norm,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "weight_decay": args.weight_decay,
-        "batch_size": args.batch_size,
-        "lam": args.lam,
-        "fixed_tau": args.fixed_tau,
-        "tau_min": args.tau_min,
-        "tau_max": args.tau_max,
-        "seeds": seeds,
-        "out": args.out,
-    }
-    for attr, value in overrides.items():
-        if value is not None:
-            setattr(cfg, attr, value)
-    if args.no_boost:
-        cfg.boosting = False
-    if args.no_adaptive_temp:
-        cfg.adaptive_temp = False
+    """The config file's values, overridden by every flag given."""
+    values = load_config_file(args.config) if args.config else {}
+    for attr, (_, key, parse) in SETTINGS.items():
+        raw = getattr(args, attr)
+        if raw is None:
+            continue
+        try:
+            values[attr] = raw if attr in SWITCHES else parse(raw)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {_flag(key)}: {e}") from e
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -452,28 +433,13 @@ def cmd_make_fixtures(args: argparse.Namespace) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--task", choices=["node", "graph"])
-    p.add_argument("--dataset", help="sbm:<preset>, tu:<dir>, or a .json bundle")
-    p.add_argument("--plan", choices=list(PLANS))
-    p.add_argument("--teachers", help="comma-separated teacher architectures")
-    p.add_argument("--student", choices=list(ARCHS))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--batch-norm", action="store_const", const=True, default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--fixed-tau", type=float)
-    p.add_argument("--tau-min", type=float)
-    p.add_argument("--tau-max", type=float)
-    p.add_argument("--no-boost", action="store_true")
-    p.add_argument("--no-adaptive-temp", action="store_true")
-    p.add_argument("--seeds", help="comma-separated run seeds")
-    p.add_argument("--out", help="output directory")
+    for attr, (sec, key, _) in SETTINGS.items():
+        if attr in SWITCHES:
+            flag, value = SWITCHES[attr]
+            p.add_argument(flag, dest=attr, action="store_const", const=value,
+                           help=f"[{sec}] {key} = {str(value).lower()}")
+        else:
+            p.add_argument(_flag(key), dest=attr, metavar=key.upper(), help=f"[{sec}] {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -45,17 +45,10 @@ class TemperatureModule:
     def __post_init__(self):
         if self.variant not in ("entropy_only", "concat"):
             raise ConfigError(f"unknown temperature variant {self.variant!r}")
-        if self.tau_min < 1.0:
-            raise ConfigError(f"tau_min must be at least 1, got {self.tau_min}")
-        if self.tau_max <= self.tau_min:
-            raise ConfigError(f"tau_max {self.tau_max} must exceed tau_min {self.tau_min}")
 
     @property
     def in_dim(self) -> int:
         return 1 if self.variant == "entropy_only" else self.n_classes + 1
-
-    def trainable(self) -> dict[str, Tensor]:
-        return self.params
 
 
 def init_temperature_module(
@@ -112,20 +105,6 @@ def adaptive_temperature(module: TemperatureModule, t: Tensor | np.ndarray) -> T
     return T.add_scalar(T.scale(unit, module.tau_max - module.tau_min), module.tau_min)
 
 
-def _tau_parts(tau, m: int):
-    """Split tau into (tape-side value for the student, detached array)."""
-    if isinstance(tau, Tensor):
-        if tau.shape not in ((), (m,)):
-            raise ContractError(f"tau shape {tau.shape} does not fit {m} samples")
-        return tau, tau.data.reshape(-1, 1)
-    arr = np.asarray(tau, dtype=np.float64)
-    if arr.shape == ():
-        return float(arr), float(arr)
-    if arr.shape != (m,):
-        raise ContractError(f"tau shape {arr.shape} does not fit {m} samples")
-    return Tensor(arr), arr[:, None]
-
-
 def kd_loss(z: Tensor, t: np.ndarray, tau) -> Tensor:
     """Soft cross-entropy between softened teacher and student predictions.
 
@@ -136,12 +115,12 @@ def kd_loss(z: Tensor, t: np.ndarray, tau) -> Tensor:
     t = np.asarray(t, dtype=np.float64)
     if z.shape != t.shape or z.ndim != 2:
         raise ContractError(f"student {z.shape} and teacher {t.shape} logits differ")
-    tau_vals = tau.data if isinstance(tau, Tensor) else np.asarray(tau, dtype=np.float64)
-    if np.any(tau_vals <= 0.0):
+    tau = tau if isinstance(tau, Tensor) else Tensor(tau)
+    if np.any(tau.data <= 0.0):
         raise ContractError("temperatures must be positive")
-    tau_t, tau_np = _tau_parts(tau, z.shape[0])
-    soft_teacher = _softmax_np(t, tau_np)  # constant target
-    log_p = T.log(T.clamp_min(T.softmax_rows(z, tau_t), PROB_FLOOR))
+    # softmax_rows checks tau's shape, so it runs before the teacher's softmax
+    log_p = T.log(T.clamp_min(T.softmax_rows(z, tau), PROB_FLOOR))
+    soft_teacher = _softmax_np(t, tau.data.reshape(-1, 1))  # constant target
     return T.sum_all(T.neg(T.sum_rows(T.mul(log_p, Tensor(soft_teacher)))))
 
 

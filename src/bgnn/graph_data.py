@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,9 @@ class DatasetSplit:
 # TU plain-text format
 
 
-def _read_int_lines(path: Path) -> list[int]:
+def _read_int_lines(path: Path, low: int | None = None) -> list[int]:
+    """The integer on each non-blank line; each must be at least ``low``
+    when it is given."""
     values = []
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
         if line.strip():
@@ -107,6 +110,10 @@ def _read_int_lines(path: Path) -> list[int]:
                 raise FormatError(
                     f"{path.name}:{line_no}: expected an integer, got {line.strip()!r}"
                 ) from None
+            if low is not None and values[-1] < low:
+                raise FormatError(
+                    f"{path.name}:{line_no}: expected at least {low}, got {line.strip()!r}"
+                )
     return values
 
 
@@ -116,8 +123,8 @@ def load_tu_dataset(directory, name: str) -> list[Graph]:
     Expects ``<NAME>_A.txt`` (1-indexed global edge pairs),
     ``<NAME>_graph_indicator.txt``, ``<NAME>_graph_labels.txt`` and,
     optionally, ``<NAME>_node_labels.txt`` (one-hot encoded as features).
-    Graphs without node labels get a single constant feature; degree
-    features can be attached afterwards.
+    Graph ids run from 1 to their maximum, and every graph has a node.
+    Graphs without node labels get a single constant feature.
     """
     directory = Path(directory)
     paths = {
@@ -128,10 +135,13 @@ def load_tu_dataset(directory, name: str) -> list[Graph]:
     for key, p in paths.items():
         if not p.exists():
             raise FileNotFoundError(f"missing required file {p}")
-    indicator = np.asarray(_read_int_lines(paths["graph_indicator"]), dtype=np.int64)
+    indicator = np.asarray(_read_int_lines(paths["graph_indicator"], low=1), dtype=np.int64)
     n_total = indicator.shape[0]
     graph_ids = indicator - 1  # to 0-based
     n_graphs = int(graph_ids.max()) + 1 if n_total else 0
+    empty = np.flatnonzero(np.bincount(graph_ids, minlength=n_graphs) == 0)
+    if empty.size:
+        raise FormatError(f"{paths['graph_indicator'].name}: graph {empty[0] + 1} has no nodes")
 
     raw_labels = np.asarray(_read_int_lines(paths["graph_labels"]), dtype=np.int64)
     if raw_labels.shape[0] != n_graphs:
@@ -218,6 +228,24 @@ def _int_array(value, path: Path, key: str, pairs: bool = False) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _float_array(value, path: Path, key: str, matrix: bool = False) -> np.ndarray:
+    """``value``, a list or, when ``matrix``, a list of rows, as float64.
+    Every entry must be a finite JSON number: strings, booleans, null,
+    NaN and Infinity raise FormatError naming the file and the key."""
+    rows = value if matrix else [value]
+    what = "a matrix" if matrix else "a list"
+    if not (type(value) is list and all(type(r) is list for r in rows)
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        raise FormatError(f"bundle {path.name}: key {key!r} must be {what} of numbers")
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError) as e:  # ragged rows, or an int beyond float range
+        raise FormatError(f"bundle {path.name}: key {key!r} is not {what}: {e}") from e
+    if not np.isfinite(arr).all():
+        raise FormatError(f"bundle {path.name}: key {key!r} must hold finite numbers")
+    return arr
+
+
 def load_json_bundle(path) -> Graph:
     """Load a node-classification graph from a JSON bundle.
 
@@ -252,7 +280,7 @@ def load_json_bundle(path) -> Graph:
             raise FormatError(f"bundle {path.name}: key 'features' has shape {shape}")
         x = np.zeros(shape)
         idx = _int_array(feats["indices"], path, "features", pairs=True)
-        values = np.asarray(feats["values"], dtype=np.float64)
+        values = _float_array(feats["values"], path, "features")
         if values.shape != (idx.shape[0],):
             raise FormatError(
                 f"bundle {path.name}: key 'features' has {values.size} values "
@@ -262,10 +290,7 @@ def load_json_bundle(path) -> Graph:
             raise FormatError(f"bundle {path.name}: key 'features' index out of range")
         x[idx[:, 0], idx[:, 1]] = values
     else:
-        try:
-            x = np.asarray(feats, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise FormatError(f"bundle {path.name}: key 'features' is not a matrix: {e}") from e
+        x = _float_array(feats, path, "features", matrix=True)
     if x.ndim != 2 or x.shape[0] != n:
         raise FormatError(
             f"bundle {path.name}: key 'features' has shape {x.shape}, expected {n} rows"
@@ -364,35 +389,6 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
     inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n_nodes))
     vals = inv_sqrt[rows] * inv_sqrt[cols]
     return SparseMatrix.from_coo(g.n_nodes, g.n_nodes, rows, cols, vals)
-
-
-def one_hot_degree_features(graphs: list[Graph], cap: int | None = None) -> list[Graph]:
-    """Replace features with one-hot degree encodings, shared across the list.
-
-    Dimension is min(max observed degree, cap) + 1; degrees above the cap
-    land in the top bucket.
-    """
-    max_deg = max((int(g.degrees().max()) if g.n_nodes else 0) for g in graphs)
-    top = min(max_deg, cap) if cap is not None else max_deg
-    dim = top + 1
-    out = []
-    for g in graphs:
-        idx = np.minimum(g.degrees(), top)
-        x = np.zeros((g.n_nodes, dim))
-        x[np.arange(g.n_nodes), idx] = 1.0
-        out.append(
-            Graph(
-                n_nodes=g.n_nodes,
-                edges=g.edges,
-                features=Tensor(x),
-                node_labels=g.node_labels,
-                graph_label=g.graph_label,
-                train_mask=g.train_mask,
-                val_mask=g.val_mask,
-                test_mask=g.test_mask,
-            )
-        )
-    return out
 
 
 def random_split(

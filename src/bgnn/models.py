@@ -78,9 +78,6 @@ class GnnModel:
     params: dict[str, Tensor]
     bn_state: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def trainable(self) -> dict[str, Tensor]:
-        return self.params
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .boosting import SampleWeights, init_weights, samme_r_update, weighted_label_loss
-from .distill import adaptive_temperature, init_temperature_module, kd_loss
+from .distill import _softmax_np, adaptive_temperature, init_temperature_module, kd_loss
 from .errors import ConfigError, ContractError, TrainingError
 from .graph_data import DatasetSplit, Graph, GraphBatch, atomic_write, batch_graphs
 from .models import GnnModel, ModelConfig, build_forward_context, init_model, model_forward
@@ -130,7 +130,6 @@ class TrainPlan:
     tau_max: float = 4.0
     batch_size: int = 32
     seed: int = 0
-    label: str = ""
 
     def __post_init__(self):
         if not self.models:
@@ -163,8 +162,6 @@ class TrainPlan:
             self.epochs = DEFAULT_EPOCHS[self.task]
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
-        if not self.label:
-            self.label = self.describe()
 
     def describe(self) -> str:
         archs = "->".join(m.arch for m in self.models)
@@ -300,7 +297,7 @@ def _train_student(
     sample_w = np.zeros(data.n_samples)
     sample_w[train_idx] = 1.0 / train_idx.size if weights is None else weights
 
-    params = {f"model.{k}": v for k, v in model.trainable().items()}
+    params = {f"model.{k}": v for k, v in model.params.items()}
     distill = teacher_logits is not None and plan.lam > 0
     temp_module = None
     if distill and plan.adaptive_temp:
@@ -308,7 +305,7 @@ def _train_student(
         temp_module = init_temperature_module(
             variant, c, temp_seed, plan.tau_min, plan.tau_max
         )
-        params.update({f"temp.{k}": v for k, v in temp_module.trainable().items()})
+        params.update({f"temp.{k}": v for k, v in temp_module.params.items()})
     opt = Adam(params, lr=plan.lr, weight_decay=plan.weight_decay)
     kd_scale = plan.lam / (data.n_samples if data.kind == "node" else train_idx.size)
 
@@ -360,7 +357,7 @@ def _train_student(
     _restore(model, best["snap"])
     test_acc = evaluate(model, data, "test").accuracy
     metrics = TrainMetrics(
-        plan=plan.label,
+        plan=plan.describe(),
         seed=seed,
         per_epoch=per_epoch,
         test_acc=test_acc,
@@ -419,9 +416,7 @@ def train_bgnn_step(
     labels = data.labels
 
     if plan.boosting:
-        t_train = t_logits[train_idx]
-        e = np.exp(t_train - t_train.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = _softmax_np(t_logits[train_idx])
         weights = samme_r_update(weights, probs, _one_hot(labels[train_idx], c))
 
     student, metrics = _train_student(
@@ -461,7 +456,7 @@ def run_plans(
         if key not in firsts:
             firsts[key] = train_supervised(plan.models[0], data, plan, plan.seed)
         model, first_metrics = firsts[key]
-        all_metrics = [replace(first_metrics, plan=plan.label)]
+        all_metrics = [replace(first_metrics, plan=plan.describe())]
         weights = init_weights(data.split_idx("train").size, data.n_classes)
         for i, cfg in enumerate(plan.models[1:], start=1):
             variant = "entropy_only" if i == 1 else "concat"

@@ -45,16 +45,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    @classmethod
-    def zeros(cls, shape, requires_grad: bool = False) -> "Tensor":
-        return cls(np.zeros(shape), requires_grad=requires_grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -83,13 +73,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def zero_grad(self) -> None:
-        """Clear gradients of every tensor this tape touched."""
-        for out, inputs, _ in self.entries:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
 
 
 _TAPE_STACK: list[Tape] = []
@@ -122,8 +105,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     Gradients accumulate additively across multiple uses of a tensor
     within the tape, and across repeated backward calls; a rerun from the
-    same forward state after ``tape.zero_grad()`` reproduces the first
-    result exactly.
+    same forward state after every touched tensor's ``grad`` is reset to
+    None reproduces the first result exactly.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")

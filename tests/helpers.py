@@ -1,10 +1,14 @@
-"""Shared test utilities: finite-difference gradient checking and the
-scatter reference the bincount kernel is checked against."""
+"""Shared test utilities: finite-difference gradient checking, the
+scatter reference the bincount kernel is checked against, and one-hot
+degree features for graph fixtures."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from bgnn.graph_data import Graph
 from bgnn.tensor import Tape, Tensor, backward
 
 
@@ -64,3 +68,19 @@ def wide_range(g: np.random.Generator, shape) -> np.ndarray:
     """Normal values scaled over 16 decades, so that summing them in a
     different order changes the bits."""
     return g.standard_normal(shape) * 10.0 ** g.integers(-8, 9, shape)
+
+
+def one_hot_degree_features(graphs: list[Graph], cap: int | None = None) -> list[Graph]:
+    """Replace features with one-hot degree encodings, shared across the list.
+
+    Dimension is min(max observed degree, cap) + 1; degrees above the cap
+    land in the top bucket.
+    """
+    max_deg = max((int(g.degrees().max()) if g.n_nodes else 0) for g in graphs)
+    top = min(max_deg, cap) if cap is not None else max_deg
+    out = []
+    for g in graphs:
+        x = np.zeros((g.n_nodes, top + 1))
+        x[np.arange(g.n_nodes), np.minimum(g.degrees(), top)] = 1.0
+        out.append(replace(g, features=Tensor(x)))
+    return out

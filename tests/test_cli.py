@@ -2,6 +2,7 @@
 artifact layout, fixture generation, and the cka runner."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,23 @@ class TestTrain:
         assert "key 'labels'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("value", ["x", "1.5", True, None, float("nan"), float("inf")])
+    def test_bad_bundle_features_exit_2(self, tmp_path, capsys, sparse, value):
+        assert run("make-fixtures", "--kind", "json_toy", "--out", str(tmp_path)) == 0
+        bundle = tmp_path / "toy.json"
+        obj = json.loads(bundle.read_text())
+        if sparse:
+            shape = [len(obj["features"]), len(obj["features"][0])]
+            obj["features"] = {"indices": [[0, 0]], "values": [value], "shape": shape}
+        else:
+            obj["features"][0][0] = value
+        bundle.write_text(json.dumps(obj))
+        out = tmp_path / "r"
+        assert run(*train_args(out, dataset=bundle)) == 2
+        assert "toy.json: key 'features'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_task_dataset_mismatch_exits_2(self, tmp_path):
         assert run(*train_args(tmp_path / "r", task="graph")) == 2
 
@@ -228,6 +246,54 @@ class TestConfigFile:
         ini = self.write(tmp_path, "[run]\nwhat = 1\n")
         with pytest.raises(ConfigError, match="what"):
             load_config_file(ini)
+
+
+# a value other than the default for every setting, as written in an INI file
+SAMPLES = {
+    "task": "graph", "dataset": "tu:elsewhere", "plan": "bgnn", "seeds": "3,1",
+    "out": "elsewhere", "student": "gat", "teachers": "sage,gcn", "hidden": "12",
+    "layers": "3", "dropout": "0.25", "heads": "2", "batch_norm": "true", "epochs": "7",
+    "lr": "0.05", "weight_decay": "0", "batch_size": "5", "lam": "0.5", "boosting": "false",
+    "adaptive_temp": "false", "fixed_tau": "2.5", "tau_min": "1.5", "tau_max": "3.5",
+}
+
+
+class TestSettingsTable:
+    def test_every_field_has_a_key_and_a_flag(self, capsys):
+        assert {f.name for f in fields(cli.RunConfig)} == set(cli.SETTINGS) == set(SAMPLES)
+        assert set(cli.SWITCHES) == {"batch_norm", "boosting", "adaptive_temp"}
+        with pytest.raises(SystemExit):
+            run("train", "--help")
+        usage = capsys.readouterr().out
+        for attr, (_, key, _) in cli.SETTINGS.items():
+            flag = cli.SWITCHES[attr][0] if attr in cli.SWITCHES else cli._flag(key)
+            assert f"{flag} " in usage
+
+    @pytest.mark.parametrize("attr", list(SAMPLES))
+    def test_flag_and_ini_key_give_the_same_value(self, tmp_path, monkeypatch, attr):
+        monkeypatch.setattr(cli.RunConfig, "validate", lambda self: None)  # one key alone
+        section, key, _ = cli.SETTINGS[attr]
+        raw = SAMPLES[attr]
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {raw}\n")
+        if attr in cli.SWITCHES:
+            flag, value = cli.SWITCHES[attr]
+            argv = [flag]
+            assert str(value).lower() == raw
+        else:
+            argv = [cli._flag(key), raw]
+        parser = cli.build_parser()
+        from_ini = cli.load_run_config(parser.parse_args(["train", "--config", str(ini)]))
+        from_flag = cli.load_run_config(parser.parse_args(["train", *argv]))
+        assert getattr(from_flag, attr) == getattr(from_ini, attr)
+        assert getattr(from_flag, attr) != getattr(cli.RunConfig(), attr)
+
+    @pytest.mark.parametrize("flag, value", [("hidden", "abc"), ("lr", "x"), ("seeds", "1.5")])
+    def test_bad_flag_value_exits_2_and_names_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r"
+        assert run(*train_args(out, **{flag: value})) == 2
+        assert f"bad value for --{flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgnn import tensor as T
+from bgnn import distill
 from bgnn.distill import (
     TemperatureModule,
     adaptive_temperature,
@@ -17,6 +17,10 @@ from bgnn.distill import (
 from bgnn.errors import ConfigError, ContractError, ShapeError
 from bgnn.optim import Adam
 from bgnn.tensor import Tape, Tensor, backward
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("a softmax was computed")
 
 
 def entropy(p):
@@ -53,12 +57,6 @@ class TestTeacherConfidence:
 
 
 class TestTemperatureModule:
-    def test_invalid_range(self):
-        with pytest.raises(ConfigError):
-            TemperatureModule("entropy_only", 3, tau_min=0.5)
-        with pytest.raises(ConfigError):
-            TemperatureModule("entropy_only", 3, tau_min=2.0, tau_max=2.0)
-
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             TemperatureModule("gumbel", 3)
@@ -116,7 +114,7 @@ class TestTemperatureModule:
         rng = np.random.default_rng(8)
         t = rng.standard_normal((6, 3))
         z = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-        opt = Adam(mod.trainable(), lr=0.05)
+        opt = Adam(mod.params, lr=0.05)
         before = adaptive_temperature(mod, Tensor(t)).data.copy()
         with Tape() as tape:
             tau = adaptive_temperature(mod, Tensor(t))
@@ -155,6 +153,13 @@ class TestKdLoss:
     def test_nonpositive_tau(self):
         with pytest.raises(ContractError):
             kd_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 3)), 0.0)
+
+    @pytest.mark.parametrize("tau", [np.full(3, 2.0), Tensor(np.full(1, 2.0), True)])
+    def test_tau_length_not_row_count_raises_before_any_softmax(self, monkeypatch, tau):
+        monkeypatch.setattr(distill, "_softmax_np", fail_if_called)
+        monkeypatch.setattr(np, "exp", fail_if_called)
+        with pytest.raises(ShapeError, match="tau shape"):
+            kd_loss(Tensor(np.zeros((2, 3)), True), np.zeros((2, 3)), tau)
 
     def test_cross_entropy_at_least_entropy(self):
         rng = np.random.default_rng(11)

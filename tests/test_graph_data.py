@@ -17,13 +17,13 @@ from bgnn.graph_data import (
     load_tu_dataset,
     mean_aggregator,
     normalize_adjacency,
-    one_hot_degree_features,
     random_split,
     sample_neighbors,
     save_json_bundle,
 )
 from bgnn.tensor import Tensor
 from bgnn import tensor as T
+from helpers import one_hot_degree_features
 
 
 def tiny_graph(n=3, edges=((0, 1), (1, 0)), dim=2):
@@ -102,6 +102,20 @@ class TestTuLoader:
         with pytest.raises(FormatError, match="TOY_graph_labels.txt:2"):
             load_tu_dataset(tmp_path, "TOY")
 
+    def test_graph_id_below_one_reports_line(self, tmp_path):
+        self.write_two_triangles(tmp_path)
+        (tmp_path / "TOY_graph_indicator.txt").write_text("1\n0\n1\n2\n2\n2\n")
+        with pytest.raises(FormatError, match="TOY_graph_indicator.txt:2"):
+            load_tu_dataset(tmp_path, "TOY")
+
+    def test_graph_without_nodes_named(self, tmp_path):
+        self.write_two_triangles(tmp_path)
+        (tmp_path / "TOY_A.txt").write_text("")
+        (tmp_path / "TOY_graph_indicator.txt").write_text("1\n1\n1\n3\n3\n3\n")
+        (tmp_path / "TOY_graph_labels.txt").write_text("1\n-1\n1\n")
+        with pytest.raises(FormatError, match="TOY_graph_indicator.txt: graph 2 has no nodes"):
+            load_tu_dataset(tmp_path, "TOY")
+
     def test_graph_with_no_edges_loads(self, tmp_path):
         (tmp_path / "E_A.txt").write_text("")
         (tmp_path / "E_graph_indicator.txt").write_text("1\n1\n")
@@ -170,6 +184,11 @@ class TestJsonBundle:
             ("train_idx", [0.9]),  # would truncate to node 0
             ("val_idx", ["1"]),
             ("test_idx", [[1]]),
+            ("features", [[float("nan"), 0.0], [0.0, 1.0]]),  # json writes NaN
+            ("features", [[1.0, float("inf")], [0.0, 1.0]]),  # json writes Infinity
+            ("features", [["1.5", 0.0], [0.0, 1.0]]),  # would coerce to 1.5
+            ("features", [[True, 0.0], [0.0, 1.0]]),  # would coerce to 1.0
+            ("features", [[None, 0.0], [0.0, 1.0]]),
         ],
     )
     def test_bad_labels_or_features_named(self, tmp_path, key, value):
@@ -215,6 +234,12 @@ class TestJsonBundle:
             {"indices": [[0, 1, 2]], "values": [1.0], "shape": [2, 5]},
             {"indices": [[0, 1]], "values": [1.0], "shape": [2, 5.5]},
             {"indices": [[0, 1]], "values": [1.0], "shape": "2x5"},
+            {"indices": [[0, 1]], "values": ["x"], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": ["1.5"], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": [True], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": [float("nan")], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": [float("-inf")], "shape": [2, 5]},
+            {"indices": [[0, 1]], "values": 1.0, "shape": [2, 5]},
         ],
     )
     def test_bad_sparse_features_rejected(self, tmp_path, features):

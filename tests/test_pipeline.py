@@ -18,7 +18,6 @@ from bgnn.graph_data import (
     Graph,
     apply_split_masks,
     generate_sbm,
-    one_hot_degree_features,
     random_split,
 )
 from bgnn.models import GnnModel, ModelConfig, init_model
@@ -35,6 +34,7 @@ from bgnn.pipeline import (
     train_supervised,
 )
 from bgnn.tensor import Tensor
+from helpers import one_hot_degree_features
 
 
 def make_node_data(n_per_block=40, seed=0, feat=8, noise=1.0):
@@ -390,7 +390,7 @@ class TestRunPlans:
         for plan, (model, metrics) in zip(plans, results):
             ref_model, ref_metrics = run_sequential(plan, node_data)
             assert params_equal(model, ref_model)
-            assert [m.plan for m in metrics] == [plan.label, plan.label]
+            assert [m.plan for m in metrics] == [plan.describe(), plan.describe()]
             for m, ref in zip(metrics, ref_metrics):
                 assert m.per_epoch == ref.per_epoch
                 assert m.test_acc == ref.test_acc
