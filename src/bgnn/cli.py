@@ -234,26 +234,30 @@ def load_dataset(spec: str) -> TaskData:
             raise ConfigError(f"unknown sbm preset {preset!r}; choose from {sorted(SBM_PRESETS)}")
         g = generate_sbm(p_in=0.9, p_out=0.05, seed=DATASET_SEED, **SBM_PRESETS[preset])
         split = random_split(g.n_nodes, g.node_labels, SPLIT_RATIOS, DATASET_SEED)
-        return TaskData.node_level(apply_split_masks(g, split))
+        return TaskData(kind="node", graph=g, split=split)
     if spec.startswith("tu:"):
         directory = _resolve_path(spec.split(":", 1)[1])
         graphs = load_tu_dataset(directory, directory.name)
         labels = np.array([g.graph_label for g in graphs])
         split = random_split(len(graphs), labels, SPLIT_RATIOS, DATASET_SEED)
-        return TaskData.graph_level(graphs, split)
+        return TaskData(kind="graph", graphs=graphs, split=split)
     if spec.endswith(".json"):
-        return TaskData.node_level(load_json_bundle(_resolve_path(spec)))
+        return TaskData(kind="node", graph=load_json_bundle(_resolve_path(spec)))
     raise ConfigError(
         f"unrecognized dataset {spec!r}: expected sbm:<preset>, tu:<dir>, or a .json bundle"
     )
 
 
 def _load_for_task(cfg: RunConfig) -> TaskData:
+    """The dataset of a training run, with non-empty train, val and test splits."""
     data = load_dataset(cfg.dataset)
     if data.kind != cfg.task:
         raise ConfigError(
             f"dataset {cfg.dataset!r} is {data.kind}-level but task is {cfg.task!r}"
         )
+    for split in ("train", "val", "test"):
+        if data.split_idx(split).size == 0:
+            raise ConfigError(f"dataset {cfg.dataset!r} has an empty {split} split")
     return data
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -68,7 +69,6 @@ class GraphBatch:
     graph: Graph
     graph_ids: np.ndarray  # per-node graph assignment, nondecreasing
     n_graphs: int
-    labels: np.ndarray  # per-graph class indices
 
     def __post_init__(self):
         if np.any(np.diff(self.graph_ids) < 0):
@@ -85,8 +85,6 @@ class DatasetSplit:
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    ratios: tuple[float, float, float]
-    seed: int
 
     def __post_init__(self):
         joined = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
@@ -98,23 +96,33 @@ class DatasetSplit:
 # TU plain-text format
 
 
-def _read_int_lines(path: Path, low: int | None = None) -> list[int]:
-    """The integer on each non-blank line; each must be at least ``low``
-    when it is given."""
-    values = []
+def _read_int_rows(
+    path: Path, width: int, low: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``width`` integers on each non-blank line, split by commas or
+    spaces, as an (n, width) int64 array, and each row's line number.
+    Each integer must fit in int64 and be at least ``low`` when it is
+    given; any other line raises FormatError naming ``file:line``."""
+    values, line_nos = array("q"), array("q")  # int64, no object per value
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        if line.strip():
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise FormatError(
-                    f"{path.name}:{line_no}: expected an integer, got {line.strip()!r}"
-                ) from None
-            if low is not None and values[-1] < low:
-                raise FormatError(
-                    f"{path.name}:{line_no}: expected at least {low}, got {line.strip()!r}"
-                )
-    return values
+        if not line.strip():
+            continue
+        parts = line.replace(",", " ").split()
+        try:
+            if len(parts) != width:
+                raise ValueError
+            values.extend(map(int, parts))
+        except (ValueError, OverflowError):
+            want = "a 64-bit integer" if width == 1 else f"{width} 64-bit integers"
+            raise FormatError(
+                f"{path.name}:{line_no}: expected {want}, got {line.strip()!r}"
+            ) from None
+        if low is not None and min(values[-width:]) < low:
+            raise FormatError(
+                f"{path.name}:{line_no}: expected at least {low}, got {line.strip()!r}"
+            )
+        line_nos.append(line_no)
+    return np.array(values, dtype=np.int64).reshape(-1, width), np.array(line_nos, dtype=np.int64)
 
 
 def load_tu_dataset(directory, name: str) -> list[Graph]:
@@ -123,88 +131,71 @@ def load_tu_dataset(directory, name: str) -> list[Graph]:
     Expects ``<NAME>_A.txt`` (1-indexed global edge pairs),
     ``<NAME>_graph_indicator.txt``, ``<NAME>_graph_labels.txt`` and,
     optionally, ``<NAME>_node_labels.txt`` (one-hot encoded as features).
-    Graph ids run from 1 to their maximum, and every graph has a node.
-    Graphs without node labels get a single constant feature.
+    Graph ids run from 1 to their maximum, there is at least one graph, and
+    every graph has a node. Each graph keeps its nodes and its edges in
+    file order. Graphs without node labels get a single constant feature.
     """
     directory = Path(directory)
-    paths = {
-        "A": directory / f"{name}_A.txt",
-        "graph_indicator": directory / f"{name}_graph_indicator.txt",
-        "graph_labels": directory / f"{name}_graph_labels.txt",
-    }
-    for key, p in paths.items():
-        if not p.exists():
-            raise FileNotFoundError(f"missing required file {p}")
-    indicator = np.asarray(_read_int_lines(paths["graph_indicator"], low=1), dtype=np.int64)
-    n_total = indicator.shape[0]
-    graph_ids = indicator - 1  # to 0-based
-    n_graphs = int(graph_ids.max()) + 1 if n_total else 0
-    empty = np.flatnonzero(np.bincount(graph_ids, minlength=n_graphs) == 0)
+    paths = {key: directory / f"{name}_{key}.txt"
+             for key in ("A", "graph_indicator", "graph_labels", "node_labels")}
+    for key in ("A", "graph_indicator", "graph_labels"):
+        if not paths[key].exists():
+            raise FileNotFoundError(f"missing required file {paths[key]}")
+    graph_ids = _read_int_rows(paths["graph_indicator"], 1, low=1)[0][:, 0] - 1  # 0-based
+    n_total = graph_ids.size
+    if n_total == 0:
+        raise FormatError(f"{paths['graph_indicator'].name}: the dataset has no graphs")
+    counts = np.bincount(graph_ids)
+    n_graphs = counts.size
+    empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise FormatError(f"{paths['graph_indicator'].name}: graph {empty[0] + 1} has no nodes")
 
-    raw_labels = np.asarray(_read_int_lines(paths["graph_labels"]), dtype=np.int64)
+    raw_labels = _read_int_rows(paths["graph_labels"], 1)[0][:, 0]
     if raw_labels.shape[0] != n_graphs:
         raise FormatError(
             f"{paths['graph_labels'].name}: {raw_labels.shape[0]} labels for {n_graphs} graphs"
         )
-    classes = np.unique(raw_labels)
-    graph_labels = np.searchsorted(classes, raw_labels)  # remap to 0..C-1
+    graph_labels = np.unique(raw_labels, return_inverse=True)[1]  # remap to 0..C-1
 
-    # node id -> (graph, local id); nodes are numbered globally from 1
-    local_ids = np.zeros(n_total, dtype=np.int64)
-    counts = np.zeros(n_graphs, dtype=np.int64)
-    for i, gid in enumerate(graph_ids):
-        local_ids[i] = counts[gid]
-        counts[gid] += 1
+    # Sorted stably by graph, each graph's nodes form one run in file
+    # order; a node's local id is its place in that run.
+    node_order = np.argsort(graph_ids, kind="stable")
+    local_ids = np.empty(n_total, dtype=np.int64)
+    local_ids[node_order] = np.arange(n_total) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    per_graph_edges: list[list[tuple[int, int]]] = [[] for _ in range(n_graphs)]
-    for line_no, line in enumerate(paths["A"].read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise FormatError(f"{paths['A'].name}:{line_no}: expected two ids, got {line!r}")
-        try:
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError:
-            raise FormatError(
-                f"{paths['A'].name}:{line_no}: expected integer ids, got {line!r}"
-            ) from None
-        if not (0 <= u < n_total and 0 <= v < n_total):
-            raise FormatError(f"{paths['A'].name}:{line_no}: node id out of range")
-        if graph_ids[u] != graph_ids[v]:
-            raise FormatError(
-                f"{paths['A'].name}:{line_no}: edge joins nodes of different graphs"
-            )
-        per_graph_edges[graph_ids[u]].append((local_ids[u], local_ids[v]))
+    edges, line_nos = _read_int_rows(paths["A"], 2)
+    edges -= 1
+    outside = np.flatnonzero(((edges < 0) | (edges >= n_total)).any(axis=1))
+    if outside.size:
+        raise FormatError(f"{paths['A'].name}:{line_nos[outside[0]]}: node id out of range")
+    edge_graphs = graph_ids[edges]
+    crossing = np.flatnonzero(edge_graphs[:, 0] != edge_graphs[:, 1])
+    if crossing.size:
+        raise FormatError(
+            f"{paths['A'].name}:{line_nos[crossing[0]]}: edge joins nodes of different graphs"
+        )
+    edge_order = np.argsort(edge_graphs[:, 0], kind="stable")
+    edge_ends = np.cumsum(np.bincount(edge_graphs[:, 0], minlength=n_graphs))[:-1]
 
-    node_labels_path = directory / f"{name}_node_labels.txt"
-    node_features: list[np.ndarray]
-    if node_labels_path.exists():
-        raw_nl = np.asarray(_read_int_lines(node_labels_path), dtype=np.int64)
+    if paths["node_labels"].exists():
+        raw_nl = _read_int_rows(paths["node_labels"], 1)[0][:, 0]
         if raw_nl.shape[0] != n_total:
-            raise FormatError(f"{node_labels_path.name}: line count does not match node count")
-        nl_classes = np.unique(raw_nl)
-        nl = np.searchsorted(nl_classes, raw_nl)
-        dim = nl_classes.shape[0]
-        all_feats = np.zeros((n_total, dim))
-        all_feats[np.arange(n_total), nl] = 1.0
+            raise FormatError(f"{paths['node_labels'].name}: line count does not match node count")
+        nl = np.unique(raw_nl, return_inverse=True)[1]
+        all_feats = np.eye(nl.max() + 1)[nl]
     else:
         all_feats = np.ones((n_total, 1))
 
-    graphs: list[Graph] = []
-    for gid in range(n_graphs):
-        node_sel = np.flatnonzero(graph_ids == gid)
-        g = Graph(
-            n_nodes=int(counts[gid]),
-            edges=np.asarray(per_graph_edges[gid], dtype=np.int64).reshape(-1, 2),
-            features=Tensor(all_feats[node_sel]),
-            graph_label=int(graph_labels[gid]),
+    return [
+        Graph(n_nodes=int(n), edges=e, features=Tensor(x), graph_label=int(y))
+        for n, e, x, y in zip(
+            counts,
+            np.split(local_ids[edges[edge_order]], edge_ends),
+            np.split(all_feats[node_order], np.cumsum(counts)[:-1]),
+            graph_labels,
         )
-        graphs.append(g)
-    return graphs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +439,6 @@ def random_split(
         train_idx=np.sort(np.asarray(train, dtype=np.int64)),
         val_idx=np.sort(np.asarray(val, dtype=np.int64)),
         test_idx=np.sort(np.asarray(test, dtype=np.int64)),
-        ratios=tuple(ratios),
-        seed=seed,
     )
 
 
@@ -519,10 +508,7 @@ def batch_graphs(graphs: list[Graph]) -> GraphBatch:
         features=Tensor(np.concatenate([g.features.data for g in graphs], axis=0)),
     )
     graph_ids = np.repeat(np.arange(len(graphs)), [g.n_nodes for g in graphs])
-    labels = np.asarray(
-        [g.graph_label if g.graph_label is not None else -1 for g in graphs], dtype=np.int64
-    )
-    return GraphBatch(graph=merged, graph_ids=graph_ids, n_graphs=len(graphs), labels=labels)
+    return GraphBatch(graph=merged, graph_ids=graph_ids, n_graphs=len(graphs))
 
 
 def generate_sbm(

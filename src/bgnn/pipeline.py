@@ -33,40 +33,44 @@ DEFAULT_EPOCHS = {"node": 300, "graph": 200}
 
 @dataclass
 class TaskData:
-    """Node task: one graph with split masks. Graph task: a graph list
-    plus a DatasetSplit over graph indices."""
+    """Node task: one graph with node labels, split by node. Graph task: a
+    labelled graph list plus a split over graph indices.
+
+    Every construction is checked. ``split`` is used as given; a node task
+    given none takes it from the graph's train/val/test masks.
+    """
 
     kind: str
     graph: Graph | None = None
     graphs: list[Graph] | None = None
     split: DatasetSplit | None = None
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @classmethod
-    def node_level(cls, graph: Graph) -> "TaskData":
-        if graph.node_labels is None:
-            raise ContractError("node task needs node labels")
-        if graph.train_mask is None or graph.val_mask is None or graph.test_mask is None:
-            raise ContractError("node task needs train/val/test masks")
-        return cls(kind="node", graph=graph)
-
-    @classmethod
-    def graph_level(cls, graphs: list[Graph], split: DatasetSplit) -> "TaskData":
-        if not graphs:
-            raise ContractError("graph task needs at least one graph")
-        if any(g.graph_label is None for g in graphs):
-            raise ContractError("graph task needs a label per graph")
-        return cls(kind="graph", graphs=graphs, split=split)
+    def __post_init__(self):
+        if self.kind == "node":
+            if self.graph is None or self.graph.node_labels is None:
+                raise ContractError("node task needs a graph with node labels")
+            if self.split is None:
+                masks = (self.graph.train_mask, self.graph.val_mask, self.graph.test_mask)
+                if any(m is None for m in masks):
+                    raise ContractError("node task needs a split or train/val/test masks")
+                self.split = DatasetSplit(*map(np.flatnonzero, masks))
+            self.labels = self.graph.node_labels
+        elif self.kind == "graph":
+            if not self.graphs:
+                raise ContractError("graph task needs at least one graph")
+            if any(g.graph_label is None for g in self.graphs):
+                raise ContractError("graph task needs a label per graph")
+            if self.split is None:
+                raise ContractError("graph task needs a split")
+            self.labels = np.asarray([g.graph_label for g in self.graphs], dtype=np.int64)
+        else:
+            raise ContractError(f"unknown task kind {self.kind!r}")
 
     @property
     def n_samples(self) -> int:
-        return self.graph.n_nodes if self.kind == "node" else len(self.graphs)
-
-    @property
-    def labels(self) -> np.ndarray:
-        if self.kind == "node":
-            return self.graph.node_labels
-        return np.asarray([g.graph_label for g in self.graphs], dtype=np.int64)
+        return self.labels.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -77,23 +81,9 @@ class TaskData:
         return int(self.labels.max()) + 1
 
     def split_idx(self, split: str) -> np.ndarray:
-        if self.kind == "node":
-            mask = {
-                "train": self.graph.train_mask,
-                "val": self.graph.val_mask,
-                "test": self.graph.test_mask,
-            }.get(split)
-            if mask is None:
-                raise ContractError(f"unknown split {split!r}")
-            return np.flatnonzero(mask)
-        idx = {
-            "train": self.split.train_idx,
-            "val": self.split.val_idx,
-            "test": self.split.test_idx,
-        }.get(split)
-        if idx is None:
+        if split not in ("train", "val", "test"):
             raise ContractError(f"unknown split {split!r}")
-        return np.asarray(idx)
+        return np.asarray(getattr(self.split, f"{split}_idx"))
 
     def forward_input(self, config: ModelConfig) -> tuple[Graph | GraphBatch, dict]:
         """The full-data forward input (the graph, or every graph batched)
@@ -290,6 +280,8 @@ def _train_student(
     streams = _rng_streams(seed)
     model = init_model(config, seed)
     train_idx = data.split_idx("train")
+    if train_idx.size == 0:
+        raise ContractError("split 'train' is empty")
     labels = data.labels
     c = data.n_classes
     if config.n_classes != c:

@@ -1,10 +1,11 @@
 """Shared test utilities: finite-difference gradient checking, the
-scatter reference the bincount kernel is checked against, and one-hot
-degree features for graph fixtures."""
+scatter reference the bincount kernel is checked against, one-hot
+degree features for graph fixtures, and a TU-format directory writer."""
 
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -84,3 +85,46 @@ def one_hot_degree_features(graphs: list[Graph], cap: int | None = None) -> list
         x[np.arange(g.n_nodes), np.minimum(g.degrees(), top)] = 1.0
         out.append(replace(g, features=Tensor(x)))
     return out
+
+
+def write_tu_dir(directory: Path, name: str, graphs, node_order=None, edge_order=None,
+                 sep: str = ", ", blank_lines: bool = False, node_labels: bool = True) -> None:
+    """Write graphs as a TU-format directory.
+
+    Each graph is (node labels, local (u, v) edges, graph label), with one
+    node label per node. ``node_order`` and ``edge_order`` give the graph
+    index of each indicator line and each ``_A.txt`` line; the j-th line of
+    a graph holds its j-th node or edge. By default the graphs come one
+    after another. ``blank_lines`` puts an empty line before every line and
+    at the end of every file.
+    """
+    if node_order is None:
+        node_order = [g for g, (labels, _, _) in enumerate(graphs) for _ in labels]
+    if edge_order is None:
+        edge_order = [g for g, (_, edges, _) in enumerate(graphs) for _ in edges]
+    global_id: dict[tuple[int, int], int] = {}  # (graph, local id) -> 1-based node id
+    seen = [0] * len(graphs)
+    indicator, node_label_lines = [], []
+    for line, g in enumerate(node_order, start=1):
+        global_id[g, seen[g]] = line
+        indicator.append(str(g + 1))
+        node_label_lines.append(str(graphs[g][0][seen[g]]))
+        seen[g] += 1
+    seen = [0] * len(graphs)
+    a_lines = []
+    for g in edge_order:
+        u, v = graphs[g][1][seen[g]]
+        a_lines.append(f"{global_id[g, u]}{sep}{global_id[g, v]}")
+        seen[g] += 1
+    files = {
+        "A": a_lines,
+        "graph_indicator": indicator,
+        "graph_labels": [str(label) for _, _, label in graphs],
+    }
+    if node_labels:
+        files["node_labels"] = node_label_lines
+    directory.mkdir(parents=True, exist_ok=True)
+    for key, lines in files.items():
+        if blank_lines:
+            lines = [x for line in lines for x in ("", line)] + [""]
+        (directory / f"{name}_{key}.txt").write_text("\n".join(lines) + "\n")

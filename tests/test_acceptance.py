@@ -3,10 +3,11 @@
 Fast numeric criteria (1-6) run on tiny random instances with pinned
 tolerances. The distillation-study criteria (8-10) run on a frozen
 600-node SBM fixture and share a module-scoped study; expect a few
-minutes of wall time. Criteria that need the real Cora bundle (3, 7,
-and half of 8) skip unless cora.json is found in BGNN_DATA_DIR or the
-working directory -- see the README for the bundle layout. Skips are
-reported, never silently passed.
+minutes of wall time. They and the Cora studies are marked ``slow``, so
+``-m "not slow"`` leaves them out of a quick run. Criteria that need the
+real Cora bundle (3, 7, and half of 8) skip unless cora.json is found in
+BGNN_DATA_DIR or the working directory -- see the README for the bundle
+layout. Skips are reported, never silently passed.
 """
 
 from __future__ import annotations
@@ -75,8 +76,6 @@ def _cora_data() -> TaskData:
         train_idx=np.flatnonzero(g.train_mask),
         val_idx=np.flatnonzero(g.val_mask),
         test_idx=np.flatnonzero(g.test_mask),
-        ratios=(0.0, 0.0, 0.0),
-        seed=0,
     )
     return TaskData(kind="node", graph=g, split=split)
 
@@ -251,6 +250,7 @@ def test_03_adaptive_temperature_clamped_synthetic(monkeypatch):
     print(f"[criterion 3/synthetic] {len(taus)} epochs, temperatures in [{lo:.3f}, {hi:.3f}]")
 
 
+@pytest.mark.slow
 @needs_cora
 def test_03_adaptive_temperature_clamped_cora(monkeypatch):
     data = _cora_data()
@@ -352,6 +352,7 @@ def test_06_cka_properties_and_hsic_oracle():
 # criterion 7: Cora supervised baseline accuracy
 
 
+@pytest.mark.slow
 @needs_cora
 def test_07_cora_gcn_baseline_accuracy():
     data = _cora_data()
@@ -420,6 +421,7 @@ def sbm_study(sbm_data):
     return rows
 
 
+@pytest.mark.slow
 def test_08_distillation_beats_supervised_sbm(sbm_study):
     nokd = float(np.mean([r["nokd"] for r in sbm_study]))
     bgnn = float(np.mean([r["bgnn"] for r in sbm_study]))
@@ -429,6 +431,7 @@ def test_08_distillation_beats_supervised_sbm(sbm_study):
     assert margin >= 0.003, f"margin {margin:+.4f} under the 0.003 floor"
 
 
+@pytest.mark.slow
 @needs_cora
 def test_08_distillation_beats_supervised_cora():
     data = _cora_data()
@@ -448,6 +451,7 @@ def test_08_distillation_beats_supervised_cora():
     assert float(np.mean(bgnn)) > float(np.mean(nokd))
 
 
+@pytest.mark.slow
 def test_09_boosting_helps_teacher_missed_nodes(sbm_study):
     mis_b = [r["mis_boost"] for r in sbm_study]
     mis_p = [r["mis_plain"] for r in sbm_study]
@@ -464,6 +468,7 @@ def test_09_boosting_helps_teacher_missed_nodes(sbm_study):
 # criterion 10: fixed-temperature sweep, adaptive stays competitive
 
 
+@pytest.mark.slow
 def test_10_fixed_tau_sweep_and_adaptive_competitive(sbm_data):
     teacher_cfg = _sbm_teacher_cfg(heads=4)
     taus = range(1, 11)

@@ -13,6 +13,7 @@ from bgnn.cli import load_config_file, load_dataset, main
 from bgnn.errors import ConfigError
 from bgnn.graph_data import load_json_bundle, load_tu_dataset
 from bgnn.models import ModelConfig, init_model, save_checkpoint
+from helpers import write_tu_dir
 
 
 def run(*argv) -> int:
@@ -21,6 +22,24 @@ def run(*argv) -> int:
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("training started before the plan was validated")
+
+
+def write_tu_shapes(directory: Path, n_graphs: int) -> None:
+    """Triangles (label 1) and 4-paths (label 2) in turn, node degrees as
+    node labels: a TU directory named after ``directory``."""
+    triangle = ([2, 2, 2], [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)], 1)
+    path = ([1, 2, 2, 1], [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)], 2)
+    write_tu_dir(directory, directory.name, [triangle, path] * (n_graphs // 2))
+
+
+def write_four_node_bundle(path: Path, **splits) -> Path:
+    obj = {
+        "n_nodes": 4, "edges": [[0, 1], [2, 3]], "labels": [0, 0, 1, 1],
+        "features": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+        "train_idx": [0, 2], "val_idx": [1], "test_idx": [3],
+    }
+    path.write_text(json.dumps({**obj, **splits}))
+    return path
 
 
 def train_args(out, **extra):
@@ -123,13 +142,39 @@ class TestTrain:
         assert run(*train_args(out, **flags)) == 2
         assert not out.exists()
 
-    def test_graph_batch_size_zero_exits_2_before_training(self, tmp_path, monkeypatch):
+    def test_graph_batch_size_zero_exits_2_before_training(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_plans", fail_if_called)
+        shapes = tmp_path / "SHAPES"
+        write_tu_shapes(shapes, 20)
+        out = tmp_path / "r"
+        argv = train_args(out, task="graph", dataset=f"tu:{shapes}", batch_size=0)
+        assert run(*argv) == 2
+        assert "batch size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_empty_bundle_split_exits_2_before_output(self, tmp_path, capsys, split):
+        bundle = write_four_node_bundle(tmp_path / "four.json", **{f"{split}_idx": []})
+        out = tmp_path / "r"
+        assert run(*train_args(out, dataset=bundle)) == 2
+        err = capsys.readouterr().err
+        assert "four.json" in err and f"empty {split} split" in err
+        assert not out.exists()
+
+    def test_toy_fixture_empty_val_split_exits_2_before_output(self, tmp_path, capsys):
         toy = tmp_path / "TOY"
         assert run("make-fixtures", "--kind", "tu_toy", "--out", str(toy)) == 0
         out = tmp_path / "r"
-        argv = train_args(out, task="graph", dataset=f"tu:{toy}", batch_size=0)
-        assert run(*argv) == 2
+        assert run(*train_args(out, task="graph", dataset=f"tu:{toy}")) == 2
+        assert "empty val split" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tu_directory_without_graphs_exits_2_before_output(self, tmp_path, capsys):
+        empty = tmp_path / "EMPTY"
+        write_tu_dir(empty, "EMPTY", [])
+        out = tmp_path / "r"
+        assert run(*train_args(out, task="graph", dataset=f"tu:{empty}")) == 2
+        assert "EMPTY_graph_indicator.txt" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_sweep_point_exits_2_before_training(self, tmp_path, monkeypatch):
@@ -432,6 +477,15 @@ class TestCka:
             ma, la, mb, lb, v = line.split(",")
             if (ma, la) == (mb, lb):
                 assert v == "1.000000"
+
+    def test_toy_fixture_runs_despite_empty_splits(self, tmp_path):
+        d = tmp_path / "TOY"
+        assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
+        assert run(*train_args(tmp_path / "r", task="graph", dataset=f"tu:{d}")) == 2
+        ckpt = self.make_checkpoint(tmp_path)
+        out = tmp_path / "cka.csv"
+        assert run("cka", "--checkpoints", str(ckpt), "--dataset", f"tu:{d}", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 5
 
     def test_three_model_matrix(self, tmp_path):
         d = tmp_path / "TOY"

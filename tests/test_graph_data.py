@@ -1,6 +1,8 @@
 """Graph containers, loaders, splits, sampling, batching, generators."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from bgnn.graph_data import (
 )
 from bgnn.tensor import Tensor
 from bgnn import tensor as T
-from helpers import one_hot_degree_features
+from helpers import one_hot_degree_features, write_tu_dir
 
 
 def tiny_graph(n=3, edges=((0, 1), (1, 0)), dim=2):
@@ -53,6 +55,28 @@ class TestGraphValidation:
     def test_degrees(self):
         g = tiny_graph(n=4, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
         np.testing.assert_array_equal(g.degrees(), [1, 2, 1, 0])
+
+
+@st.composite
+def tu_collections(draw):
+    """Graphs and layout options for ``write_tu_dir``: nodes and edges of
+    different graphs interleave in the files, and edge lists may be empty
+    or hold self-loops and repeated edges."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 5))
+        node = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(node, node), max_size=8))
+        labels = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        graphs.append((labels, edges, draw(st.integers(-5, 5))))
+    node_order = draw(st.permutations([g for g, (nl, _, _) in enumerate(graphs) for _ in nl]))
+    edge_order = draw(st.permutations([g for g, (_, e, _) in enumerate(graphs) for _ in e]))
+    options = {
+        "sep": draw(st.sampled_from([",", ", ", " ", "  "])),
+        "blank_lines": draw(st.booleans()),
+        "node_labels": draw(st.booleans()),
+    }
+    return graphs, node_order, edge_order, options
 
 
 class TestTuLoader:
@@ -102,6 +126,12 @@ class TestTuLoader:
         with pytest.raises(FormatError, match="TOY_graph_labels.txt:2"):
             load_tu_dataset(tmp_path, "TOY")
 
+    def test_integer_beyond_int64_reports_line(self, tmp_path):
+        self.write_two_triangles(tmp_path)
+        (tmp_path / "TOY_graph_labels.txt").write_text("1\n99999999999999999999\n")
+        with pytest.raises(FormatError, match="TOY_graph_labels.txt:2"):
+            load_tu_dataset(tmp_path, "TOY")
+
     def test_graph_id_below_one_reports_line(self, tmp_path):
         self.write_two_triangles(tmp_path)
         (tmp_path / "TOY_graph_indicator.txt").write_text("1\n0\n1\n2\n2\n2\n")
@@ -128,6 +158,33 @@ class TestTuLoader:
         graphs = load_tu_dataset(tmp_path, "TOY")
         lines = (tmp_path / "TOY_graph_indicator.txt").read_text().splitlines()
         assert sum(g.n_nodes for g in graphs) == len(lines)
+
+    def test_directory_without_graphs_is_a_format_error(self, tmp_path):
+        for key in ("A", "graph_indicator", "graph_labels"):
+            (tmp_path / f"TOY_{key}.txt").write_text("")
+        with pytest.raises(FormatError, match="TOY_graph_indicator.txt"):
+            load_tu_dataset(tmp_path, "TOY")
+
+    @settings(max_examples=80, deadline=None)
+    @given(tu_collections())
+    def test_written_graphs_load_back(self, collection):
+        graphs, node_order, edge_order, options = collection
+        with tempfile.TemporaryDirectory() as d:
+            write_tu_dir(Path(d), "R", graphs, node_order, edge_order, **options)
+            loaded = load_tu_dataset(d, "R")
+        node_classes = sorted({x for labels, _, _ in graphs for x in labels})
+        graph_classes = sorted({label for _, _, label in graphs})
+        assert len(loaded) == len(graphs)
+        for g, (labels, edges, label) in zip(loaded, graphs):
+            assert g.n_nodes == len(labels)
+            assert g.edges.dtype == np.int64
+            np.testing.assert_array_equal(g.edges, np.array(edges, dtype=np.int64).reshape(-1, 2))
+            if options["node_labels"]:
+                want = np.eye(len(node_classes))[[node_classes.index(x) for x in labels]]
+            else:
+                want = np.ones((len(labels), 1))
+            np.testing.assert_array_equal(g.features.data, want)
+            assert g.graph_label == graph_classes.index(label)
 
 
 class TestJsonBundle:

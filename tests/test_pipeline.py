@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from helpers import one_hot_degree_features
 def make_node_data(n_per_block=40, seed=0, feat=8, noise=1.0):
     g = generate_sbm(n_per_block, 2, 0.9, 0.05, feat, seed, noise_scale=noise)
     split = random_split(g.n_nodes, g.node_labels, (0.6, 0.2, 0.2), seed)
-    return TaskData.node_level(apply_split_masks(g, split))
+    return TaskData(kind="node", graph=apply_split_masks(g, split))
 
 
 def make_graph_data(n=40, seed=0):
@@ -56,7 +57,7 @@ def make_graph_data(n=40, seed=0):
     graphs = one_hot_degree_features(graphs)
     labels = np.array([g.graph_label for g in graphs])
     split = random_split(n, labels, (0.6, 0.2, 0.2), seed)
-    return TaskData.graph_level(graphs, split)
+    return TaskData(kind="graph", graphs=graphs, split=split)
 
 
 def gcn_cfg(**kw):
@@ -419,17 +420,56 @@ class TestEnsembleAndEvaluate:
             train_idx=np.arange(n - 5),
             val_idx=np.array([], dtype=np.int64),
             test_idx=np.arange(n - 5, n),
-            ratios=(0.875, 0.0, 0.125),
-            seed=0,
         )
-        data = TaskData.graph_level(graph_data.graphs, split)
+        data = TaskData(kind="graph", graphs=graph_data.graphs, split=split)
         with pytest.raises(ContractError):
             evaluate(np.zeros(n, dtype=np.int64), data, "val")
 
     def test_node_data_requires_masks(self):
         g = generate_sbm(5, 2, 0.9, 0.05, 4, 0)
         with pytest.raises(ContractError):
-            TaskData.node_level(g)
+            TaskData(kind="node", graph=g)
+
+
+class TestTaskData:
+    def sbm_and_split(self):
+        g = generate_sbm(5, 2, 0.9, 0.05, 4, 0)
+        return g, random_split(g.n_nodes, g.node_labels, (0.6, 0.2, 0.2), 0)
+
+    def test_node_task_without_labels_rejected(self):
+        g, split = self.sbm_and_split()
+        with pytest.raises(ContractError, match="node labels"):
+            TaskData(kind="node", graph=replace(g, node_labels=None), split=split)
+
+    def test_graph_task_without_split_rejected(self, graph_data):
+        with pytest.raises(ContractError, match="needs a split"):
+            TaskData(kind="graph", graphs=graph_data.graphs)
+
+    def test_empty_graph_list_rejected(self):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ContractError, match="at least one graph"):
+            TaskData(kind="graph", graphs=[], split=DatasetSplit(empty, empty, empty))
+
+    def test_unknown_kind_rejected(self, node_data):
+        with pytest.raises(ContractError, match="unknown task kind"):
+            TaskData(kind="edge", graph=node_data.graph, split=node_data.split)
+
+    def test_masks_and_equal_split_agree(self):
+        g, split = self.sbm_and_split()
+        from_masks = TaskData(kind="node", graph=apply_split_masks(g, split))
+        from_split = TaskData(kind="node", graph=g, split=split)
+        for part in ("train", "val", "test"):
+            np.testing.assert_array_equal(from_masks.split_idx(part), from_split.split_idx(part))
+        np.testing.assert_array_equal(from_masks.labels, from_split.labels)
+        assert from_masks.n_classes == from_split.n_classes
+
+    def test_empty_train_split_rejected_before_training(self, graph_data):
+        n = len(graph_data.graphs)
+        split = DatasetSplit(np.zeros(0, dtype=np.int64), np.arange(n - 5), np.arange(n - 5, n))
+        data = TaskData(kind="graph", graphs=graph_data.graphs, split=split)
+        plan = quick_plan([graph_cfg()], task="graph", epochs=1)
+        with pytest.raises(ContractError, match="'train' is empty"):
+            train_supervised(graph_cfg(), data, plan, seed=0)
 
 
 class TestGraphTask:
