@@ -279,6 +279,11 @@ def load_json_bundle(path) -> Graph:
             )
         if idx.size and (idx.min() < 0 or np.any(idx.max(axis=0) >= shape)):
             raise FormatError(f"bundle {path.name}: key 'features' index out of range")
+        flat = np.sort(idx[:, 0] * shape[1] + idx[:, 1])
+        repeats = flat[1:][flat[1:] == flat[:-1]]
+        if repeats.size:
+            row, col = divmod(int(repeats[0]), shape[1])
+            raise FormatError(f"bundle {path.name}: key 'features' repeats index [{row}, {col}]")
         x[idx[:, 0], idx[:, 1]] = values
     else:
         x = _float_array(feats, path, "features", matrix=True)

@@ -1,9 +1,9 @@
-"""Compressed sparse row matrices for graph adjacency operators.
+"""Compressed sparse row matrices for graph operators and sparse features.
 
 Only the handful of operations the models need: construction from COO
-triples, dense conversion, sparse @ dense, and transposition (cached,
-since the backward pass of every product needs it). Values are float64;
-indices are int64. No scipy.
+triples or a dense array, dense conversion, sparse @ dense, and
+transposition (cached, since the backward pass of every product needs
+it). Values are float64; indices are int64. No scipy.
 
 :func:`scatter_add` is the one scatter kernel of the package: the sparse
 product, the segment reductions and the gather backward all sum rows
@@ -113,6 +113,15 @@ class SparseMatrix:
         row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=n_rows), out=row_offsets[1:])
         return cls(n_rows, n_cols, row_offsets, c, v)
+
+    @classmethod
+    def from_dense(cls, x: np.ndarray) -> "SparseMatrix":
+        """The nonzero entries of a 2-d array. ``np.nonzero`` lists them in
+        row-major order, which is already CSR order, so nothing is sorted."""
+        rows, cols = np.nonzero(x)
+        row_offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=row_offsets[1:])
+        return cls(x.shape[0], x.shape[1], row_offsets, cols, x[rows, cols])
 
     def to_dense(self) -> np.ndarray:
         d = np.zeros((self.n_rows, self.n_cols))

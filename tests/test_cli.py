@@ -12,7 +12,8 @@ from bgnn import cli
 from bgnn.cli import load_config_file, load_dataset, main
 from bgnn.errors import ConfigError
 from bgnn.graph_data import load_json_bundle, load_tu_dataset
-from bgnn.models import ModelConfig, init_model, save_checkpoint
+from bgnn.models import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from bgnn.pipeline import predict
 from helpers import write_tu_dir
 
 
@@ -39,6 +40,23 @@ def write_four_node_bundle(path: Path, **splits) -> Path:
         "train_idx": [0, 2], "val_idx": [1], "test_idx": [3],
     }
     path.write_text(json.dumps({**obj, **splits}))
+    return path
+
+
+def write_sparse_bundle(path: Path, n: int = 40, vocab: int = 200) -> Path:
+    """Two classes in turn on a ring; each node has two words from its
+    class's half of the vocabulary, so 1 % of the features are nonzero."""
+    rng = np.random.default_rng(0)
+    labels = [i % 2 for i in range(n)]
+    indices = [[i, int(w)] for i in range(n)
+               for w in np.sort(rng.choice(vocab // 2, 2, replace=False)) + labels[i] * vocab // 2]
+    obj = {
+        "n_nodes": n, "edges": [[i, (i + 1) % n] for i in range(n)], "labels": labels,
+        "features": {"indices": indices, "values": [1.0] * len(indices), "shape": [n, vocab]},
+        "train_idx": list(range(n // 2)), "val_idx": list(range(n // 2, 3 * n // 4)),
+        "test_idx": list(range(3 * n // 4, n)),
+    }
+    path.write_text(json.dumps(obj))
     return path
 
 
@@ -212,6 +230,32 @@ class TestTrain:
         assert run(*train_args(out, dataset=bundle)) == 2
         assert "toy.json: key 'features'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_sparse_feature_index_exits_2(self, tmp_path, capsys):
+        bundle = write_sparse_bundle(tmp_path / "sparse.json")
+        obj = json.loads(bundle.read_text())
+        obj["features"]["indices"].append(obj["features"]["indices"][3])
+        obj["features"]["values"].append(5.0)
+        bundle.write_text(json.dumps(obj))
+        out = tmp_path / "r"
+        assert run(*train_args(out, dataset=bundle)) == 2
+        assert "sparse.json: key 'features' repeats index [1, " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("student", ["gcn", "gat"])
+    def test_sparse_bundle_predictions_survive_reload(self, tmp_path, student):
+        """The CSR path depends only on the data, so a reloaded model on a
+        freshly loaded bundle takes it again and predicts the same."""
+        bundle = write_sparse_bundle(tmp_path / "sparse.json")
+        out = tmp_path / "r"
+        assert run(*train_args(out, dataset=bundle, student=student, seeds="0,1")) == 0
+        data = load_dataset(str(bundle))
+        for seed in (0, 1):
+            model = load_checkpoint(out / f"model_seed{seed}")
+            assert "x" in data.forward_input(model.config)[1]
+            lines = (out / f"predictions_seed{seed}.csv").read_text().splitlines()[1:]
+            ids, _, pred = np.array([line.split(",") for line in lines], dtype=int).T
+            np.testing.assert_array_equal(predict(model, data)[ids], pred)
 
     def test_task_dataset_mismatch_exits_2(self, tmp_path):
         assert run(*train_args(tmp_path / "r", task="graph")) == 2
@@ -576,3 +620,14 @@ class TestDatasets:
         b = load_dataset("sbm:small")
         assert np.array_equal(a.graph.features.data, b.graph.features.data)
         assert np.array_equal(a.split_idx("train"), b.split_idx("train"))
+
+    def test_builtin_datasets_keep_dense_features(self, tmp_path):
+        """Dense SBM Gaussians and one-hot TU degrees are far above the CSR
+        cutoff: GCN and GAT keep the dense first projection on them."""
+        toy = tmp_path / "TOY"
+        assert run("make-fixtures", "--kind", "tu_toy", "--out", str(toy)) == 0
+        for data in (load_dataset("sbm:small"), load_dataset(f"tu:{toy}")):
+            for arch in ("gcn", "gat"):
+                cfg = ModelConfig(arch=arch, in_dim=data.feature_dim, hidden_dim=8,
+                                  n_classes=data.n_classes, task=data.kind)
+                assert "x" not in data.forward_input(cfg)[1]

@@ -297,6 +297,7 @@ class TestJsonBundle:
             {"indices": [[0, 1]], "values": [float("nan")], "shape": [2, 5]},
             {"indices": [[0, 1]], "values": [float("-inf")], "shape": [2, 5]},
             {"indices": [[0, 1]], "values": 1.0, "shape": [2, 5]},
+            {"indices": [[0, 0], [0, 0]], "values": [1.0, 5.0], "shape": [2, 5]},  # repeated
         ],
     )
     def test_bad_sparse_features_rejected(self, tmp_path, features):

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bgnn import tensor as T
 from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
 from bgnn.graph_data import Graph, batch_graphs, generate_sbm, normalize_adjacency
 from bgnn.models import (
+    SPARSE_INPUT_DENSITY,
     GnnModel,
     ModelConfig,
     build_forward_context,
@@ -24,7 +27,7 @@ from bgnn.models import (
 from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import numeric_grad
+from helpers import check_grads, numeric_grad
 
 
 def small_graph(seed=0, n=6, dim=5, classes=3):
@@ -40,6 +43,19 @@ def small_graph(seed=0, n=6, dim=5, classes=3):
     return Graph(
         n_nodes=n, edges=edges, features=Tensor(g.standard_normal((n, dim))), node_labels=labels
     )
+
+
+def sparse_graph(seed=0, n=12, dim=80, nnz=10):
+    """A small graph whose features are below the CSR cutoff: ``nnz``
+    normal values at distinct random positions, so some nodes have no
+    feature and most feature columns are empty."""
+    g = small_graph(seed, n=n, dim=1)
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n * dim)
+    x[rng.choice(n * dim, size=nnz, replace=False)] = rng.standard_normal(nnz)
+    assert nnz < SPARSE_INPUT_DENSITY * n * dim
+    return Graph(n_nodes=n, edges=g.edges, features=Tensor(x.reshape(n, dim)),
+                 node_labels=g.node_labels)
 
 
 class TestConfig:
@@ -377,6 +393,89 @@ class TestModelForward:
         logits, reps = model_forward(m, g, training=False)
         assert logits.shape == (8, 3)
         assert len(reps) == 4
+
+
+class TestSparseFeatures:
+    """Features below SPARSE_INPUT_DENSITY run GCN's and GAT's first
+    projection as a CSR product; the dense matrix stays the oracle."""
+
+    @given(
+        n=st.integers(1, 12),
+        f=st.integers(1, 12),
+        k=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(n=5, f=4, k=3, density=0.0, seed=0)  # nnz = 0
+    @settings(max_examples=80, deadline=None)
+    def test_projection_matches_dense_oracle(self, n, f, k, density, seed):
+        """Forward X @ W and the weight gradient Xᵀ G; rows (nodes with no
+        features) and columns may be empty."""
+        g = np.random.default_rng(seed)
+        x = np.where(g.random((n, f)) < density, g.standard_normal((n, f)), 0.0)
+        x[g.integers(0, n)] = 0.0  # at least one empty row
+        x[:, g.integers(0, f)] = 0.0  # and one empty column
+        s = SparseMatrix.from_dense(x)
+        np.testing.assert_array_equal(s.to_dense(), x)
+        assert s.nnz == np.count_nonzero(x)
+        w, grad_out = g.standard_normal((f, k)), g.standard_normal((n, k))
+        W = Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            out = T.spmm(s, W)
+            loss = T.sum_all(T.mul(out, Tensor(grad_out)))
+        backward(loss, tape)
+        np.testing.assert_allclose(out.data, x @ w, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(W.grad, x.T @ grad_out, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat", "sage"])
+    @pytest.mark.parametrize("nnz", [0, 3, 4])
+    def test_csr_exactly_below_the_cutoff(self, arch, nnz):
+        """64 entries per row over 4 rows: the cutoff is 4 nonzeros."""
+        x = np.zeros((4, 64))
+        x.reshape(-1)[:nnz] = 1.0
+        g = Graph(n_nodes=4, edges=np.array([[0, 1], [1, 0]]), features=Tensor(x))
+        cfg = ModelConfig(arch=arch, in_dim=64, hidden_dim=4, n_classes=2, heads=2)
+        ctx = build_forward_context(cfg, g)
+        assert ("x" in ctx) == (arch != "sage" and nnz < 4)
+        if "x" in ctx:
+            np.testing.assert_array_equal(ctx["x"].to_dense(), x)
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_logits_match_the_dense_path(self, arch):
+        g = sparse_graph(3)
+        cfg = ModelConfig(arch=arch, in_dim=80, hidden_dim=8, n_classes=3, heads=2)
+        m = init_model(cfg, 4)
+        ctx = build_forward_context(cfg, g)
+        assert "x" in ctx
+        dense_ctx = {key: v for key, v in ctx.items() if key != "x"}
+        with Tape() as sparse_tape:
+            sparse, _ = model_forward(m, g, training=False, ctx=ctx)
+        with Tape() as dense_tape:
+            dense, _ = model_forward(m, g, training=False, ctx=dense_ctx)
+        np.testing.assert_allclose(sparse.data, dense.data, rtol=0, atol=1e-12)
+
+        def reads_dense_features(tape):
+            return any(x is g.features for _, inputs, _ in tape.entries for x in inputs)
+
+        assert not reads_dense_features(sparse_tape) and reads_dense_features(dense_tape)
+
+    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    def test_model_loss_gradients_match_finite_differences(self, arch):
+        g = sparse_graph(5, n=10, dim=70, nnz=8)
+        y = np.eye(3)[g.node_labels % 3]
+        cfg = ModelConfig(arch=arch, in_dim=70, hidden_dim=4, n_classes=3, heads=2, dropout=0.0)
+        m = init_model(cfg, 6)
+        ctx = build_forward_context(cfg, g)
+        assert "x" in ctx
+        names = list(m.params)
+
+        def loss(*params):
+            m.params = dict(zip(names, params))
+            logits, _ = model_forward(m, g, training=False, ctx=ctx)
+            probs = T.clamp_min(T.softmax_rows(logits), 1e-10)
+            return T.neg(T.sum_all(T.mul(T.log(probs), Tensor(y))))
+
+        check_grads(loss, *[m.params[name].data.copy() for name in names])
 
 
 class TestCheckpoints:
