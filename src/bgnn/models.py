@@ -32,7 +32,9 @@ ARCHITECTURES = ("gcn", "sage", "gat")
 # won below 1.5-2 % density and lost above it (2708x1433 at 1 %: 6.9 ms
 # against 18.4 ms dense; at 3 %: 24.4 against 18.8 ms). Inputs of 16
 # columns or fewer never won, but their products take well under a
-# millisecond either way.
+# millisecond either way. The graph task decides once per dataset, on the
+# features of all its graphs, and cuts each batch's rows out of that one
+# CSR copy (``cut_forward_context``).
 SPARSE_INPUT_DENSITY = 1.0 / 64
 
 
@@ -201,10 +203,21 @@ def gat_layer(
 # forward
 
 
+def _attention_edges(g: Graph) -> dict:
+    """GAT's (src, dst) pairs: the graph's edges, then a self-loop per node."""
+    loops = np.arange(g.n_nodes)
+    src = np.concatenate([g.edges[:, 0], loops]) if g.n_edges else loops
+    dst = np.concatenate([g.edges[:, 1], loops]) if g.n_edges else loops
+    return {"src": src, "dst": dst}
+
+
 def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     """Precompute the per-graph structures a forward pass needs.
 
-    Reused across epochs. GraphSage keeps the full-neighborhood mean
+    Built once per graph and architecture and reused across epochs; the
+    graph task builds it once for all its graphs batched together and cuts
+    every mini-batch's and every split's context out of that one
+    (``cut_forward_context``). GraphSage keeps the full-neighborhood mean
     operator; a sampling GraphSage draws a fresh sample from the graph's
     edges on every training forward instead. GCN and GAT also keep sparse
     features as CSR under ``"x"``; the sparse first projection matches the
@@ -213,17 +226,27 @@ def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     """
     if config.arch == "sage":
         return {"mean_op": mean_aggregator(*sample_neighbors(g, "all"), g.n_nodes)}
-    if config.arch == "gcn":
-        ctx = {"adj": normalize_adjacency(g)}
-    else:
-        loops = np.arange(g.n_nodes)
-        src = np.concatenate([g.edges[:, 0], loops]) if g.n_edges else loops
-        dst = np.concatenate([g.edges[:, 1], loops]) if g.n_edges else loops
-        ctx = {"src": src, "dst": dst}
+    ctx = {"adj": normalize_adjacency(g)} if config.arch == "gcn" else _attention_edges(g)
     x = g.features.data
     if np.count_nonzero(x) < SPARSE_INPUT_DENSITY * x.size:
         ctx["x"] = SparseMatrix.from_dense(x)
     return ctx
+
+
+def cut_forward_context(ctx: dict, nodes: np.ndarray, g: Graph) -> dict:
+    """The context of ``g``, the subgraph on ``nodes`` of the graph ``ctx``
+    was built for, renumbered by place in ``nodes``, when no edge leaves
+    ``nodes``: the graph task's batches are whole graphs of its full batch.
+
+    Equal, bit for bit, to ``build_forward_context`` on ``g`` with the same
+    choice of CSR features, and every operator keeps its transpose.
+    """
+    out = {k: ctx[k].submatrix(nodes, nodes) for k in ("adj", "mean_op") if k in ctx}
+    if "src" in ctx:
+        out.update(_attention_edges(g))
+    if "x" in ctx:
+        out["x"] = ctx["x"].submatrix(nodes)
+    return out
 
 
 def _gat_head_params(model: GnnModel, l: int) -> list[dict[str, Tensor]]:

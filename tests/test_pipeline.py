@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bgnn.models as M
 import bgnn.pipeline as P
@@ -18,10 +20,11 @@ from bgnn.graph_data import (
     DatasetSplit,
     Graph,
     apply_split_masks,
+    batch_graphs,
     generate_sbm,
     random_split,
 )
-from bgnn.models import GnnModel, ModelConfig, init_model
+from bgnn.models import ARCHITECTURES, GnnModel, ModelConfig, build_forward_context, init_model
 from bgnn.pipeline import (
     TaskData,
     TrainPlan,
@@ -34,6 +37,7 @@ from bgnn.pipeline import (
     train_bgnn_step,
     train_supervised,
 )
+from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tensor
 from helpers import one_hot_degree_features
 
@@ -198,6 +202,17 @@ class TestSupervised:
         plan = quick_plan([gcn_cfg()], epochs=5)
         train_supervised(gcn_cfg(), make_node_data(n_per_block=10), plan, seed=0)
         assert len(calls) == 1
+
+    def test_graph_task_batches_and_normalises_once(self, monkeypatch):
+        """Every mini-batch and evaluated split is cut out of one full-data
+        batch and context."""
+        calls = []
+        for module, name in ((M, "normalize_adjacency"), (P, "batch_graphs")):
+            orig = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda g, o=orig, n=name: calls.append(n) or o(g))
+        plan = quick_plan([graph_cfg()], task="graph", epochs=5, batch_size=4)
+        train_supervised(graph_cfg(), make_graph_data(n=20), plan, seed=0)
+        assert sorted(calls) == ["batch_graphs", "normalize_adjacency"]
 
     @pytest.mark.parametrize("task", ["node", "graph"])
     def test_tapes_freed_without_cyclic_gc(self, task, monkeypatch):
@@ -425,6 +440,12 @@ class TestEnsembleAndEvaluate:
         with pytest.raises(ContractError):
             evaluate(np.zeros(n, dtype=np.int64), data, "val")
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_prediction_vector_of_wrong_length_rejected(self, graph_data, extra):
+        n = graph_data.n_samples
+        with pytest.raises(ContractError, match="prediction vector"):
+            evaluate(np.zeros(n + extra, dtype=np.int64), graph_data, "test")
+
     def test_node_data_requires_masks(self):
         g = generate_sbm(5, 2, 0.9, 0.05, 4, 0)
         with pytest.raises(ContractError):
@@ -462,6 +483,20 @@ class TestTaskData:
             np.testing.assert_array_equal(from_masks.split_idx(part), from_split.split_idx(part))
         np.testing.assert_array_equal(from_masks.labels, from_split.labels)
         assert from_masks.n_classes == from_split.n_classes
+
+    @pytest.mark.parametrize("kind", ["node", "graph"])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [([0, 1, -1], "outside"), ([0, 99], "outside"), ([0.0, 1.0], "integer"),
+         ([True, False], "integer")],
+    )
+    def test_bad_split_index_rejected(self, graph_data, kind, bad, match):
+        """Both sample sets have 20 members, so 99 is out of range."""
+        split = DatasetSplit(np.asarray(bad), np.array([2, 3]), np.array([4, 5]))
+        source = (dict(graph=self.sbm_and_split()[0]) if kind == "node"
+                  else dict(graphs=graph_data.graphs[:20]))
+        with pytest.raises(ContractError, match=match):
+            TaskData(kind=kind, split=split, **source)
 
     def test_empty_train_split_rejected_before_training(self, graph_data):
         n = len(graph_data.graphs)
@@ -527,3 +562,119 @@ class TestArtifacts:
         table = np.array([[int(x) for x in row.split(",")] for row in rows[1:]])
         assert np.array_equal(table[:, 0], result.sample_ids)
         assert float((table[:, 1] == table[:, 2]).mean()) == result.accuracy == metrics.test_acc
+
+
+def random_graphs(seed: int, n: int, one_hot_dim: int = 0) -> list[Graph]:
+    """``n`` random labelled graphs of 1-8 nodes: edges drawn with
+    replacement (so self-loops and duplicate edges occur), some graphs
+    without edges, isolated nodes. Features are gaussian, or one-hot
+    over ``one_hot_dim`` columns: sparse enough to be held as CSR."""
+    g = np.random.default_rng(seed)
+    graphs = []
+    for i in range(n):
+        size = int(g.integers(1, 9))
+        edges = g.integers(0, size, (int(g.integers(0, 3 * size)) if i % 4 else 0, 2))
+        if one_hot_dim:
+            x = np.eye(one_hot_dim)[g.integers(0, one_hot_dim, size)]
+        else:
+            x = g.standard_normal((size, 3))
+        graphs.append(Graph(size, edges, Tensor(x), graph_label=int(g.integers(0, 2))))
+    return graphs
+
+
+def random_graph_data(seed: int, n: int = 30) -> TaskData:
+    graphs = random_graphs(seed, n)
+    split = random_split(n, np.array([g.graph_label for g in graphs]), (0.6, 0.2, 0.2), seed)
+    return TaskData(kind="graph", graphs=graphs, split=split)
+
+
+def assert_bits(a, b) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_csr(a: SparseMatrix, b: SparseMatrix) -> None:
+    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+    for part in ("row_offsets", "col_indices", "values"):
+        assert_bits(getattr(a, part), getattr(b, part))
+
+
+class TestBatchCut:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 8),
+        take=st.sampled_from(["one", "some", "all"]),
+        sparse=st.booleans(),
+    )
+    @example(seed=0, n=1, take="one", sparse=False)
+    @example(seed=3, n=8, take="all", sparse=True)
+    @settings(max_examples=60, deadline=None)
+    def test_cut_equals_rebatching(self, seed, n, take, sparse):
+        """Node ids, edge order, features, graph ids and every context
+        entry, including each operator's transpose, bit for bit."""
+        graphs = random_graphs(seed, n, one_hot_dim=70 if sparse else 0)
+        empty = np.zeros(0, dtype=np.int64)
+        data = TaskData(kind="graph", graphs=graphs, split=DatasetSplit(np.arange(n), empty, empty))
+        k = {"one": 1, "some": max(1, n // 2), "all": n}[take]
+        idx = np.random.default_rng(seed).permutation(n)[:k]
+        for arch in ARCHITECTURES:
+            cfg = ModelConfig(arch=arch, in_dim=graphs[0].feature_dim, hidden_dim=4,
+                              n_classes=2, heads=2, task="graph")
+            batch, ctx = data.batch(cfg, idx)
+            ref = batch_graphs([graphs[i] for i in idx])
+            ref_ctx = build_forward_context(cfg, ref.graph)
+            assert (batch.graph.n_nodes, batch.n_graphs) == (ref.graph.n_nodes, ref.n_graphs)
+            assert_bits(batch.graph.edges, ref.graph.edges)
+            assert_bits(batch.graph.features.data, ref.graph.features.data)
+            assert_bits(batch.graph_ids, ref.graph_ids)
+            assert ctx.keys() == ref_ctx.keys()
+            assert ("x" in ctx) == (sparse and arch != "sage")
+            for key, value in ctx.items():
+                if isinstance(value, SparseMatrix):
+                    assert_same_csr(value, ref_ctx[key])
+                else:
+                    assert_bits(value, ref_ctx[key])
+            for key in ("adj", "mean_op"):
+                if key in ctx:
+                    assert ctx[key]._transpose is not None  # cut, not rebuilt
+                    assert_same_csr(ctx[key].transpose(), ref_ctx[key].transpose())
+
+    def test_node_task_and_bad_ids_rejected(self, node_data, graph_data):
+        with pytest.raises(ContractError, match="graph task"):
+            node_data.batch(gcn_cfg(), [0])
+        for bad in ([], [-1], [graph_data.n_samples]):
+            with pytest.raises(ContractError, match="graph ids"):
+                graph_data.batch(graph_cfg(), bad)
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_split_logits_equal_full_forward_rows(self, arch):
+        data = random_graph_data(seed=5)
+        cfg = graph_cfg(arch=arch, heads=2, batch_norm=True)
+        model, _ = train_supervised(
+            cfg, data, quick_plan([cfg], task="graph", epochs=2, batch_size=8), seed=0
+        )
+        assert any(np.any(v != 0) for k, v in model.bn_state.items() if k.endswith(".mean"))
+        full = predict_logits(model, data)
+        for split in ("train", "val", "test"):
+            inp, ctx = data.split_input(cfg, split)
+            logits, _ = M.model_forward(model, inp, training=False, ctx=ctx)
+            assert_bits(logits.data, full[data.split_idx(split)])
+            assert data.split_input(cfg, split)[0] is inp  # cut once
+
+    def test_sampling_sage_trains_like_rebatching(self, monkeypatch):
+        """A fanout-2 GraphSage draws its neighbor sample from the batch's
+        edge order, so cut batches must train exactly like rebuilt ones."""
+        cfg = graph_cfg(arch="sage", fanout=2)
+        plan = quick_plan([cfg], task="graph", epochs=3, batch_size=7)
+        model, metrics = train_supervised(cfg, random_graph_data(seed=9), plan, seed=4)
+
+        def rebatch(self, config, idx):
+            batch = batch_graphs([self.graphs[i] for i in idx])
+            return batch, build_forward_context(config, batch.graph)
+
+        monkeypatch.setattr(TaskData, "batch", rebatch)
+        ref, ref_metrics = train_supervised(cfg, random_graph_data(seed=9), plan, seed=4)
+        assert params_equal(model, ref)
+        assert metrics.per_epoch == ref_metrics.per_epoch
+        assert metrics.test_acc == ref_metrics.test_acc

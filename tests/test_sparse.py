@@ -1,5 +1,7 @@
 """CSR sparse matrix construction, validation, and products."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -154,3 +156,65 @@ class TestProducts:
         t = s.transpose()
         assert s.transpose() is t
         assert t.transpose() is s
+
+
+def block_diagonal(g: np.random.Generator, sizes) -> SparseMatrix:
+    """A random block-diagonal matrix with one block per entry of ``sizes``;
+    blocks may be empty or hold repeated (summed) coordinates."""
+    starts = np.cumsum([0] + list(sizes))
+    rows, cols = [], []
+    for a, b in zip(starts[:-1], starts[1:]):
+        k = int(g.integers(0, 2 * (b - a) + 1))
+        rows.append(g.integers(a, b, k))
+        cols.append(g.integers(a, b, k))
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    return SparseMatrix.from_coo(starts[-1], starts[-1], r, c, wide_range(g, r.size))
+
+
+class TestSubmatrix:
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_cut_matches_dense_and_keeps_transpose(self, sizes, seed):
+        g = np.random.default_rng(seed)
+        s = block_diagonal(g, sizes)
+        starts = np.cumsum([0] + sizes)
+        blocks = g.permutation(len(sizes))[: int(g.integers(1, len(sizes) + 1))]
+        nodes = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in blocks])
+        cut = s.submatrix(nodes, nodes)
+        assert np.array_equal(cut.to_dense(), s.to_dense()[np.ix_(nodes, nodes)])
+        assert np.array_equal(cut.transpose().to_dense(), cut.to_dense().T)
+
+    def test_dropped_cut_needs_no_cyclic_gc(self):
+        s = block_diagonal(np.random.default_rng(0), [3, 2, 4])
+        s.transpose()
+        gc.collect()
+        gc.disable()
+        try:
+            s.submatrix([3, 4, 0, 1, 2], [3, 4, 0, 1, 2]).transpose()
+            cyclic = gc.collect()
+        finally:
+            gc.enable()
+        assert cyclic == 0
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_row_cut_matches_dense(self, seed):
+        g = np.random.default_rng(seed)
+        m, n, nnz = int(g.integers(1, 12)), int(g.integers(1, 12)), int(g.integers(0, 40))
+        s = SparseMatrix.from_coo(
+            m, n, g.integers(0, m, nnz), g.integers(0, n, nnz), wide_range(g, nnz)
+        )
+        rows = g.integers(0, m, int(g.integers(0, 2 * m)))  # any order, repeats allowed
+        cut = s.submatrix(rows)
+        assert (cut.n_rows, cut.n_cols) == (rows.size, n)
+        assert np.array_equal(cut.to_dense(), s.to_dense()[rows])
+
+    def test_cut_across_blocks_rejected(self):
+        s = SparseMatrix.from_coo(3, 3, [0, 0, 2], [0, 2, 1], [1.0, 2.0, 3.0])
+        with pytest.raises(FormatError):
+            s.submatrix([0, 1], [0, 1])  # row 0 has an entry in column 2
+        with pytest.raises(FormatError):
+            s.submatrix([2, 0, 1], [2, 0, 1])  # row 0's columns would fall
