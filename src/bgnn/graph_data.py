@@ -87,7 +87,10 @@ class DatasetSplit:
     test_idx: np.ndarray
 
     def __post_init__(self):
-        joined = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
+        parts = (self.train_idx, self.val_idx, self.test_idx)
+        if any(np.ndim(p) != 1 for p in parts):
+            raise FormatError("a split takes 1-d index lists")
+        joined = np.concatenate(parts)
         if len(np.unique(joined)) != len(joined):
             raise FormatError("split index lists overlap")
 

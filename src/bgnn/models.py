@@ -35,6 +35,14 @@ ARCHITECTURES = ("gcn", "sage", "gat")
 # millisecond either way. The graph task decides once per dataset, on the
 # features of all its graphs, and cuts each batch's rows out of that one
 # CSR copy (``cut_forward_context``).
+#
+# The same test sets GCN's first layer. Dense features are aggregated
+# once: the context holds Â X, and layer 1 is (Â X) W + b, one dense
+# product with no sparse product forward or backward. CSR features are
+# projected first, Â (X W), because Â X fills in: on a Cora-shaped
+# 2708x1433 bundle nnz(X) is 47,744 but nnz(Â X) is 205,320 (1.2 % against
+# 5.3 % density), so a cached Â X would cost about 3.7 times the work per
+# step.
 SPARSE_INPUT_DENSITY = 1.0 / 64
 
 
@@ -148,10 +156,12 @@ def _project(h: Tensor | SparseMatrix, W: Tensor) -> Tensor:
 
 
 def gcn_layer(
-    h: Tensor | SparseMatrix, adj_norm: SparseMatrix, W: Tensor, b: Tensor
+    h: Tensor | SparseMatrix, adj_norm: SparseMatrix | None, W: Tensor, b: Tensor
 ) -> Tensor:
-    """Normalized-adjacency aggregation: adj_norm @ h @ W + b."""
-    return T.add_bias(T.spmm(adj_norm, _project(h, W)), b)
+    """Normalized-adjacency aggregation: adj_norm @ h @ W + b. With
+    ``adj_norm`` None, h is already aggregated (the context's Â X): h @ W + b."""
+    hw = _project(h, W)
+    return T.add_bias(hw if adj_norm is None else T.spmm(adj_norm, hw), b)
 
 
 def sage_layer(h: Tensor, neighbor_mean_op: SparseMatrix, W: Tensor, b: Tensor) -> Tensor:
@@ -219,10 +229,16 @@ def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     every mini-batch's and every split's context out of that one
     (``cut_forward_context``). GraphSage keeps the full-neighborhood mean
     operator; a sampling GraphSage draws a fresh sample from the graph's
-    edges on every training forward instead. GCN and GAT also keep sparse
-    features as CSR under ``"x"``; the sparse first projection matches the
-    dense one to rounding, not bit for bit. GraphSage keeps dense features,
-    since it concatenates their rows.
+    edges on every training forward instead. GCN and GAT keep features
+    below ``SPARSE_INPUT_DENSITY`` as CSR under ``"x"``; the sparse first
+    projection matches the dense one to rounding, not bit for bit.
+    GraphSage keeps dense features, since it concatenates their rows.
+
+    This is the one place that picks GCN's first-layer input. Dense
+    features are aggregated once, as the plain array ``"adj_x"`` = Â X,
+    and layer 1 computes (Â X) W; CSR features are projected first, Â (X W),
+    since Â X fills in (see ``SPARSE_INPUT_DENSITY``). Both orders agree
+    to rounding, not bit for bit.
     """
     if config.arch == "sage":
         return {"mean_op": mean_aggregator(*sample_neighbors(g, "all"), g.n_nodes)}
@@ -230,6 +246,8 @@ def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     x = g.features.data
     if np.count_nonzero(x) < SPARSE_INPUT_DENSITY * x.size:
         ctx["x"] = SparseMatrix.from_dense(x)
+    elif config.arch == "gcn":
+        ctx["adj_x"] = ctx["adj"].matmul_dense(x)
     return ctx
 
 
@@ -239,13 +257,17 @@ def cut_forward_context(ctx: dict, nodes: np.ndarray, g: Graph) -> dict:
     ``nodes``: the graph task's batches are whole graphs of its full batch.
 
     Equal, bit for bit, to ``build_forward_context`` on ``g`` with the same
-    choice of CSR features, and every operator keeps its transpose.
+    choice of CSR features, and every operator keeps its transpose. That
+    holds for the rows of Â X too: Â is block-diagonal over the graphs, so
+    each row sums the same entries in the same order.
     """
     out = {k: ctx[k].submatrix(nodes, nodes) for k in ("adj", "mean_op") if k in ctx}
     if "src" in ctx:
         out.update(_attention_edges(g))
     if "x" in ctx:
         out["x"] = ctx["x"].submatrix(nodes)
+    if "adj_x" in ctx:
+        out["adj_x"] = ctx["adj_x"][nodes]
     return out
 
 
@@ -295,11 +317,17 @@ def model_forward(
         raise ContractError("training forward requires an rng")
 
     h = ctx.get("x", g.features)
+    adj = ctx.get("adj")
+    if "adj_x" in ctx:
+        # Â X is a constant of training because layer 1's input never sees
+        # dropout (or batch norm): both act only between layers.
+        h, adj = Tensor(ctx["adj_x"]), None
     reps: list[Tensor] = []
     for l in range(1, cfg.n_layers + 1):
         final = l == cfg.n_layers
         if cfg.arch == "gcn":
-            h = gcn_layer(h, ctx["adj"], model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
+            h = gcn_layer(h, adj, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
+            adj = ctx["adj"]
         elif cfg.arch == "sage":
             if sampling:
                 op = mean_aggregator(*sample_neighbors(g, cfg.fanout, rng), g.n_nodes)

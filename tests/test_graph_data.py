@@ -445,6 +445,16 @@ class TestRandomSplit:
         s = random_split(100, None, (0.1, 0.1, 0.1), seed=0)
         assert len(s.train_idx) == 10 and len(s.val_idx) == 10 and len(s.test_idx) == 10
 
+    @pytest.mark.parametrize("all_2d", [False, True])
+    def test_2d_index_lists_rejected(self, all_2d):
+        """One 2-d list used to fail in np.concatenate; three disjoint
+        ones as a false overlap."""
+        val, test = np.array([2, 3]), np.array([4, 5])
+        if all_2d:
+            val, test = val[None], test[None]
+        with pytest.raises(FormatError, match="1-d index lists"):
+            DatasetSplit(np.array([[0, 1]]), val, test)
+
 
 def random_edges(draw, n, simple):
     """Directed edges on n nodes; simple graphs have no loops or duplicates."""

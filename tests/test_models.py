@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bgnn import models
 from bgnn import tensor as T
 from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
-from bgnn.graph_data import Graph, batch_graphs, generate_sbm, normalize_adjacency
+from bgnn.graph_data import Graph, GraphBatch, batch_graphs, generate_sbm, normalize_adjacency
 from bgnn.models import (
     SPARSE_INPUT_DENSITY,
     GnnModel,
@@ -437,27 +438,35 @@ class TestSparseFeatures:
         cfg = ModelConfig(arch=arch, in_dim=64, hidden_dim=4, n_classes=2, heads=2)
         ctx = build_forward_context(cfg, g)
         assert ("x" in ctx) == (arch != "sage" and nnz < 4)
+        # a CSR-feature GCN projects first: its context holds no Â X
+        assert ("adj_x" in ctx) == (arch == "gcn" and nnz >= 4)
         if "x" in ctx:
             np.testing.assert_array_equal(ctx["x"].to_dense(), x)
 
     @pytest.mark.parametrize("arch", ["gcn", "gat"])
-    def test_logits_match_the_dense_path(self, arch):
+    def test_logits_match_the_dense_path(self, arch, monkeypatch):
+        """The dense context comes from the same builder with the cutoff
+        at 0, so it is the one a dense input gets: X itself for GAT, the
+        aggregated Â X for GCN."""
         g = sparse_graph(3)
         cfg = ModelConfig(arch=arch, in_dim=80, hidden_dim=8, n_classes=3, heads=2)
         m = init_model(cfg, 4)
         ctx = build_forward_context(cfg, g)
-        assert "x" in ctx
-        dense_ctx = {key: v for key, v in ctx.items() if key != "x"}
+        monkeypatch.setattr(models, "SPARSE_INPUT_DENSITY", 0.0)
+        dense_ctx = build_forward_context(cfg, g)
+        assert "x" in ctx and "adj_x" not in ctx
+        assert "x" not in dense_ctx and ("adj_x" in dense_ctx) == (arch == "gcn")
         with Tape() as sparse_tape:
             sparse, _ = model_forward(m, g, training=False, ctx=ctx)
         with Tape() as dense_tape:
             dense, _ = model_forward(m, g, training=False, ctx=dense_ctx)
         np.testing.assert_allclose(sparse.data, dense.data, rtol=0, atol=1e-12)
 
-        def reads_dense_features(tape):
-            return any(x is g.features for _, inputs, _ in tape.entries for x in inputs)
+        def reads(tape, array):
+            return any(x.data is array for _, inputs, _ in tape.entries for x in inputs)
 
-        assert not reads_dense_features(sparse_tape) and reads_dense_features(dense_tape)
+        dense_input = dense_ctx.get("adj_x", g.features.data)
+        assert not reads(sparse_tape, g.features.data) and reads(dense_tape, dense_input)
 
     @pytest.mark.parametrize("arch", ["gcn", "gat"])
     def test_model_loss_gradients_match_finite_differences(self, arch):
@@ -476,6 +485,87 @@ class TestSparseFeatures:
             return T.neg(T.sum_all(T.mul(T.log(probs), Tensor(y))))
 
         check_grads(loss, *[m.params[name].data.copy() for name in names])
+
+
+def project_first_forward(m: GnnModel, batch: GraphBatch) -> Tensor:
+    """A GCN's logits composed by hand from ``gcn_layer(h, Â, W, b)`` on
+    every layer, X first projected then aggregated; dropout must be 0."""
+    cfg, p = m.config, m.params
+    adj = normalize_adjacency(batch.graph)
+    h = batch.graph.features
+    for l in range(1, cfg.n_layers + 1):
+        h = gcn_layer(h, adj, p[f"layer{l}.W"], p[f"layer{l}.b"])
+        if l < cfg.n_layers or cfg.task == "graph":
+            h = T.relu(h)
+    if cfg.task == "node":
+        return h
+    pooled = T.segment_sum(h, batch.graph_ids, batch.n_graphs)
+    return T.add_bias(T.matmul(pooled, p["head.W"]), p["head.b"])
+
+
+class TestAggregatedInput:
+    """A dense-feature GCN runs layer 1 on the context's Â X, computed
+    once; it agrees with the project-first Â (X W) to rounding."""
+
+    GRAPHS = {
+        "isolated nodes": (6, [[0, 1], [1, 0], [1, 2], [2, 1]]),
+        "no edges": (4, np.zeros((0, 2))),
+        "duplicate edges": (5, [[0, 1], [1, 0], [0, 1], [1, 0], [3, 4], [4, 3], [3, 4]]),
+    }
+
+    @pytest.mark.parametrize("shape", list(GRAPHS))
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_matches_project_first_composition(self, shape, n_layers, task):
+        rng = np.random.default_rng(n_layers)
+        n, edges = self.GRAPHS[shape]
+        g = Graph(n_nodes=n, edges=edges, features=Tensor(rng.standard_normal((n, 5))))
+        other = Graph(n_nodes=3, edges=[[0, 1], [1, 0]],
+                      features=Tensor(rng.standard_normal((3, 5))))
+        batch = batch_graphs([g, other] if task == "graph" else [g])
+        data = batch if task == "graph" else batch.graph
+        cfg = ModelConfig(arch="gcn", in_dim=5, hidden_dim=6, n_classes=3, dropout=0.0,
+                          n_layers=n_layers, task=task)
+        m = init_model(cfg, 7)
+        ctx = build_forward_context(cfg, batch.graph)
+        assert "adj_x" in ctx and "x" not in ctx
+        weights = Tensor(rng.standard_normal((batch.n_graphs if task == "graph" else n, 3)))
+
+        def logits_and_grads(forward):
+            for p in m.params.values():
+                p.grad = None
+            with Tape() as tape:
+                logits = forward()
+                loss = T.sum_all(T.mul(logits, weights))
+            backward(loss, tape)
+            return logits.data, {name: p.grad for name, p in m.params.items()}
+
+        cached, cached_grads = logits_and_grads(
+            lambda: model_forward(m, data, training=True, rng=rng, ctx=ctx)[0]
+        )
+        oracle, oracle_grads = logits_and_grads(lambda: project_first_forward(m, batch))
+        np.testing.assert_allclose(cached, oracle, rtol=1e-12, atol=1e-12)
+        for name in m.params:
+            np.testing.assert_allclose(
+                cached_grads[name], oracle_grads[name], rtol=1e-12, atol=1e-12, err_msg=name
+            )
+
+    def test_training_step_records_one_fewer_tape_entry(self):
+        g = small_graph(3)
+        cfg = ModelConfig(arch="gcn", in_dim=5, hidden_dim=8, n_classes=3, dropout=0.5)
+        m = init_model(cfg, 0)
+        ctx = build_forward_context(cfg, g)
+
+        def step_entries(ctx):
+            with Tape() as tape:
+                logits, _ = model_forward(
+                    m, g, training=True, rng=np.random.default_rng(0), ctx=ctx
+                )
+                backward(T.sum_all(logits), tape)
+            return len(tape)
+
+        assert "adj_x" in ctx
+        assert step_entries(ctx) == step_entries({"adj": ctx["adj"]}) - 1
 
 
 class TestCheckpoints:
