@@ -367,6 +367,12 @@ def cmd_cka(args: argparse.Namespace) -> int:
     if data.kind != "graph":
         raise ConfigError("cka needs a graph-classification dataset")
     models = [load_checkpoint(p) for p in prefixes]
+    for p, m in zip(prefixes, models):
+        if m.config.in_dim != data.feature_dim:
+            raise ConfigError(
+                f"checkpoint {p!r} takes {m.config.in_dim} input features, "
+                f"but dataset {args.dataset!r} has {data.feature_dim}"
+            )
     tags = []
     for i, m in enumerate(models):
         tag = m.config.arch

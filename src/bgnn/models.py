@@ -179,24 +179,31 @@ def gat_layer(
     dst: np.ndarray,
     head_params: list[dict[str, Tensor]],
     b: Tensor,
-    n_nodes: int,
+    n_out: int,
     combine: str,
+    seg: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head attention over fixed neighborhoods (self-loops included).
 
     For head k: e_ij = LeakyReLU(a_selfᵀ(W h_i) + a_neighᵀ(W h_j)) for each
     edge j→i, normalized per destination with a segment softmax, then
     out_i = Σ_j α_ij W h_j. Heads are concatenated or averaged.
+
+    The output has ``n_out`` rows, and edge e lands in row ``seg[e]``
+    (``dst[e]`` by default). A layer that computes only some destinations
+    gets only the edges into them, ``seg`` numbering each destination by
+    its output row.
     """
+    seg = dst if seg is None else seg
     outs = []
     for p in head_params:
         hw = _project(h, p["W"])
-        s_self = T.reshape(T.matmul(hw, p["a_self"]), (n_nodes,))
-        s_neigh = T.reshape(T.matmul(hw, p["a_neigh"]), (n_nodes,))
+        s_self = T.reshape(T.matmul(hw, p["a_self"]), (hw.shape[0],))
+        s_neigh = T.reshape(T.matmul(hw, p["a_neigh"]), (hw.shape[0],))
         e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)), 0.2)
-        alpha = T.segment_softmax(e, dst, n_nodes)
+        alpha = T.segment_softmax(e, seg, n_out)
         msgs = T.scale_rows(T.gather_rows(hw, src), alpha)
-        outs.append(T.segment_sum(msgs, dst, n_nodes))
+        outs.append(T.segment_sum(msgs, seg, n_out))
     if combine == "concat":
         agg = outs[0]
         for o in outs[1:]:
@@ -271,6 +278,41 @@ def cut_forward_context(ctx: dict, nodes: np.ndarray, g: Graph) -> dict:
     return out
 
 
+def cut_scored_rows(ctx: dict, rows, n_nodes: int) -> dict:
+    """``ctx``, the node-task context of an ``n_nodes``-node graph, set to
+    score only ``rows``: the forward then returns the logits of those rows,
+    in that order, and its last layer computes nothing else. Every earlier
+    layer, dropout and batch norm still run on all nodes.
+
+    The last layer computes the rows in increasing order and a row gather
+    puts them in the asked order, so its backward adds in node order as
+    the full layer's does: the logits, and the gradients through them,
+    equal the same rows of a full forward bit for bit. GCN keeps its
+    operator's rows Â[rows]; GAT keeps the edges into the rows, in their
+    order. GraphSage runs its full last layer and takes the rows: its
+    last layer is a dense product, and BLAS rounds a row of it differently
+    depending on where the row falls among the product's rows (OpenBLAS
+    tiles them), so a product over the scored rows alone is not bit for
+    bit the full one.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if (rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n_nodes
+            or np.unique(rows).size != rows.size):
+        raise ContractError(f"scored rows must be distinct node ids in [0, {n_nodes})")
+    order = np.argsort(rows)
+    out = dict(ctx, rows=rows[order])
+    if np.any(order != np.arange(rows.size)):
+        out["unsort"] = np.argsort(order)
+    if "adj" in ctx:
+        out["adj_rows"] = ctx["adj"].submatrix(out["rows"])
+    elif "src" in ctx:
+        place = np.full(n_nodes, -1)
+        place[out["rows"]] = np.arange(rows.size)
+        keep = place[ctx["dst"]] >= 0
+        out["rows_edges"] = (ctx["src"][keep], ctx["dst"][keep], place[ctx["dst"][keep]])
+    return out
+
+
 def _gat_head_params(model: GnnModel, l: int) -> list[dict[str, Tensor]]:
     return [
         {
@@ -296,7 +338,8 @@ def model_forward(
     head. Representations are post-activation, pre-dropout (the node
     task's final layer representation is its logits). Eval mode never
     touches the rng: GraphSage uses full neighborhoods and dropout is
-    skipped.
+    skipped. A node-task context cut by ``cut_scored_rows`` yields only
+    its rows' logits.
     """
     cfg = model.config
     if cfg.task == "graph":
@@ -325,8 +368,10 @@ def model_forward(
     reps: list[Tensor] = []
     for l in range(1, cfg.n_layers + 1):
         final = l == cfg.n_layers
+        cut = final and "rows" in ctx  # the last layer computes only ctx["rows"]
         if cfg.arch == "gcn":
-            h = gcn_layer(h, adj, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
+            a = ctx["adj_rows"] if cut else adj
+            h = gcn_layer(h, a, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
             adj = ctx["adj"]
         elif cfg.arch == "sage":
             if sampling:
@@ -334,16 +379,22 @@ def model_forward(
             else:
                 op = ctx["mean_op"]
             h = sage_layer(h, op, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
+            if cut:
+                h = T.gather_rows(h, ctx["rows"])
         else:
+            src, dst, seg = ctx["rows_edges"] if cut else (ctx["src"], ctx["dst"], None)
             h = gat_layer(
                 h,
-                ctx["src"],
-                ctx["dst"],
+                src,
+                dst,
                 _gat_head_params(model, l),
                 model.params[f"layer{l}.b"],
-                g.n_nodes,
+                ctx["rows"].size if cut else g.n_nodes,
                 combine="average" if final else "concat",
+                seg=seg,
             )
+        if cut and "unsort" in ctx:
+            h = T.gather_rows(h, ctx["unsort"])
         if final and cfg.task == "node":
             reps.append(h)  # logits double as the last representation
             break

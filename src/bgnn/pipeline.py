@@ -25,7 +25,8 @@ from .distill import _softmax_np, adaptive_temperature, init_temperature_module,
 from .errors import ConfigError, ContractError, TrainingError
 from .graph_data import DatasetSplit, Graph, GraphBatch, atomic_write, batch_graphs
 from .models import (
-    GnnModel, ModelConfig, build_forward_context, cut_forward_context, init_model, model_forward
+    GnnModel, ModelConfig, build_forward_context, cut_forward_context, cut_scored_rows, init_model,
+    model_forward,
 )
 from .optim import Adam
 from .sparse import concat_ranges
@@ -44,10 +45,12 @@ class TaskData:
     takes it from the graph's train/val/test masks.
 
     Forward inputs are built lazily, never at construction: the full-data
-    input once per architecture (``forward_input``). The graph task cuts
-    every mini-batch (``batch``) and every split's evaluation batch
-    (``split_input``, cached) out of that one block-diagonal batch and its
-    context, so training never batches graphs or builds a context again.
+    input once per architecture (``forward_input``), and each split's
+    input cut from it once per architecture (``split_input``). The graph
+    task cuts every mini-batch (``batch``) and every split out of that one
+    block-diagonal batch and its context, so training never batches graphs
+    or builds a context again. The node task cuts a split's context so
+    that the last layer computes only the split's rows.
     """
 
     kind: str
@@ -147,11 +150,20 @@ class TaskData:
         batch = GraphBatch(graph=sub, graph_ids=graph_ids, n_graphs=idx.size)
         return batch, cut_forward_context(ctx, nodes, sub)
 
-    def split_input(self, config: ModelConfig, split: str) -> tuple[GraphBatch, dict]:
-        """``batch`` of one split's graphs, cut once per architecture and split."""
+    def split_input(self, config: ModelConfig, split: str) -> tuple[Graph | GraphBatch, dict]:
+        """The forward input and context that score one split, cut once per
+        architecture and split: ``batch`` of the split's graphs, or the
+        graph with its context cut to the split's rows (``cut_scored_rows``).
+        Either way the logits are the split's rows of a full forward, in
+        split order, bit for bit."""
         key = (config.arch, split)
         if key not in self._inputs:
-            self._inputs[key] = self.batch(config, self.split_idx(split))
+            idx = self.split_idx(split)
+            if self.kind == "graph":
+                self._inputs[key] = self.batch(config, idx)
+            else:
+                g, ctx = self.forward_input(config)
+                self._inputs[key] = (g, cut_scored_rows(ctx, idx, g.n_nodes))
         return self._inputs[key]
 
 
@@ -282,9 +294,9 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
 
     Accepts a model or an already-computed full prediction vector (one
     entry per sample), so any reported number can be recomputed from
-    persisted predictions. On the graph task a model forwards only the
-    split's graphs (``TaskData.split_input``); a graph's logits do not
-    depend on its batch-mates, so they equal its rows of a full forward.
+    persisted predictions. A model forwards only what the split scores
+    (``TaskData.split_input``): the split's graphs, or a last layer over
+    the split's nodes. Either gives the split's rows of a full forward.
     """
     idx = data.split_idx(split)
     if idx.size == 0:
@@ -296,12 +308,10 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
                 f"prediction vector of shape {preds.shape}, want ({data.n_samples},)"
             )
         pred = preds[idx]
-    elif data.kind == "graph":
+    else:
         inp, ctx = data.split_input(model_or_preds.config, split)
         logits, _ = model_forward(model_or_preds, inp, training=False, ctx=ctx)
         pred = logits.data.argmax(axis=1)
-    else:
-        pred = predict(model_or_preds, data)[idx]
     true = data.labels[idx]
     return EvalResult(
         accuracy=float((true == pred).mean()), sample_ids=idx, true=true, pred=pred
@@ -312,19 +322,27 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
 # training core
 
 
-def _epoch_batches(config: ModelConfig, data: TaskData, plan: TrainPlan, train_idx, shuffle):
+def _epoch_batches(
+    config: ModelConfig, data: TaskData, plan: TrainPlan, train_idx, shuffle, distill: bool
+):
     """Yield one epoch's training batches as (forward input, ctx, sample ids
     of the logits rows, logits rows under the label loss or None for all).
 
     The node task is a single full-graph batch whose label loss covers the
     training nodes in ``train_idx`` order; it draws nothing from
-    ``shuffle``. The graph task yields shuffled ``batch_size`` chunks of
-    training graphs, each cut from the full-data batch and its context
+    ``shuffle``. Its last layer computes only those nodes
+    (``TaskData.split_input``) unless ``distill``: the node task's KD term
+    reads every node. The graph task yields shuffled ``batch_size`` chunks
+    of training graphs, each cut from the full-data batch and its context
     (``TaskData.batch``) as ``batch_graphs`` would have batched it.
     """
     if data.kind == "node":
-        inp, ctx = data.forward_input(config)
-        yield inp, ctx, np.arange(data.n_samples), train_idx
+        if distill:
+            inp, ctx = data.forward_input(config)
+            yield inp, ctx, np.arange(data.n_samples), train_idx
+        else:
+            inp, ctx = data.split_input(config, "train")
+            yield inp, ctx, train_idx, None
         return
     order = shuffle.permutation(train_idx)
     for start in range(0, order.size, plan.batch_size):
@@ -374,7 +392,7 @@ def _train_student(
     for epoch in range(plan.epochs):
         losses = []
         for inp, ctx, ids, rows in _epoch_batches(
-            config, data, plan, train_idx, streams["shuffle"]
+            config, data, plan, train_idx, streams["shuffle"], distill
         ):
             label_ids = ids if rows is None else ids[rows]
             with Tape() as tape:

@@ -1,6 +1,7 @@
-"""Shared test utilities: finite-difference gradient checking, the
-scatter reference the bincount kernel is checked against, one-hot
-degree features for graph fixtures, and a TU-format directory writer."""
+"""Shared test utilities: finite-difference gradient checking, a bitwise
+array comparison, the scatter reference the bincount kernel is checked
+against, one-hot degree features for graph fixtures, and a TU-format
+directory writer."""
 
 from __future__ import annotations
 
@@ -55,6 +56,13 @@ def check_grads(build_loss, *arrays, rtol: float = 1e-4, atol: float = 1e-7) -> 
         np.testing.assert_allclose(
             analytic[i], numeric, rtol=rtol, atol=atol, err_msg=f"gradient mismatch on input {i}"
         )
+
+
+def assert_bits(a, b) -> None:
+    """Same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
 
 
 def add_at_reference(ids, x, n: int) -> np.ndarray:

@@ -494,7 +494,7 @@ class TestCka:
             f.rename(d / f.name.replace("TOY", d.name.upper()))
         return d
 
-    def make_checkpoint(self, tmp_path, arch="gcn", seed=0, in_dim=2) -> Path:
+    def make_checkpoint(self, tmp_path, arch="gcn", seed=0, in_dim=2, task="graph") -> Path:
         cfg = ModelConfig(
             arch=arch,
             in_dim=in_dim,
@@ -502,7 +502,7 @@ class TestCka:
             n_classes=2,
             dropout=0.0,
             heads=2,
-            task="graph",
+            task=task,
         )
         prefix = tmp_path / f"{arch}{seed}"
         save_checkpoint(init_model(cfg, seed), prefix)
@@ -590,20 +590,28 @@ class TestCka:
         )
         assert code == 2
 
-    def test_feature_mismatch_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("task, in_dim", [("graph", 7), ("node", 8)])
+    def test_feature_mismatch_exits_2(self, tmp_path, capsys, task, in_dim):
+        """A checkpoint for other features (the node case is shaped like an
+        ``sbm:small`` model) is a configuration error naming the checkpoint,
+        raised before ``--out`` is written."""
         d = tmp_path / "TOY"
         assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
-        ckpt = self.make_checkpoint(tmp_path, in_dim=7)
+        good = self.make_checkpoint(tmp_path)
+        bad = self.make_checkpoint(tmp_path, arch="sage", in_dim=in_dim, task=task)
         code = run(
             "cka",
             "--checkpoints",
-            str(ckpt),
+            f"{good},{bad}",
             "--dataset",
             f"tu:{d}",
             "--out",
             str(tmp_path / "cka.csv"),
         )
-        assert code == 1
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"takes {in_dim} input features" in err
+        assert not (tmp_path / "cka.csv").exists()
 
 
 class TestDatasets:

@@ -13,10 +13,12 @@ from bgnn import tensor as T
 from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
 from bgnn.graph_data import Graph, GraphBatch, batch_graphs, generate_sbm, normalize_adjacency
 from bgnn.models import (
+    ARCHITECTURES,
     SPARSE_INPUT_DENSITY,
     GnnModel,
     ModelConfig,
     build_forward_context,
+    cut_scored_rows,
     gat_layer,
     gcn_layer,
     init_model,
@@ -28,7 +30,7 @@ from bgnn.models import (
 from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import check_grads, numeric_grad
+from helpers import assert_bits, check_grads, numeric_grad
 
 
 def small_graph(seed=0, n=6, dim=5, classes=3):
@@ -566,6 +568,110 @@ class TestAggregatedInput:
 
         assert "adj_x" in ctx
         assert step_entries(ctx) == step_entries({"adj": ctx["adj"]}) - 1
+
+
+def random_node_graph(seed: int, n: int, sparse: bool) -> Graph:
+    """``n`` nodes, the last one isolated when n > 1; directed edges drawn
+    with replacement among the others (so self-loops and duplicates
+    occur). Features are gaussian, or ``n`` gaussian values at random
+    places in 70 columns: below the CSR cutoff."""
+    g = np.random.default_rng(seed)
+    edges = g.integers(0, max(1, n - 1), (int(g.integers(0, 3 * n + 1)), 2))
+    if sparse:
+        x = np.zeros(n * 70)
+        x[g.choice(n * 70, size=n, replace=False)] = g.standard_normal(n)
+        x = x.reshape(n, 70)
+    else:
+        x = g.standard_normal((n, 5))
+    return Graph(n_nodes=n, edges=edges, features=Tensor(x))
+
+
+class TestScoredRows:
+    """A context cut to some rows (``cut_scored_rows``) runs the last layer
+    on those rows only; logits and every gradient through them equal, bit
+    for bit, the same rows of a full forward."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 30),
+        take=st.sampled_from(["one", "some", "all"]),
+        sparse=st.booleans(),
+        batch_norm=st.booleans(),
+    )
+    @example(seed=0, n=1, take="one", sparse=False, batch_norm=True)
+    @example(seed=1, n=30, take="all", sparse=True, batch_norm=False)
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:batch_norm. batch of size 1")
+    def test_rows_equal_full_forward_rows(self, seed, n, take, sparse, batch_norm):
+        """Eval logits, and a training step's logits and parameter
+        gradients (dropout, batch statistics and a fanout-2 GraphSage
+        sample from same-seeded rngs); rows come in random order."""
+        g = random_node_graph(seed, n, sparse)
+        rng = np.random.default_rng(seed)
+        k = {"one": 1, "some": max(1, n // 3), "all": n}[take]
+        rows = rng.permutation(n)[:k]
+        weights = Tensor(rng.standard_normal((k, 3)))
+        for arch in ARCHITECTURES:
+            cfg = ModelConfig(arch=arch, in_dim=g.feature_dim, hidden_dim=16, n_classes=3,
+                              heads=2, dropout=0.3, batch_norm=batch_norm, fanout=2)
+            m = init_model(cfg, seed)
+            for name, stat in m.bn_state.items():  # running stats away from 0 and 1
+                stat[...] = rng.random(stat.shape) + 0.5
+            ctx = build_forward_context(cfg, g)
+            assert ("x" in ctx) == (sparse and arch != "sage")
+            assert ("adj_x" in ctx) == (arch == "gcn" and not sparse)
+            cut = cut_scored_rows(ctx, rows, n)
+            full, _ = model_forward(m, g, training=False, ctx=ctx)
+            scored, reps = model_forward(m, g, training=False, ctx=cut)
+            assert_bits(scored.data, full.data[rows])
+            assert reps[-1] is scored
+
+            def step(forward):
+                for p in m.params.values():
+                    p.grad = None
+                with Tape() as tape:
+                    logits = forward(np.random.default_rng(seed))
+                    loss = T.sum_all(T.mul(logits, weights))
+                backward(loss, tape)
+                return logits.data, {name: p.grad for name, p in m.params.items()}
+
+            out, grads = step(lambda r: model_forward(m, g, True, r, ctx=cut)[0])
+            ref, ref_grads = step(
+                lambda r: T.gather_rows(model_forward(m, g, True, r, ctx=ctx)[0], rows)
+            )
+            assert_bits(out, ref)
+            for name in m.params:
+                assert_bits(grads[name], ref_grads[name])
+
+    def test_last_layer_reads_only_the_rows(self):
+        """GCN cuts its operator's rows; GAT keeps the edges into the rows,
+        in their order, numbered by the rows' sorted places."""
+        g = random_node_graph(2, 12, sparse=False)
+        rows = np.array([7, 2, 9])
+        for arch in ("gcn", "gat"):
+            cfg = ModelConfig(arch=arch, in_dim=5, hidden_dim=4, n_classes=3, heads=2)
+            ctx = build_forward_context(cfg, g)
+            cut = cut_scored_rows(ctx, rows, 12)
+            assert_bits(cut["rows"], np.array([2, 7, 9]))
+            assert_bits(cut["unsort"], np.array([1, 0, 2]))
+            if arch == "gcn":
+                np.testing.assert_array_equal(
+                    cut["adj_rows"].to_dense(), ctx["adj"].to_dense()[[2, 7, 9]]
+                )
+            else:
+                src, dst, seg = cut["rows_edges"]
+                keep = np.isin(ctx["dst"], rows)
+                assert_bits(src, ctx["src"][keep])
+                assert_bits(dst, ctx["dst"][keep])
+                assert_bits(seg, np.searchsorted([2, 7, 9], dst))
+        assert "unsort" not in cut_scored_rows(ctx, [2, 7, 9], 12)
+
+    @pytest.mark.parametrize("bad", [[], [3, 3], [-1], [12], [[1, 2]]])
+    def test_bad_rows_rejected(self, bad):
+        g = random_node_graph(2, 12, sparse=False)
+        ctx = build_forward_context(ModelConfig(arch="gcn", in_dim=5, hidden_dim=4, n_classes=3), g)
+        with pytest.raises(ContractError, match="distinct node ids"):
+            cut_scored_rows(ctx, np.array(bad, dtype=np.int64), 12)
 
 
 class TestCheckpoints:

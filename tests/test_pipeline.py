@@ -5,7 +5,7 @@ import gc
 import json
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from bgnn.pipeline import (
 )
 from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tensor
-from helpers import one_hot_degree_features
+from helpers import assert_bits, one_hot_degree_features
 
 
 def make_node_data(n_per_block=40, seed=0, feat=8, noise=1.0):
@@ -202,6 +202,24 @@ class TestSupervised:
         plan = quick_plan([gcn_cfg()], epochs=5)
         train_supervised(gcn_cfg(), make_node_data(n_per_block=10), plan, seed=0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_per_epoch_evaluation_cuts_once_per_split(self, arch, monkeypatch):
+        """Training and every evaluation reuse one context, and each split
+        is cut from it once: the train cut serves the training steps."""
+        calls = []
+        for name in ("build_forward_context", "cut_scored_rows"):
+            orig = getattr(P, name)
+            monkeypatch.setattr(P, name, lambda *a, o=orig, n=name: calls.append((n, a)) or o(*a))
+        data = make_node_data(n_per_block=10)
+        cfg = gcn_cfg(arch=arch, heads=2, fanout=2)
+        train_supervised(cfg, data, quick_plan([cfg], epochs=5), seed=0)
+        assert [n for n, _ in calls] == ["build_forward_context"] + ["cut_scored_rows"] * 3
+        for (_, args), split in zip(calls[1:], ("train", "val", "test")):
+            assert_bits(args[1], data.split_idx(split))
+        for split in ("train", "val", "test"):
+            evaluate(init_model(cfg, 1), data, split)
+        assert len(calls) == 4
 
     def test_graph_task_batches_and_normalises_once(self, monkeypatch):
         """Every mini-batch and evaluated split is cut out of one full-data
@@ -588,16 +606,53 @@ def random_graph_data(seed: int, n: int = 30) -> TaskData:
     return TaskData(kind="graph", graphs=graphs, split=split)
 
 
-def assert_bits(a, b) -> None:
-    a, b = np.asarray(a), np.asarray(b)
-    assert (a.dtype, a.shape) == (b.dtype, b.shape)
-    assert a.tobytes() == b.tobytes()
-
-
 def assert_same_csr(a: SparseMatrix, b: SparseMatrix) -> None:
     assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
     for part in ("row_offsets", "col_indices", "values"):
         assert_bits(getattr(a, part), getattr(b, part))
+
+
+class TestScoredRowTraining:
+    """Node-task training without a KD term runs the last layer on the
+    train rows only; it trains exactly as a full forward whose train rows
+    are then gathered."""
+
+    @staticmethod
+    def full_forward_batches(config, data, plan, train_idx, shuffle, distill):
+        inp, ctx = data.forward_input(config)
+        yield inp, ctx, np.arange(data.n_samples), train_idx
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_train_row_cut_trains_like_full_forward(self, arch, order, monkeypatch):
+        g = generate_sbm(15, 3, 0.4, 0.05, 6, seed=1)
+        split = random_split(g.n_nodes, g.node_labels, (0.3, 0.3, 0.4), seed=1)
+        if order == "shuffled":
+            rng = np.random.default_rng(0)
+            split = DatasetSplit(*(rng.permutation(i) for i in astuple(split)))
+        cfg = ModelConfig(arch=arch, in_dim=6, hidden_dim=16, n_classes=3, heads=2,
+                          dropout=0.5, batch_norm=True, fanout=2)
+        plan = quick_plan([cfg], epochs=6)
+        data = TaskData(kind="node", graph=g, split=split)
+        model, metrics = train_supervised(cfg, data, plan, seed=5)
+        batches = P._epoch_batches(cfg, data, plan, split.train_idx, None, distill=False)
+        assert "rows" in next(batches)[1]
+        monkeypatch.setattr(P, "_epoch_batches", self.full_forward_batches)
+        ref, ref_metrics = train_supervised(cfg, TaskData(kind="node", graph=g, split=split),
+                                            plan, seed=5)
+        for name in model.params:
+            assert_bits(model.params[name].data, ref.params[name].data)
+        for name in model.bn_state:
+            assert_bits(model.bn_state[name], ref.bn_state[name])
+        assert metrics.per_epoch == ref_metrics.per_epoch
+
+    def test_kd_term_forwards_every_node(self, node_data):
+        batches = P._epoch_batches(gcn_cfg(), node_data, quick_plan([gcn_cfg()]),
+                                   node_data.split_idx("train"), None, distill=True)
+        inp, ctx, ids, rows = next(batches)
+        assert "rows" not in ctx
+        assert_bits(ids, np.arange(node_data.n_samples))
+        assert_bits(rows, node_data.split_idx("train"))
 
 
 class TestBatchCut:
