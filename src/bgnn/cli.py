@@ -27,7 +27,6 @@ import numpy as np
 from .analysis import cka_matrix, extract_layer_representations, save_cka_csv
 from .errors import BgnnError, ConfigError, FormatError
 from .graph_data import (
-    apply_split_masks,
     atomic_write,
     generate_sbm,
     load_json_bundle,
@@ -427,11 +426,11 @@ def cmd_make_fixtures(args: argparse.Namespace) -> int:
     if args.kind == "sbm":
         g = generate_sbm(40, 2, 0.9, 0.05, 8, args.seed)
         split = random_split(g.n_nodes, g.node_labels, SPLIT_RATIOS, args.seed)
-        save_json_bundle(apply_split_masks(g, split), out / "sbm_small.json")
+        save_json_bundle(dataclasses.replace(g, split=split), out / "sbm_small.json")
     elif args.kind == "json_toy":
         g = generate_sbm(6, 2, 0.9, 0.1, 4, args.seed)
         split = random_split(g.n_nodes, g.node_labels, (0.7, 0.15, 0.15), args.seed)
-        save_json_bundle(apply_split_masks(g, split), out / "toy.json")
+        save_json_bundle(dataclasses.replace(g, split=split), out / "toy.json")
     else:
         _write_tu_toy(out, args.seed)
     return 0

@@ -34,9 +34,7 @@ class Graph:
     features: Tensor
     node_labels: np.ndarray | None = None
     graph_label: int | None = None
-    train_mask: np.ndarray | None = None
-    val_mask: np.ndarray | None = None
-    test_mask: np.ndarray | None = None
+    split: DatasetSplit | None = None  # a node-classification graph's own split
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -46,9 +44,6 @@ class Graph:
             raise ShapeError(
                 f"feature rows {self.features.shape[0]} != n_nodes {self.n_nodes}"
             )
-        masks = [m for m in (self.train_mask, self.val_mask, self.test_mask) if m is not None]
-        if masks and np.any(sum(m.astype(int) for m in masks) > 1):
-            raise FormatError("train/val/test masks overlap")
 
     @property
     def n_edges(self) -> int:
@@ -57,9 +52,6 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.n_nodes)
 
 
 @dataclass
@@ -82,6 +74,9 @@ class GraphBatch:
 
 @dataclass
 class DatasetSplit:
+    """Train, val and test index lists, each sorted at construction; no
+    index may appear twice, within a list or across lists."""
+
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
@@ -90,6 +85,7 @@ class DatasetSplit:
         parts = (self.train_idx, self.val_idx, self.test_idx)
         if any(np.ndim(p) != 1 for p in parts):
             raise FormatError("a split takes 1-d index lists")
+        self.train_idx, self.val_idx, self.test_idx = parts = [np.sort(p) for p in parts]
         joined = np.concatenate(parts)
         if len(np.unique(joined)) != len(joined):
             raise FormatError("split index lists overlap")
@@ -245,7 +241,9 @@ def load_json_bundle(path) -> Graph:
 
     The bundle stores each undirected edge once; the Graph mirrors it in
     both directions. Features may be dense (nested arrays) or sparse
-    ({indices: [[row, col], ...], values, shape}).
+    ({indices: [[row, col], ...], values, shape}). Each split list is
+    sorted and its repeats merge; two lists that share a node raise
+    FormatError naming both keys.
     """
     path = Path(path)
     try:
@@ -298,23 +296,20 @@ def load_json_bundle(path) -> Graph:
     labels = _int_array(obj["labels"], path, "labels")
     if labels.shape != (n,) or np.any(labels < 0):
         raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
-    masks = {}
+    split = {}
     for key in ("train_idx", "val_idx", "test_idx"):
-        idx = _int_array(obj[key], path, key)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
+        idx = np.unique(_int_array(obj[key], path, key))
+        if idx.size and (idx[0] < 0 or idx[-1] >= n):
             raise FormatError(f"bundle {path.name}: key {key!r} index out of range")
-        m = np.zeros(n, dtype=bool)
-        m[idx] = True
-        masks[key] = m
-    return Graph(
-        n_nodes=n,
-        edges=edges,
-        features=Tensor(x),
-        node_labels=labels,
-        train_mask=masks["train_idx"],
-        val_mask=masks["val_idx"],
-        test_mask=masks["test_idx"],
-    )
+        for other, seen in split.items():
+            shared = np.intersect1d(seen, idx)
+            if shared.size:
+                raise FormatError(
+                    f"bundle {path.name}: keys {other!r} and {key!r} share node {shared[0]}"
+                )
+        split[key] = idx
+    return Graph(n_nodes=n, edges=edges, features=Tensor(x), node_labels=labels,
+                 split=DatasetSplit(**split))
 
 
 def save_json_bundle(g: Graph, path) -> None:
@@ -324,7 +319,8 @@ def save_json_bundle(g: Graph, path) -> None:
     features written sparse when fewer than a quarter of entries are
     nonzero, dense otherwise. load(save(g)) reproduces the same bundle
     byte-for-byte on a second save. The graph must carry node labels,
-    since the loader requires one per node.
+    since the loader requires one per node; a graph without a split writes
+    empty split lists.
     """
     if g.node_labels is None:
         raise ContractError("a JSON bundle needs node labels")
@@ -347,10 +343,9 @@ def save_json_bundle(g: Graph, path) -> None:
         "edges": pairs.tolist(),
         "features": features,
         "labels": g.node_labels.tolist(),
-        "train_idx": _mask_to_idx(g.train_mask),
-        "val_idx": _mask_to_idx(g.val_mask),
-        "test_idx": _mask_to_idx(g.test_mask),
     }
+    for key in ("train_idx", "val_idx", "test_idx"):
+        obj[key] = getattr(g.split, key).tolist() if g.split is not None else []
     atomic_write(path, json.dumps(obj))
 
 
@@ -363,10 +358,6 @@ def atomic_write(path, data: str | bytes) -> None:
     else:
         tmp.write_text(data, encoding="utf-8")
     tmp.replace(path)
-
-
-def _mask_to_idx(mask: np.ndarray | None) -> list[int]:
-    return np.flatnonzero(mask).tolist() if mask is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -451,19 +442,8 @@ def random_split(
 
 
 def apply_split_masks(g: Graph, split: DatasetSplit) -> Graph:
-    """Copy of g with boolean node masks built from split index lists."""
-
-    def mask(idx: np.ndarray) -> np.ndarray:
-        m = np.zeros(g.n_nodes, dtype=bool)
-        m[np.asarray(idx, dtype=np.int64)] = True
-        return m
-
-    return replace(
-        g,
-        train_mask=mask(split.train_idx),
-        val_mask=mask(split.val_idx),
-        test_mask=mask(split.test_idx),
-    )
+    """Copy of g carrying ``split``."""
+    return replace(g, split=split)
 
 
 def sample_neighbors(

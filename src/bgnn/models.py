@@ -52,7 +52,6 @@ class ModelConfig:
     in_dim: int
     hidden_dim: int
     n_classes: int
-    activation: str = ""  # empty -> elu for gat, relu otherwise
     dropout: float = 0.5
     heads: int = 8
     fanout: int | str = "all"  # sage neighbor sampling during training
@@ -65,10 +64,6 @@ class ModelConfig:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if min(self.in_dim, self.hidden_dim, self.n_classes) <= 0:
             raise ConfigError("layer dimensions must be positive")
-        if not self.activation:
-            self.activation = "elu" if self.arch == "gat" else "relu"
-        if self.activation not in ("relu", "elu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.n_layers < 2:
@@ -284,30 +279,26 @@ def cut_scored_rows(ctx: dict, rows, n_nodes: int) -> dict:
     in that order, and its last layer computes nothing else. Every earlier
     layer, dropout and batch norm still run on all nodes.
 
-    The last layer computes the rows in increasing order and a row gather
-    puts them in the asked order, so its backward adds in node order as
-    the full layer's does: the logits, and the gradients through them,
-    equal the same rows of a full forward bit for bit. GCN keeps its
-    operator's rows Â[rows]; GAT keeps the edges into the rows, in their
-    order. GraphSage runs its full last layer and takes the rows: its
-    last layer is a dense product, and BLAS rounds a row of it differently
-    depending on where the row falls among the product's rows (OpenBLAS
-    tiles them), so a product over the scored rows alone is not bit for
-    bit the full one.
+    The rows must be strictly increasing, as a ``DatasetSplit`` holds
+    them, so the last layer's backward adds in node order as the full
+    layer's does: the logits, and the gradients through them, equal the
+    same rows of a full forward bit for bit. GCN keeps its operator's rows
+    Â[rows]; GAT keeps the edges into the rows, in their order. GraphSage
+    runs its full last layer and takes the rows: its last layer is a dense
+    product, and BLAS rounds a row of it differently depending on where
+    the row falls among the product's rows (OpenBLAS tiles them), so a
+    product over the scored rows alone is not bit for bit the full one.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if (rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= n_nodes
-            or np.unique(rows).size != rows.size):
-        raise ContractError(f"scored rows must be distinct node ids in [0, {n_nodes})")
-    order = np.argsort(rows)
-    out = dict(ctx, rows=rows[order])
-    if np.any(order != np.arange(rows.size)):
-        out["unsort"] = np.argsort(order)
+    if (rows.ndim != 1 or rows.size == 0 or rows[0] < 0 or rows[-1] >= n_nodes
+            or np.any(np.diff(rows) <= 0)):
+        raise ContractError(f"scored rows must be strictly increasing node ids in [0, {n_nodes})")
+    out = dict(ctx, rows=rows)
     if "adj" in ctx:
-        out["adj_rows"] = ctx["adj"].submatrix(out["rows"])
+        out["adj_rows"] = ctx["adj"].submatrix(rows)
     elif "src" in ctx:
         place = np.full(n_nodes, -1)
-        place[out["rows"]] = np.arange(rows.size)
+        place[rows] = np.arange(rows.size)
         keep = place[ctx["dst"]] >= 0
         out["rows_edges"] = (ctx["src"][keep], ctx["dst"][keep], place[ctx["dst"][keep]])
     return out
@@ -335,8 +326,9 @@ def model_forward(
 
     Node task takes a Graph and yields per-node logits; graph task takes
     a GraphBatch and yields per-graph logits via sum pooling and a linear
-    head. Representations are post-activation, pre-dropout (the node
-    task's final layer representation is its logits). Eval mode never
+    head. Hidden layers apply ELU for GAT and ReLU otherwise.
+    Representations are post-activation, pre-dropout (the node task's
+    final layer representation is its logits). Eval mode never
     touches the rng: GraphSage uses full neighborhoods and dropout is
     skipped. A node-task context cut by ``cut_scored_rows`` yields only
     its rows' logits.
@@ -354,7 +346,7 @@ def model_forward(
         raise ShapeError(f"feature dim {g.feature_dim} != configured in_dim {cfg.in_dim}")
     if ctx is None:
         ctx = build_forward_context(cfg, g)
-    act = T.relu if cfg.activation == "relu" else T.elu
+    act = T.elu if cfg.arch == "gat" else T.relu
     sampling = cfg.arch == "sage" and training and cfg.fanout != "all"
     if training and (cfg.dropout > 0.0 or sampling) and rng is None:
         raise ContractError("training forward requires an rng")
@@ -393,8 +385,6 @@ def model_forward(
                 combine="average" if final else "concat",
                 seg=seg,
             )
-        if cut and "unsort" in ctx:
-            h = T.gather_rows(h, ctx["unsort"])
         if final and cfg.task == "node":
             reps.append(h)  # logits double as the last representation
             break

@@ -16,6 +16,7 @@ import json
 import math
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +42,13 @@ class TaskData:
     labelled graph list plus a split over graph indices.
 
     Every construction is checked: each split index must be an integer in
-    ``[0, n_samples)``. ``split`` is used as given; a node task given none
-    takes it from the graph's train/val/test masks.
+    ``[0, n_samples)``. A node task given no split takes the graph's.
 
-    Forward inputs are built lazily, never at construction: the full-data
-    input once per architecture (``forward_input``), and each split's
-    input cut from it once per architecture (``split_input``). The graph
-    task cuts every mini-batch (``batch``) and every split out of that one
+    Forward inputs are built lazily, never at construction: the graph
+    task batches its graphs once, the full-data context is built once per
+    architecture (``forward_input``), and each split's input is cut from
+    them once per architecture (``split_input``). The graph task cuts
+    every mini-batch (``batch``) and every split out of that one
     block-diagonal batch and its context, so training never batches graphs
     or builds a context again. The node task cuts a split's context so
     that the last layer computes only the split's rows.
@@ -58,8 +59,7 @@ class TaskData:
     graphs: list[Graph] | None = None
     split: DatasetSplit | None = None
     labels: np.ndarray = field(init=False, repr=False, compare=False)
-    # arch or (arch, split) -> (forward input, context); "offsets" -> where
-    # each graph's nodes and edges start in the full batch, and the totals
+    # arch or (arch, split) -> (forward input, context)
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,21 +67,18 @@ class TaskData:
             if self.graph is None or self.graph.node_labels is None:
                 raise ContractError("node task needs a graph with node labels")
             if self.split is None:
-                masks = (self.graph.train_mask, self.graph.val_mask, self.graph.test_mask)
-                if any(m is None for m in masks):
-                    raise ContractError("node task needs a split or train/val/test masks")
-                self.split = DatasetSplit(*map(np.flatnonzero, masks))
+                self.split = self.graph.split
             self.labels = self.graph.node_labels
         elif self.kind == "graph":
             if not self.graphs:
                 raise ContractError("graph task needs at least one graph")
             if any(g.graph_label is None for g in self.graphs):
                 raise ContractError("graph task needs a label per graph")
-            if self.split is None:
-                raise ContractError("graph task needs a split")
             self.labels = np.asarray([g.graph_label for g in self.graphs], dtype=np.int64)
         else:
             raise ContractError(f"unknown task kind {self.kind!r}")
+        if self.split is None:
+            raise ContractError(f"{self.kind} task needs a split")
         n = self.n_samples
         for name in ("train", "val", "test"):
             idx = np.asarray(getattr(self.split, f"{name}_idx"))
@@ -107,15 +104,26 @@ class TaskData:
             raise ContractError(f"unknown split {split!r}")
         return np.asarray(getattr(self.split, f"{split}_idx"))
 
+    @cached_property
+    def _full_input(self) -> Graph | GraphBatch:
+        return self.graph if self.kind == "node" else batch_graphs(self.graphs)
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each graph's nodes and edges start in the full batch, and the totals."""
+        return (np.cumsum([0] + [g.n_nodes for g in self.graphs]),
+                np.cumsum([0] + [g.n_edges for g in self.graphs]))
+
     def forward_input(self, config: ModelConfig) -> tuple[Graph | GraphBatch, dict]:
-        """The full-data forward input (the graph, or every graph batched)
-        and its forward context, built once per architecture.
+        """The full-data forward input (the graph, or every graph batched,
+        once per dataset) and its forward context, built once per
+        architecture.
 
         The context depends only on the graph and the architecture, so
         node-task training, every evaluation and teacher logits share it.
         """
         if config.arch not in self._inputs:
-            inp = self.graph if self.kind == "node" else batch_graphs(self.graphs)
+            inp = self._full_input
             g = inp.graph if isinstance(inp, GraphBatch) else inp
             self._inputs[config.arch] = (inp, build_forward_context(config, g))
         return self._inputs[config.arch]
@@ -132,10 +140,7 @@ class TaskData:
         if idx.size == 0 or idx.min() < 0 or idx.max() >= self.n_samples:
             raise ContractError(f"a batch needs graph ids in [0, {self.n_samples})")
         full, ctx = self.forward_input(config)
-        if "offsets" not in self._inputs:
-            self._inputs["offsets"] = (np.cumsum([0] + [g.n_nodes for g in self.graphs]),
-                                       np.cumsum([0] + [g.n_edges for g in self.graphs]))
-        node_off, edge_off = self._inputs["offsets"]
+        node_off, edge_off = self._offsets
         n_nodes = node_off[idx + 1] - node_off[idx]
         n_edges = edge_off[idx + 1] - edge_off[idx]
         starts = np.concatenate([[0], np.cumsum(n_nodes)])
@@ -155,7 +160,10 @@ class TaskData:
         architecture and split: ``batch`` of the split's graphs, or the
         graph with its context cut to the split's rows (``cut_scored_rows``).
         Either way the logits are the split's rows of a full forward, in
-        split order, bit for bit."""
+        split order. The node task's match bit for bit. The graph task's
+        match to rounding, not bit for bit: BLAS rounds a row of a dense
+        product by the row's place among the product's rows, and a split's
+        batch places its nodes elsewhere (seen at hidden width 16 and up)."""
         key = (config.arch, split)
         if key not in self._inputs:
             idx = self.split_idx(split)
@@ -296,7 +304,8 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
     entry per sample), so any reported number can be recomputed from
     persisted predictions. A model forwards only what the split scores
     (``TaskData.split_input``): the split's graphs, or a last layer over
-    the split's nodes. Either gives the split's rows of a full forward.
+    the split's nodes. Either gives the split's rows of a full forward,
+    bit for bit for the node task and to rounding for the graph task.
     """
     idx = data.split_idx(split)
     if idx.size == 0:

@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, a bitwise
 array comparison, the scatter reference the bincount kernel is checked
-against, one-hot degree features for graph fixtures, and a TU-format
-directory writer."""
+against, node degrees and one-hot degree features for graph fixtures,
+and a TU-format directory writer."""
 
 from __future__ import annotations
 
@@ -79,18 +79,23 @@ def wide_range(g: np.random.Generator, shape) -> np.ndarray:
     return g.standard_normal(shape) * 10.0 ** g.integers(-8, 9, shape)
 
 
+def degrees(g: Graph) -> np.ndarray:
+    """Out-degree of each node: its edges counted by source."""
+    return np.bincount(g.edges[:, 0], minlength=g.n_nodes)
+
+
 def one_hot_degree_features(graphs: list[Graph], cap: int | None = None) -> list[Graph]:
     """Replace features with one-hot degree encodings, shared across the list.
 
     Dimension is min(max observed degree, cap) + 1; degrees above the cap
     land in the top bucket.
     """
-    max_deg = max((int(g.degrees().max()) if g.n_nodes else 0) for g in graphs)
+    max_deg = max((int(degrees(g).max()) if g.n_nodes else 0) for g in graphs)
     top = min(max_deg, cap) if cap is not None else max_deg
     out = []
     for g in graphs:
         x = np.zeros((g.n_nodes, top + 1))
-        x[np.arange(g.n_nodes), np.minimum(g.degrees(), top)] = 1.0
+        x[np.arange(g.n_nodes), np.minimum(degrees(g), top)] = 1.0
         out.append(replace(g, features=Tensor(x)))
     return out
 

@@ -26,8 +26,6 @@ from bgnn.boosting import SampleWeights, init_weights, samme_r_update
 from bgnn.cli import main as cli_main
 from bgnn.distill import kd_gradient_reference, kd_loss
 from bgnn.graph_data import (
-    DatasetSplit,
-    apply_split_masks,
     generate_sbm,
     load_json_bundle,
     load_tu_dataset,
@@ -67,17 +65,11 @@ needs_cora = pytest.mark.skipif(
 def _node_data(n_per_block, n_blocks, p_in, p_out, feat, seed, ratios, noise=1.0):
     g = generate_sbm(n_per_block, n_blocks, p_in, p_out, feat, seed, noise_scale=noise)
     split = random_split(g.n_nodes, g.node_labels, ratios, seed=seed)
-    return TaskData(kind="node", graph=apply_split_masks(g, split), split=split)
+    return TaskData(kind="node", graph=g, split=split)
 
 
 def _cora_data() -> TaskData:
-    g = load_json_bundle(CORA)
-    split = DatasetSplit(
-        train_idx=np.flatnonzero(g.train_mask),
-        val_idx=np.flatnonzero(g.val_mask),
-        test_idx=np.flatnonzero(g.test_mask),
-    )
-    return TaskData(kind="node", graph=g, split=split)
+    return TaskData(kind="node", graph=load_json_bundle(CORA))
 
 
 def _one_hot(labels: np.ndarray, c: int) -> np.ndarray:

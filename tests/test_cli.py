@@ -468,7 +468,7 @@ class TestFixtures:
         assert run("make-fixtures", "--kind", "sbm", "--seed", "1", "--out", str(tmp_path)) == 0
         g = load_json_bundle(tmp_path / "sbm_small.json")
         assert g.n_nodes == 80
-        assert g.train_mask.sum() > 0
+        assert g.split.train_idx.size > 0
 
     def test_tu_toy_round_trips_through_loader(self, tmp_path):
         assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(tmp_path)) == 0
@@ -576,6 +576,19 @@ class TestCka:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "cka.csv").exists()
+
+    def test_checkpoint_naming_an_activation_exits_2(self, tmp_path, capsys):
+        d = tmp_path / "TOY"
+        assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
+        ckpt = self.make_checkpoint(tmp_path)
+        manifest = json.loads(ckpt.with_suffix(".json").read_text())
+        assert "activation" not in manifest["config"]
+        manifest["config"]["activation"] = "relu"
+        ckpt.with_suffix(".json").write_text(json.dumps(manifest))
+        out = tmp_path / "cka.csv"
+        assert run("cka", "--checkpoints", str(ckpt), "--dataset", f"tu:{d}", "--out", str(out)) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_node_dataset_rejected(self, tmp_path):
         ckpt = self.make_checkpoint(tmp_path)

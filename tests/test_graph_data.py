@@ -25,7 +25,7 @@ from bgnn.graph_data import (
 )
 from bgnn.tensor import Tensor
 from bgnn import tensor as T
-from helpers import one_hot_degree_features, write_tu_dir
+from helpers import assert_bits, degrees, one_hot_degree_features, write_tu_dir
 
 
 def tiny_graph(n=3, edges=((0, 1), (1, 0)), dim=2):
@@ -41,20 +41,9 @@ class TestGraphValidation:
         with pytest.raises(ShapeError):
             Graph(n_nodes=3, edges=np.zeros((0, 2)), features=Tensor(np.zeros((2, 2))))
 
-    def test_overlapping_masks_rejected(self):
-        m = np.array([True, False, False])
-        with pytest.raises(FormatError):
-            Graph(
-                n_nodes=3,
-                edges=np.zeros((0, 2)),
-                features=Tensor(np.zeros((3, 1))),
-                train_mask=m,
-                val_mask=m,
-            )
-
     def test_degrees(self):
         g = tiny_graph(n=4, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
-        np.testing.assert_array_equal(g.degrees(), [1, 2, 1, 0])
+        np.testing.assert_array_equal(degrees(g), [1, 2, 1, 0])
 
 
 @st.composite
@@ -206,7 +195,32 @@ class TestJsonBundle:
         g = load_json_bundle(self.minimal_bundle(tmp_path))
         assert g.n_nodes == 2
         assert g.n_edges == 2  # one stored edge, two directions
-        assert g.train_mask[0] and g.val_mask[1]
+        np.testing.assert_array_equal(g.split.train_idx, [0])
+        np.testing.assert_array_equal(g.split.val_idx, [1])
+        assert g.split.test_idx.size == 0
+
+    def test_split_lists_sorted_and_repeats_merged(self, tmp_path):
+        p = self.minimal_bundle(tmp_path)
+        obj = json.loads(p.read_text())
+        obj.update(n_nodes=5, features=[[0.0, 1.0]] * 5, labels=[0, 1, 0, 1, 0],
+                   train_idx=[3, 0, 3], val_idx=[1, 1], test_idx=[4, 2])
+        p.write_text(json.dumps(obj))
+        split = load_json_bundle(p).split
+        for got, want in zip((split.train_idx, split.val_idx, split.test_idx),
+                             ([0, 3], [1], [2, 4])):
+            assert_bits(got, np.array(want, dtype=np.int64))
+
+    @pytest.mark.parametrize("first, second", [("train_idx", "val_idx"),
+                                               ("train_idx", "test_idx"),
+                                               ("val_idx", "test_idx")])
+    def test_overlapping_split_lists_named(self, tmp_path, first, second):
+        p = self.minimal_bundle(tmp_path)
+        obj = json.loads(p.read_text())
+        obj.update({"train_idx": [], "val_idx": [], "test_idx": [], first: [0, 1], second: [1]})
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FormatError,
+                           match=f"b.json: keys '{first}' and '{second}' share node 1"):
+            load_json_bundle(p)
 
     def test_missing_key_named(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -310,16 +324,7 @@ class TestJsonBundle:
 
     def test_round_trip_canonical(self, tmp_path):
         g = generate_sbm(5, 2, 0.8, 0.2, 4, seed=3)
-        split = random_split(10, g.node_labels, (0.6, 0.2, 0.2), seed=0)
-        g = Graph(
-            n_nodes=g.n_nodes,
-            edges=g.edges,
-            features=g.features,
-            node_labels=g.node_labels,
-            train_mask=np.isin(np.arange(10), split.train_idx),
-            val_mask=np.isin(np.arange(10), split.val_idx),
-            test_mask=np.isin(np.arange(10), split.test_idx),
-        )
+        g.split = random_split(10, g.node_labels, (0.6, 0.2, 0.2), seed=0)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_json_bundle(g, p1)
         save_json_bundle(load_json_bundle(p1), p2)
@@ -445,6 +450,16 @@ class TestRandomSplit:
         s = random_split(100, None, (0.1, 0.1, 0.1), seed=0)
         assert len(s.train_idx) == 10 and len(s.val_idx) == 10 and len(s.test_idx) == 10
 
+    def test_index_lists_sorted_at_construction(self):
+        split = DatasetSplit([3, 1], np.array([5, 0]), np.zeros(0, dtype=np.int64))
+        for got, want in zip((split.train_idx, split.val_idx), ([1, 3], [0, 5])):
+            assert_bits(got, np.array(want, dtype=np.int64))
+
+    @pytest.mark.parametrize("val", [[0, 4], [4, 4]])  # across lists, within one
+    def test_repeated_index_rejected(self, val):
+        with pytest.raises(FormatError, match="split index lists overlap"):
+            DatasetSplit(np.array([0, 1]), np.array(val), np.array([2]))
+
     @pytest.mark.parametrize("all_2d", [False, True])
     def test_2d_index_lists_rejected(self, all_2d):
         """One 2-d list used to fail in np.concatenate; three disjoint
@@ -535,7 +550,7 @@ class TestSampleNeighbors:
         rows, cols = sample_neighbors(g, fanout, np.random.default_rng(seed))
         assert np.all(np.diff(rows) >= 0)
         op = mean_aggregator(rows, cols, g.n_nodes).to_dense()
-        deg = g.degrees()
+        deg = degrees(g)
         for v in range(g.n_nodes):
             support = np.flatnonzero(op[v])
             assert set(support) <= set(g.edges[g.edges[:, 0] == v, 1])

@@ -71,8 +71,16 @@ class TestConfig:
             ModelConfig(arch="gcn", in_dim=0, hidden_dim=8, n_classes=2)
 
     def test_activation_defaults(self):
-        assert ModelConfig(arch="gcn", in_dim=4, hidden_dim=8, n_classes=2).activation == "relu"
-        assert ModelConfig(arch="gat", in_dim=4, hidden_dim=8, n_classes=2).activation == "elu"
+        """The first layer's representation: ReLU's floor at 0 for GCN and
+        GraphSage, ELU's negative values above -1 for GAT."""
+        g = generate_sbm(10, 2, 0.5, 0.1, 4, seed=0)
+        for arch in ARCHITECTURES:
+            m = init_model(ModelConfig(arch=arch, in_dim=4, hidden_dim=8, n_classes=2), 0)
+            h = model_forward(m, g, training=False)[1][0].data
+            if arch == "gat":
+                assert -1.0 < h.min() < 0.0
+            else:
+                assert h.min() == 0.0
 
     def test_gat_heads_must_divide_hidden(self):
         with pytest.raises(ConfigError):
@@ -605,11 +613,11 @@ class TestScoredRows:
     def test_rows_equal_full_forward_rows(self, seed, n, take, sparse, batch_norm):
         """Eval logits, and a training step's logits and parameter
         gradients (dropout, batch statistics and a fanout-2 GraphSage
-        sample from same-seeded rngs); rows come in random order."""
+        sample from same-seeded rngs); the rows are a random sorted subset."""
         g = random_node_graph(seed, n, sparse)
         rng = np.random.default_rng(seed)
         k = {"one": 1, "some": max(1, n // 3), "all": n}[take]
-        rows = rng.permutation(n)[:k]
+        rows = np.sort(rng.permutation(n)[:k])
         weights = Tensor(rng.standard_normal((k, 3)))
         for arch in ARCHITECTURES:
             cfg = ModelConfig(arch=arch, in_dim=g.feature_dim, hidden_dim=16, n_classes=3,
@@ -645,15 +653,14 @@ class TestScoredRows:
 
     def test_last_layer_reads_only_the_rows(self):
         """GCN cuts its operator's rows; GAT keeps the edges into the rows,
-        in their order, numbered by the rows' sorted places."""
+        in their order, numbered by the rows' places."""
         g = random_node_graph(2, 12, sparse=False)
-        rows = np.array([7, 2, 9])
+        rows = np.array([2, 7, 9])
         for arch in ("gcn", "gat"):
             cfg = ModelConfig(arch=arch, in_dim=5, hidden_dim=4, n_classes=3, heads=2)
             ctx = build_forward_context(cfg, g)
             cut = cut_scored_rows(ctx, rows, 12)
-            assert_bits(cut["rows"], np.array([2, 7, 9]))
-            assert_bits(cut["unsort"], np.array([1, 0, 2]))
+            assert_bits(cut["rows"], rows)
             if arch == "gcn":
                 np.testing.assert_array_equal(
                     cut["adj_rows"].to_dense(), ctx["adj"].to_dense()[[2, 7, 9]]
@@ -663,14 +670,13 @@ class TestScoredRows:
                 keep = np.isin(ctx["dst"], rows)
                 assert_bits(src, ctx["src"][keep])
                 assert_bits(dst, ctx["dst"][keep])
-                assert_bits(seg, np.searchsorted([2, 7, 9], dst))
-        assert "unsort" not in cut_scored_rows(ctx, [2, 7, 9], 12)
+                assert_bits(seg, np.searchsorted(rows, dst))
 
-    @pytest.mark.parametrize("bad", [[], [3, 3], [-1], [12], [[1, 2]]])
+    @pytest.mark.parametrize("bad", [[], [3, 3], [-1], [12], [[1, 2]], [7, 2]])
     def test_bad_rows_rejected(self, bad):
         g = random_node_graph(2, 12, sparse=False)
         ctx = build_forward_context(ModelConfig(arch="gcn", in_dim=5, hidden_dim=4, n_classes=3), g)
-        with pytest.raises(ContractError, match="distinct node ids"):
+        with pytest.raises(ContractError, match="strictly increasing node ids"):
             cut_scored_rows(ctx, np.array(bad, dtype=np.int64), 12)
 
 
@@ -741,6 +747,14 @@ class TestCheckpoints:
 
         self.edit_manifest(prefix, widen)
         with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(prefix)
+
+    def test_manifest_with_activation_key_rejected(self, tmp_path):
+        """The activation follows from the architecture; a manifest that
+        still names one is malformed."""
+        prefix = self.saved(tmp_path)
+        self.edit_manifest(prefix, lambda m: m["config"].update(activation="relu"))
+        with pytest.raises(FormatError, match="malformed"):
             load_checkpoint(prefix)
 
     def test_unknown_config_key_rejected(self, tmp_path):
