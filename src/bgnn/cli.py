@@ -167,7 +167,10 @@ def load_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
     lines = text.splitlines()
     cp = configparser.ConfigParser()
     try:

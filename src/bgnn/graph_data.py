@@ -101,9 +101,14 @@ def _read_int_rows(
     """The ``width`` integers on each non-blank line, split by commas or
     spaces, as an (n, width) int64 array, and each row's line number.
     Each integer must fit in int64 and be at least ``low`` when it is
-    given; any other line raises FormatError naming ``file:line``."""
+    given; any other line raises FormatError naming ``file:line``. The
+    file is read as UTF-8; other bytes raise FormatError naming it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path.name}: not UTF-8 text: {e}") from None
     values, line_nos = array("q"), array("q")  # int64, no object per value
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.replace(",", " ").split()
@@ -251,6 +256,8 @@ def load_json_bundle(path) -> Graph:
             obj = json.load(fh)
     except ValueError as e:
         raise FormatError(f"bundle {path.name} is not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise FormatError(f"bundle {path.name}: the top level must be a JSON object")
     for key in ("n_nodes", "edges", "features", "labels", "train_idx", "val_idx", "test_idx"):
         if key not in obj:
             raise FormatError(f"bundle {path.name} missing key {key!r}")
@@ -435,9 +442,9 @@ def random_split(
         tr, va, te = split_pool(np.arange(n_items))
         train, val, test = tr, va, te
     return DatasetSplit(
-        train_idx=np.sort(np.asarray(train, dtype=np.int64)),
-        val_idx=np.sort(np.asarray(val, dtype=np.int64)),
-        test_idx=np.sort(np.asarray(test, dtype=np.int64)),
+        train_idx=np.asarray(train, dtype=np.int64),
+        val_idx=np.asarray(val, dtype=np.int64),
+        test_idx=np.asarray(test, dtype=np.int64),
     )
 
 

@@ -1,10 +1,11 @@
-"""Two-layer GNN encoders: GCN, GraphSage (mean aggregator), and GAT.
+"""GNN encoders: GCN, GraphSage (mean aggregator), and GAT.
 
 A model is a flat dict of named parameter tensors plus its config.
 ``model_forward`` returns logits and the per-layer representations
-(post-activation, pre-dropout) used by the similarity analysis. Layer
-count defaults to two and can be raised for depth studies; the training
-pipeline always uses two.
+(post-activation, pre-dropout) used by the similarity analysis. The
+layer count, ``ModelConfig.n_layers``, is two by default; the CLI's
+``--layers`` flag (INI key ``[model] layers``) sets it for every model a
+run trains.
 """
 
 from __future__ import annotations
@@ -200,14 +201,9 @@ def gat_layer(
         msgs = T.scale_rows(T.gather_rows(hw, src), alpha)
         outs.append(T.segment_sum(msgs, seg, n_out))
     if combine == "concat":
-        agg = outs[0]
-        for o in outs[1:]:
-            agg = T.concat_cols(agg, o)
+        agg = T.concat_cols(*outs)
     else:
-        agg = outs[0]
-        for o in outs[1:]:
-            agg = T.add(agg, o)
-        agg = T.scale(agg, 1.0 / len(outs))
+        agg = T.scale(T.add(*outs), 1.0 / len(outs))
     return T.add_bias(agg, b)
 
 

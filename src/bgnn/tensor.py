@@ -1,10 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Tensors wrap float64 numpy arrays. Operations executed while a
-:class:`Tape` is active are recorded in execution order together with a
-backward rule; :func:`backward` replays the tape in reverse and
-accumulates gradients into ``Tensor.grad``. The tape is rebuilt on every
-forward pass, so there is no graph reuse between iterations.
+Tensors wrap float64 numpy arrays. Each operation computes its value and
+hands ``_record`` one (input, gradient map) pair per tensor operand: the
+map takes the output's gradient to that input's gradient. While a
+:class:`Tape` is active, ``_record`` decides which inputs are tracked and
+appends the output, its inputs and one backward closure, which calls only
+the tracked inputs' maps, to the tape in execution order. :func:`backward`
+replays the tape in reverse and accumulates gradients into
+``Tensor.grad``. The tape is rebuilt on every forward pass, so there is
+no graph reuse between iterations.
 
 Outside a tape (evaluation mode) every operation is a plain numpy
 computation with no recording overhead.
@@ -86,11 +90,28 @@ def _tracked(t: Tensor, tape: Tape) -> bool:
     return t.requires_grad or t._src_tape is tape
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], back: Callable[[np.ndarray], None]) -> Tensor:
+def _record(
+    out: Tensor, rules: Sequence[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]
+) -> Tensor:
+    """Record ``out`` on the active tape, if any of its inputs is tracked.
+
+    ``rules`` pairs each input with a map from ``out``'s gradient to that
+    input's gradient, in the order the gradients accumulate. Tracking is
+    decided here, once per input: backward calls only the maps of tracked
+    inputs, so an op never forms the gradient of a constant operand.
+    """
     tape = active_tape()
-    if tape is not None and any(_tracked(t, tape) for t in inputs):
+    if tape is None:
+        return out
+    live = [(t, grad) for t, grad in rules if _tracked(t, tape)]
+    if live:
+
+        def back(g: np.ndarray) -> None:
+            for t, grad in live:
+                _accum(t, grad(g))
+
         out._src_tape = tape
-        tape.entries.append((out, inputs, back))
+        tape.entries.append((out, tuple([t for t, _ in rules]), back))
     return out
 
 
@@ -126,93 +147,49 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # arithmetic
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(a, tape):
-            _accum(a, g)
-        if tape and _tracked(b, tape):
-            _accum(b, g)
-
-    return _record(out, (a, b), back)
+def add(*xs: Tensor) -> Tensor:
+    """Elementwise sum of same-shape tensors, added left to right."""
+    total = xs[0].data.copy()
+    for x in xs[1:]:
+        _require_same_shape(xs[0], x, "add")
+        total += x.data
+    return _record(Tensor(total), [(x, lambda g: g) for x in xs])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(a, tape):
-            _accum(a, g)
-        if tape and _tracked(b, tape):
-            _accum(b, -g)
-
-    return _record(out, (a, b), back)
+    return _record(Tensor(a.data - b.data), [(a, lambda g: g), (b, lambda g: -g)])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     _require_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(a, tape):
-            _accum(a, g * b.data)
-        if tape and _tracked(b, tape):
-            _accum(b, g * a.data)
-
-    return _record(out, (a, b), back)
+    return _record(
+        Tensor(a.data * b.data), [(a, lambda g: g * b.data), (b, lambda g: g * a.data)]
+    )
 
 
 def neg(x: Tensor) -> Tensor:
-    out = Tensor(-x.data)
-
-    def back(g):
-        _accum(x, -g)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(-x.data), [(x, lambda g: -g)])
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     c = float(c)
-    out = Tensor(x.data * c)
-
-    def back(g):
-        _accum(x, g * c)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(x.data * c), [(x, lambda g: g * c)])
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(x.data + c)
-
-    def back(g):
-        _accum(x, g)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(x.data + float(c)), [(x, lambda g: g)])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with backward dA = G Bᵀ, dB = Aᵀ G."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    out = Tensor(a.data @ b.data)
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(a, tape):
-            _accum(a, g @ b.data.T)
-        if tape and _tracked(b, tape):
-            _accum(b, a.data.T @ g)
-
-    return _record(out, (a, b), back)
+    return _record(
+        Tensor(a.data @ b.data), [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)]
+    )
 
 
 def spmm(s: SparseMatrix, d: Tensor) -> Tensor:
@@ -221,28 +198,16 @@ def spmm(s: SparseMatrix, d: Tensor) -> Tensor:
         raise ShapeError(
             f"spmm: sparse {s.n_rows}x{s.n_cols} incompatible with dense {d.shape}"
         )
-    out = Tensor(s.matmul_dense(d.data))
-
-    def back(g):
-        _accum(d, s.transpose().matmul_dense(g))
-
-    return _record(out, (d,), back)
+    return _record(
+        Tensor(s.matmul_dense(d.data)), [(d, lambda g: s.transpose().matmul_dense(g))]
+    )
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a row vector to every row of a matrix (the one allowed broadcast)."""
     if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape} are incompatible")
-    out = Tensor(x.data + b.data)
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(x, tape):
-            _accum(x, g)
-        if tape and _tracked(b, tape):
-            _accum(b, g.sum(axis=0))
-
-    return _record(out, (x, b), back)
+    return _record(Tensor(x.data + b.data), [(x, lambda g: g), (b, lambda g: g.sum(axis=0))])
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +215,24 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
     mask = x.data > 0.0
-
-    def back(g):
-        _accum(x, g * mask)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(np.maximum(x.data, 0.0)), [(x, lambda g: g * mask)])
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out = Tensor(np.where(x.data > 0.0, x.data, slope * x.data))
     mask = x.data > 0.0
-
-    def back(g):
-        _accum(x, g * np.where(mask, 1.0, slope))
-
-    return _record(out, (x,), back)
+    return _record(
+        Tensor(np.where(mask, x.data, slope * x.data)),
+        [(x, lambda g: g * np.where(mask, 1.0, slope))],
+    )
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     neg_part = alpha * np.expm1(np.minimum(x.data, 0.0))
-    out = Tensor(np.where(x.data > 0.0, x.data, neg_part))
-
-    def back(g):
-        _accum(x, g * np.where(x.data > 0.0, 1.0, neg_part + alpha))
-
-    return _record(out, (x,), back)
+    return _record(
+        Tensor(np.where(x.data > 0.0, x.data, neg_part)),
+        [(x, lambda g: g * np.where(x.data > 0.0, 1.0, neg_part + alpha))],
+    )
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -286,44 +242,24 @@ def sigmoid(x: Tensor) -> Tensor:
         1.0 / (1.0 + np.exp(-np.abs(x.data))),
         np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
     )
-    out = Tensor(v)
-
-    def back(g):
-        _accum(x, g * v * (1.0 - v))
-
-    return _record(out, (x,), back)
+    return _record(Tensor(v), [(x, lambda g: g * v * (1.0 - v))])
 
 
 def exp(x: Tensor) -> Tensor:
     v = np.exp(x.data)
-    out = Tensor(v)
-
-    def back(g):
-        _accum(x, g * v)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(v), [(x, lambda g: g * v)])
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError("log requires strictly positive inputs")
-    out = Tensor(np.log(x.data))
-
-    def back(g):
-        _accum(x, g / x.data)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(np.log(x.data)), [(x, lambda g: g / x.data)])
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
     """max(x, floor); gradient passes only where the input was not clamped."""
-    out = Tensor(np.maximum(x.data, floor))
     mask = x.data >= floor
-
-    def back(g):
-        _accum(x, g * mask)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(np.maximum(x.data, floor)), [(x, lambda g: g * mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +293,20 @@ def softmax_rows(z: Tensor, tau=1.0) -> Tensor:
     s = s - s.max(axis=1, keepdims=True)
     e = np.exp(s)
     y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-    tape = active_tape()
-    inputs = (z, tau_t) if tau_t is not None else (z,)
 
-    def back(g):
-        ds = y * (g - (g * y).sum(axis=1, keepdims=True))
-        if tape and _tracked(z, tape):
-            _accum(z, ds / tau_col)
-        if tau_t is not None and tape and _tracked(tau_t, tape):
-            dtau = -(ds * z.data).sum(axis=1, keepdims=True) / (tau_col**2)
+    def d_s(g):  # the gradient with respect to z / τ
+        return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+    rules = [(z, lambda g: d_s(g) / tau_col)]
+    if tau_t is not None:
+
+        def d_tau(g):
+            dtau = -(d_s(g) * z.data).sum(axis=1, keepdims=True) / (tau_col**2)
             # a scalar tau scales every row, so its gradient sums the rows' terms
-            _accum(tau_t, dtau.reshape(tau_t.shape) if tau_t.ndim else dtau.sum())
+            return dtau.reshape(tau_t.shape) if tau_t.ndim else dtau.sum()
 
-    return _record(out, inputs, back)
+        rules.append((tau_t, d_tau))
+    return _record(Tensor(y), rules)
 
 
 def segment_sum(x: Tensor, segment_ids: Sequence[int], n_segments: int) -> Tensor:
@@ -382,12 +318,7 @@ def segment_sum(x: Tensor, segment_ids: Sequence[int], n_segments: int) -> Tenso
         raise ShapeError(f"segment_ids length {ids.shape} does not match {x.shape[0]} rows")
     if ids.size and (ids.min() < 0 or ids.max() >= n_segments):
         raise IndexError(f"segment id out of range [0, {n_segments})")
-    out = Tensor(scatter_add(ids, x.data, n_segments))
-
-    def back(g):
-        _accum(x, g[ids])
-
-    return _record(out, (x,), back)
+    return _record(Tensor(scatter_add(ids, x.data, n_segments)), [(x, lambda g: g[ids])])
 
 
 def segment_softmax(e: Tensor, segment_ids: Sequence[int], n_segments: int) -> Tensor:
@@ -404,30 +335,21 @@ def segment_softmax(e: Tensor, segment_ids: Sequence[int], n_segments: int) -> T
     shifted = np.exp(e.data - seg_max[ids])
     denom = scatter_add(ids, shifted, n_segments)
     y = shifted / denom[ids]
-    out = Tensor(y)
-
-    def back(g):
-        seg_dot = scatter_add(ids, g * y, n_segments)
-        _accum(e, y * (g - seg_dot[ids]))
-
-    return _record(out, (e,), back)
+    return _record(
+        Tensor(y), [(e, lambda g: y * (g - scatter_add(ids, g * y, n_segments)[ids]))]
+    )
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Columns of a followed by columns of b."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: row counts {a.shape} and {b.shape} differ")
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-    p = a.shape[1]
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(a, tape):
-            _accum(a, g[:, :p])
-        if tape and _tracked(b, tape):
-            _accum(b, g[:, p:])
-
-    return _record(out, (a, b), back)
+def concat_cols(*xs: Tensor) -> Tensor:
+    """The columns of each operand in turn."""
+    if any(x.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs):
+        raise ShapeError(f"concat_cols: row counts {[x.shape for x in xs]} differ")
+    rules, lo = [], 0
+    for x in xs:
+        hi = lo + x.shape[1]
+        rules.append((x, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
+        lo = hi
+    return _record(Tensor(np.concatenate([x.data for x in xs], axis=1)), rules)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -435,60 +357,39 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"row index out of range [0, {x.shape[0]})")
-    out = Tensor(x.data[idx])
 
-    def back(g):
+    def d_x(g):
         # the scatter sums into zeros before adding to an existing x.grad
-        flat = g.reshape((idx.size,) + x.shape[1:])
-        _accum(x, scatter_add(idx.ravel(), flat, x.shape[0]))
+        return scatter_add(idx.ravel(), g.reshape((idx.size,) + x.shape[1:]), x.shape[0])
 
-    return _record(out, (x,), back)
+    return _record(Tensor(x.data[idx]), [(x, d_x)])
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-
-    def back(g):
-        _accum(x, g.reshape(x.shape))
-
-    return _record(out, (x,), back)
+    return _record(Tensor(x.data.reshape(shape)), [(x, lambda g: g.reshape(x.shape))])
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-
-    def back(g):
-        _accum(x, np.full_like(x.data, float(g)))
-
-    return _record(out, (x,), back)
+    return _record(Tensor(x.data.sum()), [(x, lambda g: np.full_like(x.data, float(g)))])
 
 
 def sum_rows(x: Tensor) -> Tensor:
     """Row sums of a matrix, returned as a vector."""
     if x.ndim != 2:
         raise ShapeError(f"sum_rows expects a matrix, got shape {x.shape}")
-    out = Tensor(x.data.sum(axis=1))
-
-    def back(g):
-        _accum(x, np.repeat(g[:, None], x.shape[1], axis=1))
-
-    return _record(out, (x,), back)
+    return _record(
+        Tensor(x.data.sum(axis=1)), [(x, lambda g: np.repeat(g[:, None], x.shape[1], axis=1))]
+    )
 
 
 def scale_rows(x: Tensor, v: Tensor) -> Tensor:
     """Multiply row i of x by v[i]."""
     if x.ndim != 2 or v.shape != (x.shape[0],):
         raise ShapeError(f"scale_rows: shapes {x.shape} and {v.shape} are incompatible")
-    out = Tensor(x.data * v.data[:, None])
-    tape = active_tape()
-
-    def back(g):
-        if tape and _tracked(x, tape):
-            _accum(x, g * v.data[:, None])
-        if tape and _tracked(v, tape):
-            _accum(v, (g * x.data).sum(axis=1))
-
-    return _record(out, (x, v), back)
+    return _record(
+        Tensor(x.data * v.data[:, None]),
+        [(x, lambda g: g * v.data[:, None]), (v, lambda g: (g * x.data).sum(axis=1))],
+    )
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -503,12 +404,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if rng is None:
         raise ContractError("dropout in training mode requires an rng")
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask)
-
-    def back(g):
-        _accum(x, g * mask)
-
-    return _record(out, (x,), back)
+    return _record(Tensor(x.data * mask), [(x, lambda g: g * mask)])
 
 
 def batch_norm(
@@ -550,20 +446,14 @@ def batch_norm(
         var = running_var.copy()
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x.data - mean) * inv_std
-    out = Tensor(gamma.data * x_hat + beta.data)
-    tape = active_tape()
 
-    def back(g):
-        if tape and _tracked(gamma, tape):
-            _accum(gamma, (g * x_hat).sum(axis=0))
-        if tape and _tracked(beta, tape):
-            _accum(beta, g.sum(axis=0))
-        if tape and _tracked(x, tape):
-            if use_batch_stats:
-                gx = g * gamma.data
-                dx = inv_std / m * (m * gx - gx.sum(axis=0) - x_hat * (gx * x_hat).sum(axis=0))
-            else:
-                dx = g * gamma.data * inv_std
-            _accum(x, dx)
+    def d_x(g):
+        if not use_batch_stats:
+            return g * gamma.data * inv_std
+        gx = g * gamma.data
+        return inv_std / m * (m * gx - gx.sum(axis=0) - x_hat * (gx * x_hat).sum(axis=0))
 
-    return _record(out, (x, gamma, beta), back)
+    return _record(
+        Tensor(gamma.data * x_hat + beta.data),
+        [(gamma, lambda g: (g * x_hat).sum(axis=0)), (beta, lambda g: g.sum(axis=0)), (x, d_x)],
+    )

@@ -195,6 +195,27 @@ class TestTrain:
         assert "EMPTY_graph_indicator.txt" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["tu_byte", "ini_byte", "bundle_null", "bundle_number"])
+    def test_unreadable_input_exits_2_before_output(self, tmp_path, capsys, case):
+        out = tmp_path / "r"
+        if case == "tu_byte":
+            shapes = tmp_path / "SHAPES"
+            write_tu_shapes(shapes, 20)
+            named = shapes / "SHAPES_graph_labels.txt"
+            named.write_bytes(named.read_bytes() + b"\xff\n")
+            argv = train_args(out, task="graph", dataset=f"tu:{shapes}")
+        elif case == "ini_byte":
+            named = tmp_path / "run.ini"
+            named.write_bytes(b"[run]\nplan = nokd\n# caf\xe9\n")
+            argv = [*train_args(out), "--config", str(named)]
+        else:
+            named = tmp_path / "top.json"
+            named.write_text("null" if case == "bundle_null" else "5")
+            argv = train_args(out, dataset=named)
+        assert run(*argv) == 2
+        assert named.name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_sweep_point_exits_2_before_training(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_plans", fail_if_called)
         out = tmp_path / "s"

@@ -127,6 +127,15 @@ class TestTuLoader:
         with pytest.raises(FormatError, match="TOY_graph_indicator.txt:2"):
             load_tu_dataset(tmp_path, "TOY")
 
+    @pytest.mark.parametrize("key", ["A", "graph_indicator", "graph_labels", "node_labels"])
+    def test_non_utf8_byte_named(self, tmp_path, key):
+        self.write_two_triangles(tmp_path)
+        (tmp_path / "TOY_node_labels.txt").write_text("0\n1\n0\n2\n1\n0\n")
+        f = tmp_path / f"TOY_{key}.txt"
+        f.write_bytes(f.read_bytes() + b"\n\xff\n")
+        with pytest.raises(FormatError, match=f"TOY_{key}.txt: not UTF-8"):
+            load_tu_dataset(tmp_path, "TOY")
+
     def test_graph_without_nodes_named(self, tmp_path):
         self.write_two_triangles(tmp_path)
         (tmp_path / "TOY_A.txt").write_text("")
@@ -274,6 +283,13 @@ class TestJsonBundle:
         p = self.minimal_bundle(tmp_path)
         p.write_text(p.read_text()[:-1])
         with pytest.raises(FormatError, match="b.json is not valid JSON"):
+            load_json_bundle(p)
+
+    @pytest.mark.parametrize("top", ["null", "5", "[1, 2]", '"b"'])
+    def test_top_level_not_an_object_named(self, tmp_path, top):
+        p = tmp_path / "b.json"
+        p.write_text(top)
+        with pytest.raises(FormatError, match="b.json: the top level must be a JSON object"):
             load_json_bundle(p)
 
     def test_sparse_features_densified(self, tmp_path):

@@ -10,7 +10,7 @@ from bgnn.sparse import SparseMatrix
 from bgnn import tensor as T
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import add_at_reference, check_grads, tape_grad, wide_range
+from helpers import add_at_reference, assert_bits, check_grads, tape_grad, wide_range
 
 
 def rng(seed=0):
@@ -38,6 +38,31 @@ scatter_cases = dict(
     k=st.sampled_from([0, 1, 16]),
     seed=st.integers(0, 10**6),
 )
+
+
+def _multi_input_ops():
+    g = rng(40)
+    m = g.standard_normal
+    return {
+        "add": (T.add, [m((3, 2)), m((3, 2)), m((3, 2))]),
+        "sub": (T.sub, [m((3, 2)), m((3, 2))]),
+        "mul": (T.mul, [m((3, 2)), m((3, 2))]),
+        "matmul": (T.matmul, [m((3, 4)), m((4, 2))]),
+        "add_bias": (T.add_bias, [m((3, 2)), m(2)]),
+        "concat_cols": (T.concat_cols, [m((3, 2)), m((3, 1)), m((3, 3))]),
+        "scale_rows": (T.scale_rows, [m((3, 2)), m(3)]),
+        "softmax_rows": (T.softmax_rows, [m((3, 4)), 0.5 + g.random(3)]),
+        "batch_norm": (
+            lambda x, gamma, beta: T.batch_norm(
+                x, gamma, beta, np.zeros(2), np.ones(2), training=True
+            ),
+            [m((4, 2)), m(2), m(2)],
+        ),
+    }
+
+
+# every op with more than one tensor operand, with operands to try it on
+MULTI_INPUT_OPS = _multi_input_ops()
 
 
 class TestMatmul:
@@ -321,6 +346,16 @@ class TestConcatGatherReshape:
         np.testing.assert_allclose(ga, np.ones((2, 3)))
         np.testing.assert_allclose(gb, np.ones((2, 2)))
 
+    def test_concat_three_operands_gradient(self):
+        g = rng(41)
+        w = g.standard_normal((3, 6))
+        check_grads(
+            lambda a, b, c: T.sum_all(T.mul(T.concat_cols(a, b, c), Tensor(w))),
+            g.standard_normal((3, 2)),
+            g.standard_normal((3, 1)),
+            g.standard_normal((3, 3)),
+        )
+
     def test_gather_rows_and_scatter_gradient(self):
         g = rng(16)
         x = g.standard_normal((5, 2))
@@ -452,14 +487,27 @@ class TestBackwardSemantics:
         out = T.mul(x, x)
         assert out._src_tape is None
 
-    def test_untracked_tensor_gets_no_grad(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        c = Tensor(np.ones(2))  # constant
-        with Tape() as tape:
-            loss = T.sum_all(T.mul(x, c))
-        backward(loss, tape)
-        assert c.grad is None
-        np.testing.assert_allclose(x.grad, [1.0, 1.0])
+    @pytest.mark.parametrize("op", sorted(MULTI_INPUT_OPS))
+    def test_untracked_tensor_gets_no_grad(self, op):
+        """With any one operand constant, it gets no gradient and every
+        other operand gets the gradient of the all-tracked run."""
+        fn, arrays = MULTI_INPUT_OPS[op]
+        w = rng(43).standard_normal(fn(*map(Tensor, arrays)).shape)
+
+        def grads(constant):
+            ts = [Tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                loss = T.sum_all(T.mul(fn(*ts), Tensor(w)))
+            backward(loss, tape)
+            return [t.grad for t in ts]
+
+        full = grads(None)
+        assert all(np.any(g != 0.0) for g in full)
+        for i in range(len(arrays)):
+            part = grads(i)
+            assert part[i] is None
+            for j in set(range(len(arrays))) - {i}:
+                assert_bits(part[j], full[j])
 
     @given(seed=st.integers(0, 10**6), m=small, n=small)
     @settings(max_examples=25, deadline=None)
@@ -497,6 +545,13 @@ class TestScaleAndBias:
         x = rng(27).standard_normal((3, 4))
         np.testing.assert_allclose(T.sum_rows(Tensor(x)).data, x.sum(axis=1))
         check_grads(lambda t: T.sum_all(T.mul(T.sum_rows(t), T.sum_rows(t))), x)
+
+    def test_add_three_operands_left_to_right(self):
+        g = rng(42)
+        x, y, z = (wide_range(g, (3, 2)) for _ in range(3))
+        assert_bits(T.add(Tensor(x), Tensor(y), Tensor(z)).data, (x + y) + z)
+        w = g.standard_normal((3, 2))
+        check_grads(lambda a, b, c: T.sum_all(T.mul(T.add(a, b, c), Tensor(w))), x, y, z)
 
     def test_sub_neg_scale_add_scalar(self):
         g = rng(28)
