@@ -270,6 +270,22 @@ class TestSegmentOps:
         assert np.array_equal(out, add_at_reference(ids, x, n))
         assert np.array_equal(grad, w[ids])
 
+    @given(
+        m=st.integers(0, 40),
+        n=st.integers(1, 10),
+        k=st.sampled_from([1, 2, 3, 16]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(m=0, n=3, k=2, seed=0)
+    @example(m=8, n=1, k=3, seed=0)  # every id repeated
+    @settings(max_examples=60, deadline=None)
+    def test_segment_sum_backward_bitwise_equals_fancy_index(self, m, n, k, seed):
+        g = np.random.default_rng(seed)
+        ids = g.integers(0, n, m)
+        x = wide_range(g, (m, k))
+        _, w, grad = forward_and_grad(lambda t: T.segment_sum(t, ids, n), x, seed)
+        assert_bits(grad, w[ids])
+
     @given(**scatter_cases)
     @example(m=0, n=3, k=0, seed=0)
     @settings(max_examples=60, deadline=None)
@@ -403,6 +419,23 @@ class TestConcatGatherReshape:
         np.testing.assert_allclose(x.grad, straight, rtol=1e-15)
         assert x.grad[0] != straight[0]
 
+    @given(
+        rank=st.sampled_from([1, 2, 3]),
+        idx_2d=st.booleans(),
+        m=st.integers(0, 12),
+        n=st.integers(1, 6),
+        k=st.sampled_from([1, 2, 3, 16]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(rank=2, idx_2d=True, m=0, n=3, k=2, seed=0)
+    @example(rank=3, idx_2d=False, m=5, n=1, k=16, seed=0)  # every index repeated
+    @settings(max_examples=60, deadline=None)
+    def test_gather_rows_forward_bitwise_equals_fancy_index(self, rank, idx_2d, m, n, k, seed):
+        g = np.random.default_rng(seed)
+        x = wide_range(g, ((n,), (n, k), (n, k, 2))[rank - 1])
+        idx = g.integers(0, n, (m, 2) if idx_2d else m)
+        assert_bits(T.gather_rows(Tensor(x), idx).data, x[idx])
+
     def test_reshape_roundtrip_gradient(self):
         g = rng(17)
         check_grads(
@@ -481,6 +514,34 @@ class TestBackwardSemantics:
         first = x.grad.copy()
         backward(loss, tape)
         assert x.grad[0] > first[0]  # adds on top, never overwrites
+
+    def test_backward_drops_intermediate_grads_and_keeps_leaf_grads(self):
+        g = rng(44)
+        x = Tensor(g.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(g.standard_normal((3, 2)), requires_grad=True)
+        c = Tensor(g.standard_normal((3, 2)))
+        with Tape() as tape:
+            h = T.relu(T.matmul(x, w))
+            flagged = T.matmul(x, c)
+            flagged.requires_grad = True  # an op output marked as a leaf keeps its gradient
+            picked = T.add(T.gather_rows(h, [0, 2, 2]), T.gather_rows(flagged, [1, 1, 3]))
+            loss = T.sum_all(picked)
+        backward(loss, tape)
+        assert all(out.grad is None for out, _, _ in tape.entries if out is not flagged)
+        assert x.grad is not None and w.grad is not None and flagged.grad is not None
+        assert c.grad is None
+
+    def test_second_backward_adds_exactly_one_pass(self):
+        """Only the leaf keeps its gradient between calls, so a second call
+        adds the first pass again; propagating stale intermediate gradients
+        as well would give 4x the first here."""
+        x = Tensor(np.array([2.0, -3.0, 0.5]), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(x, x))
+        backward(loss, tape)
+        first = x.grad.copy()
+        backward(loss, tape)
+        assert_bits(x.grad, 2.0 * first)
 
     def test_no_tape_records_nothing(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
