@@ -1,4 +1,4 @@
-"""Graph containers, dataset loaders, splits, sampling, and batching.
+"""Graph containers, dataset loaders, splits, neighborhoods, and batching.
 
 Two on-disk formats are supported: the TU plain-text collection format
 for graph classification, and a JSON bundle for node-classification
@@ -65,11 +65,10 @@ class GraphBatch:
     def __post_init__(self):
         if np.any(np.diff(self.graph_ids) < 0):
             raise FormatError("graph_ids must be nondecreasing")
-        if self.graph.n_edges:
-            src_g = self.graph_ids[self.graph.edges[:, 0]]
-            dst_g = self.graph_ids[self.graph.edges[:, 1]]
-            if np.any(src_g != dst_g):
-                raise FormatError("an edge crosses two graphs in the batch")
+        src_g = self.graph_ids[self.graph.edges[:, 0]]
+        dst_g = self.graph_ids[self.graph.edges[:, 1]]
+        if np.any(src_g != dst_g):
+            raise FormatError("an edge crosses two graphs in the batch")
 
 
 @dataclass
@@ -267,7 +266,7 @@ def load_json_bundle(path) -> Graph:
     stored = _int_array(obj["edges"], path, "edges", pairs=True)
     if stored.size and (stored.min() < 0 or stored.max() >= n):
         raise FormatError(f"bundle {path.name}: key 'edges' has endpoint out of range")
-    edges = np.concatenate([stored, stored[:, ::-1]], axis=0) if stored.size else stored
+    edges = np.concatenate([stored, stored[:, ::-1]], axis=0)
 
     feats = obj["features"]
     if isinstance(feats, dict):
@@ -333,7 +332,7 @@ def save_json_bundle(g: Graph, path) -> None:
         raise ContractError("a JSON bundle needs node labels")
     lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
     hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0) if g.n_edges else np.zeros((0, 2), int)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
     x = g.features.data
     density = float(np.count_nonzero(x)) / x.size if x.size else 1.0
     if density < SPARSE_FEATURE_DENSITY:
@@ -368,7 +367,7 @@ def atomic_write(path, data: str | bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# adjacency, features, splits, sampling, batching
+# adjacency, features, splits, neighborhoods, batching
 
 
 def normalize_adjacency(g: Graph) -> SparseMatrix:
@@ -377,12 +376,9 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
     Entry (i, j) is 1/sqrt(d_i d_j) where d is degree counted with the
     self-loop. Isolated nodes reduce to a self-loop of weight 1.
     """
-    if g.n_edges:
-        pairs = np.unique(g.edges, axis=0)  # drop accidental duplicates
-        rows = np.concatenate([pairs[:, 0], np.arange(g.n_nodes)])
-        cols = np.concatenate([pairs[:, 1], np.arange(g.n_nodes)])
-    else:
-        rows = cols = np.arange(g.n_nodes)
+    pairs = np.unique(g.edges, axis=0)  # drop accidental duplicates
+    rows = np.concatenate([pairs[:, 0], np.arange(g.n_nodes)])
+    cols = np.concatenate([pairs[:, 1], np.arange(g.n_nodes)])
     inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n_nodes))
     vals = inv_sqrt[rows] * inv_sqrt[cols]
     return SparseMatrix.from_coo(g.n_nodes, g.n_nodes, rows, cols, vals)
@@ -453,34 +449,17 @@ def apply_split_masks(g: Graph, split: DatasetSplit) -> Graph:
     return replace(g, split=split)
 
 
-def sample_neighbors(
-    g: Graph, fanout, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges (rows, cols) kept for each node, grouped by row.
-
-    ``fanout`` "all" keeps every edge in stable source order and draws
-    nothing. A positive int keeps a uniform sample of at most that many
-    out-edges per node, without replacement: every edge gets a random key
-    from ``rng``, and each row keeps its ``fanout`` smallest keys.
-    """
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    if fanout == "all":
-        order = np.argsort(src, kind="stable")
-        return src[order], dst[order]
-    fanout = int(fanout)
-    if fanout < 1:
-        raise ConfigError(f"fanout must be at least 1 or 'all', got {fanout}")
-    order = np.lexsort((rng.random(g.n_edges), src))
-    rows, cols = src[order], dst[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)  # position within its row
-    keep = rank < fanout
-    return rows[keep], cols[keep]
+def sample_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every directed edge as (rows, cols), grouped by row in stable
+    source order: each node's full neighborhood, for GraphSage's mean."""
+    order = np.argsort(g.edges[:, 0], kind="stable")
+    return g.edges[order, 0], g.edges[order, 1]
 
 
 def mean_aggregator(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> SparseMatrix:
-    """Row-stochastic operator averaging each node's kept neighbors.
+    """Row-stochastic operator averaging each node's neighbors.
 
-    Each edge weighs 1 / (edges kept in its row); rows without edges stay
+    Each edge weighs 1 / (edges in its row); rows without edges stay
     zero, so an isolated node's neighbor mean is the zero vector.
     """
     counts = np.bincount(rows, minlength=n_nodes)
@@ -496,10 +475,9 @@ def batch_graphs(graphs: list[Graph]) -> GraphBatch:
         if g.feature_dim != dim:
             raise ShapeError(f"feature dims differ: {dim} vs {g.feature_dim}")
     offsets = np.cumsum([0] + [g.n_nodes for g in graphs])
-    edges = [g.edges + offsets[i] for i, g in enumerate(graphs) if g.n_edges]
     merged = Graph(
         n_nodes=int(offsets[-1]),
-        edges=np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), dtype=np.int64),
+        edges=np.concatenate([g.edges + offsets[i] for i, g in enumerate(graphs)], axis=0),
         features=Tensor(np.concatenate([g.features.data for g in graphs], axis=0)),
     )
     graph_ids = np.repeat(np.arange(len(graphs)), [g.n_nodes for g in graphs])

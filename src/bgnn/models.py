@@ -55,7 +55,6 @@ class ModelConfig:
     n_classes: int
     dropout: float = 0.5
     heads: int = 8
-    fanout: int | str = "all"  # sage neighbor sampling during training
     batch_norm: bool = False
     n_layers: int = 2
     task: str = "node"
@@ -78,8 +77,6 @@ class ModelConfig:
                 raise ConfigError(
                     f"hidden_dim {self.hidden_dim} not divisible by {self.heads} heads"
                 )
-        if self.fanout != "all" and int(self.fanout) < 1:
-            raise ConfigError(f"fanout must be positive or 'all', got {self.fanout}")
 
     def layer_dims(self) -> list[int]:
         """Input dim of layer 1 through output dim of the last layer."""
@@ -161,10 +158,10 @@ def gcn_layer(
 
 
 def sage_layer(h: Tensor, neighbor_mean_op: SparseMatrix, W: Tensor, b: Tensor) -> Tensor:
-    """concat(h_v, mean of sampled neighbors) @ W + b.
+    """concat(h_v, mean of h over v's neighbors) @ W + b.
 
-    ``neighbor_mean_op`` is a row-stochastic operator over the sampled
-    neighborhoods; its zero rows give empty samples a zero mean vector.
+    ``neighbor_mean_op`` is the row-stochastic operator over each node's
+    full neighborhood; its zero rows give isolated nodes a zero mean vector.
     """
     return T.add_bias(T.matmul(T.concat_cols(h, T.spmm(neighbor_mean_op, h)), W), b)
 
@@ -214,9 +211,8 @@ def gat_layer(
 def _attention_edges(g: Graph) -> dict:
     """GAT's (src, dst) pairs: the graph's edges, then a self-loop per node."""
     loops = np.arange(g.n_nodes)
-    src = np.concatenate([g.edges[:, 0], loops]) if g.n_edges else loops
-    dst = np.concatenate([g.edges[:, 1], loops]) if g.n_edges else loops
-    return {"src": src, "dst": dst}
+    return {"src": np.concatenate([g.edges[:, 0], loops]),
+            "dst": np.concatenate([g.edges[:, 1], loops])}
 
 
 def build_forward_context(config: ModelConfig, g: Graph) -> dict:
@@ -226,8 +222,7 @@ def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     graph task builds it once for all its graphs batched together and cuts
     every mini-batch's and every split's context out of that one
     (``cut_forward_context``). GraphSage keeps the full-neighborhood mean
-    operator; a sampling GraphSage draws a fresh sample from the graph's
-    edges on every training forward instead. GCN and GAT keep features
+    operator, which every GraphSage layer reads. GCN and GAT keep features
     below ``SPARSE_INPUT_DENSITY`` as CSR under ``"x"``; the sparse first
     projection matches the dense one to rounding, not bit for bit.
     GraphSage keeps dense features, since it concatenates their rows.
@@ -239,7 +234,7 @@ def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     to rounding, not bit for bit.
     """
     if config.arch == "sage":
-        return {"mean_op": mean_aggregator(*sample_neighbors(g, "all"), g.n_nodes)}
+        return {"mean_op": mean_aggregator(*sample_neighbors(g), g.n_nodes)}
     ctx = {"adj": normalize_adjacency(g)} if config.arch == "gcn" else _attention_edges(g)
     x = g.features.data
     if np.count_nonzero(x) < SPARSE_INPUT_DENSITY * x.size:
@@ -324,10 +319,10 @@ def model_forward(
     a GraphBatch and yields per-graph logits via sum pooling and a linear
     head. Hidden layers apply ELU for GAT and ReLU otherwise.
     Representations are post-activation, pre-dropout (the node task's
-    final layer representation is its logits). Eval mode never
-    touches the rng: GraphSage uses full neighborhoods and dropout is
-    skipped. A node-task context cut by ``cut_scored_rows`` yields only
-    its rows' logits.
+    final layer representation is its logits). GraphSage always aggregates
+    full neighborhoods, so dropout is the one user of the rng, and eval
+    mode, which skips dropout, never touches it. A node-task context cut
+    by ``cut_scored_rows`` yields only its rows' logits.
     """
     cfg = model.config
     if cfg.task == "graph":
@@ -343,8 +338,7 @@ def model_forward(
     if ctx is None:
         ctx = build_forward_context(cfg, g)
     act = T.elu if cfg.arch == "gat" else T.relu
-    sampling = cfg.arch == "sage" and training and cfg.fanout != "all"
-    if training and (cfg.dropout > 0.0 or sampling) and rng is None:
+    if training and cfg.dropout > 0.0 and rng is None:
         raise ContractError("training forward requires an rng")
 
     h = ctx.get("x", g.features)
@@ -362,11 +356,8 @@ def model_forward(
             h = gcn_layer(h, a, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
             adj = ctx["adj"]
         elif cfg.arch == "sage":
-            if sampling:
-                op = mean_aggregator(*sample_neighbors(g, cfg.fanout, rng), g.n_nodes)
-            else:
-                op = ctx["mean_op"]
-            h = sage_layer(h, op, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
+            h = sage_layer(h, ctx["mean_op"], model.params[f"layer{l}.W"],
+                           model.params[f"layer{l}.b"])
             if cut:
                 h = T.gather_rows(h, ctx["rows"])
         else:

@@ -5,8 +5,8 @@ One training core backs both the supervised baseline and the
 distillation step, so switching every distillation feature off reduces a
 step to plain supervised training bit for bit (same seed, same rng
 streams, same update order). Random streams are derived per purpose from
-the run seed: parameter init uses the seed itself, dropout/sampling and
-batch shuffling use spawned substreams, and the temperature module draws
+the run seed: parameter init uses the seed itself, dropout and batch
+shuffling use spawned substreams, and the temperature module draws
 from its own substream so enabling it never shifts the others.
 """
 
@@ -279,7 +279,7 @@ def _restore(model: GnnModel, snap: dict) -> None:
 
 
 def predict_logits(model: GnnModel, data: TaskData) -> np.ndarray:
-    """Eval-mode logits for every sample (node or graph), full neighborhoods."""
+    """Eval-mode logits for every sample (node or graph)."""
     inp, ctx = data.forward_input(model.config)
     logits, _ = model_forward(model, inp, training=False, ctx=ctx)
     return logits.data
@@ -483,9 +483,16 @@ def train_bgnn_step(
     accuracy on teacher-misclassified training samples.
 
     ``teacher`` is a trained model, or a precomputed (n_samples,
-    n_classes) logits array for synthetic/oracle teachers.
+    n_classes) logits array for synthetic/oracle teachers. ``weights``
+    must hold one weight per training sample over the data's classes.
     """
     c = data.n_classes
+    train_idx = data.split_idx("train")
+    if (weights.n_train, weights.n_classes) != (train_idx.size, c):
+        raise ContractError(
+            f"sample weights cover {weights.n_train} samples and {weights.n_classes} "
+            f"classes, the data has {train_idx.size} training samples and {c} classes"
+        )
     if isinstance(teacher, GnnModel):
         if teacher.config.n_classes != c:
             raise ContractError(
@@ -499,7 +506,6 @@ def train_bgnn_step(
                 f"teacher logits {t_logits.shape} do not match "
                 f"({data.n_samples}, {c})"
             )
-    train_idx = data.split_idx("train")
     labels = data.labels
 
     if plan.boosting:

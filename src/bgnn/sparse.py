@@ -13,6 +13,8 @@ into buckets through it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import FormatError, ShapeError
@@ -21,20 +23,23 @@ from .errors import FormatError, ShapeError
 def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """Sum the rows of x into n buckets: ``out[b] = sum of x[j] with ids[j] == b``.
 
-    x is a vector or an (m, k) matrix and ids an int64 vector of length m.
-    ``np.bincount`` adds each column's entries into a zeroed bucket one at
-    a time in index order, so the result is bitwise equal to an unbuffered
-    in-place scatter (the ``at`` method of ``np.add``) into zeros. Callers
-    check ``0 <= ids < n`` first, since ``np.bincount`` raises on a
-    negative id and silently grows past ``minlength``.
+    x is an array of any rank with m rows, and ids an int64 vector of
+    length m; an x of rank three or more is summed as an (m, k) matrix of
+    its flattened rows. ``np.bincount`` adds each column's entries into a
+    zeroed bucket one at a time in index order, so the result is bitwise
+    equal to an unbuffered in-place scatter (the ``at`` method of
+    ``np.add``) into zeros. Callers check ``0 <= ids < n`` first, since
+    ``np.bincount`` raises on a negative id and silently grows past
+    ``minlength``.
     """
     if x.ndim == 1:
         return np.bincount(ids, weights=x, minlength=n)
-    cols = np.asfortranarray(x)  # each column contiguous for np.bincount
-    out = np.empty((n, x.shape[1]))
-    for j in range(x.shape[1]):
+    # columns contiguous for np.bincount; a -1 width would fail on an empty x
+    cols = np.asfortranarray(x.reshape(x.shape[0], math.prod(x.shape[1:])))
+    out = np.empty((n, cols.shape[1]))
+    for j in range(cols.shape[1]):
         out[:, j] = np.bincount(ids, weights=cols[:, j], minlength=n)
-    return out
+    return out.reshape((n,) + x.shape[1:])
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -152,7 +152,7 @@ def test_01_finite_difference_gradients_ops_and_models():
     h = 1e-5
     for arch, extra in (
         ("gcn", {}),
-        ("sage", {"fanout": 2}),
+        ("sage", {}),
         ("gat", {"heads": 2}),
     ):
         cfg = ModelConfig(arch=arch, in_dim=4, hidden_dim=4, n_classes=2, **extra)

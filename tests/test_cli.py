@@ -601,15 +601,17 @@ class TestCka:
     def test_checkpoint_naming_an_activation_exits_2(self, tmp_path, capsys):
         d = tmp_path / "TOY"
         assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
-        ckpt = self.make_checkpoint(tmp_path)
-        manifest = json.loads(ckpt.with_suffix(".json").read_text())
-        assert "activation" not in manifest["config"]
-        manifest["config"]["activation"] = "relu"
-        ckpt.with_suffix(".json").write_text(json.dumps(manifest))
-        out = tmp_path / "cka.csv"
-        assert run("cka", "--checkpoints", str(ckpt), "--dataset", f"tu:{d}", "--out", str(out)) == 2
-        assert "malformed" in capsys.readouterr().err
-        assert not out.exists()
+        for key, value in (("activation", "relu"), ("fanout", "all")):
+            ckpt = self.make_checkpoint(tmp_path)
+            manifest = json.loads(ckpt.with_suffix(".json").read_text())
+            assert key not in manifest["config"]
+            manifest["config"][key] = value
+            ckpt.with_suffix(".json").write_text(json.dumps(manifest))
+            out = tmp_path / "cka.csv"
+            code = run("cka", "--checkpoints", str(ckpt), "--dataset", f"tu:{d}", "--out", str(out))
+            assert code == 2
+            assert "malformed" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_node_dataset_rejected(self, tmp_path):
         ckpt = self.make_checkpoint(tmp_path)

@@ -1,7 +1,8 @@
-"""Graph containers, loaders, splits, sampling, batching, generators."""
+"""Graph containers, loaders, splits, neighborhoods, batching, generators."""
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -341,10 +342,14 @@ class TestJsonBundle:
     def test_round_trip_canonical(self, tmp_path):
         g = generate_sbm(5, 2, 0.8, 0.2, 4, seed=3)
         g.split = random_split(10, g.node_labels, (0.6, 0.2, 0.2), seed=0)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_json_bundle(g, p1)
-        save_json_bundle(load_json_bundle(p1), p2)
-        assert p1.read_text() == p2.read_text()
+        edgeless = replace(g, edges=np.zeros((0, 2), dtype=np.int64))
+        for g in (g, edgeless):
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            save_json_bundle(g, p1)
+            back = load_json_bundle(p1)
+            assert back.edges.shape == g.edges.shape and back.edges.dtype == np.int64
+            save_json_bundle(back, p2)
+            assert p1.read_text() == p2.read_text()
 
     def test_save_needs_labels(self, tmp_path):
         with pytest.raises(ContractError):
@@ -487,19 +492,13 @@ class TestRandomSplit:
             DatasetSplit(np.array([[0, 1]]), val, test)
 
 
-def random_edges(draw, n, simple):
-    """Directed edges on n nodes; simple graphs have no loops or duplicates."""
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    if simple:
-        pairs = pairs.filter(lambda p: p[0] != p[1])
-    edges = draw(st.lists(pairs, max_size=40, unique=simple))
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
-
-
 @st.composite
-def random_graphs(draw, simple=False):
+def random_graphs(draw):
+    """Up to 40 directed edges on 1-9 nodes, loops and duplicates allowed."""
     n = draw(st.integers(1, 9))
-    return tiny_graph(n=n, edges=random_edges(draw, n, simple), dim=1)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = np.array(draw(st.lists(pairs, max_size=40)), dtype=np.int64).reshape(-1, 2)
+    return tiny_graph(n=n, edges=edges, dim=1)
 
 
 class TestSampleNeighbors:
@@ -509,44 +508,19 @@ class TestSampleNeighbors:
 
     def test_fanout_all_identity(self):
         g = self.star()
-        rows, cols = sample_neighbors(g, "all")
+        rows, cols = sample_neighbors(g)
         order = np.argsort(g.edges[:, 0], kind="stable")
         np.testing.assert_array_equal(rows, g.edges[order, 0])
         np.testing.assert_array_equal(cols, g.edges[order, 1])
 
-    def test_underfull_returns_everything(self):
-        g = tiny_graph(n=4, edges=((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)))
-        rows, cols = sample_neighbors(g, 5, np.random.default_rng(0))
-        np.testing.assert_array_equal(np.sort(cols[rows == 0]), [1, 2, 3])
-
-    def test_without_replacement(self):
-        g = self.star()
-        rows, cols = sample_neighbors(g, 4, np.random.default_rng(1))
-        assert len(np.unique(cols[rows == 0])) == 4
-
-    def test_uniform_frequencies(self):
-        g = self.star(11)  # hub has 10 neighbors
-        rng = np.random.default_rng(42)
-        counts = np.zeros(11)
-        trials = 10_000
-        for _ in range(trials):
-            rows, cols = sample_neighbors(g, 4, rng)
-            counts[cols[rows == 0]] += 1
-        freq = counts[1:] / trials
-        np.testing.assert_allclose(freq, 0.4, atol=0.02)
-
     def test_zero_degree_node_gets_empty(self):
         g = tiny_graph(n=3, edges=((0, 1), (1, 0)))
-        rows, _ = sample_neighbors(g, 3, np.random.default_rng(0))
+        rows, _ = sample_neighbors(g)
         assert not np.any(rows == 2)
-
-    def test_fanout_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_neighbors(self.star(), 0, np.random.default_rng(0))
 
     def test_mean_aggregator_rows(self):
         g = tiny_graph(n=3, edges=((0, 1), (1, 0), (0, 2), (2, 0)))
-        op = mean_aggregator(*sample_neighbors(g, "all"), 3).to_dense()
+        op = mean_aggregator(*sample_neighbors(g), 3).to_dense()
         np.testing.assert_allclose(op[0], [0.0, 0.5, 0.5])
         np.testing.assert_allclose(op.sum(axis=1), 1.0)
 
@@ -557,21 +531,8 @@ class TestSampleNeighbors:
         np.add.at(counts, (g.edges[:, 0], g.edges[:, 1]), 1.0)
         deg = counts.sum(axis=1, keepdims=True)
         want = np.divide(counts, deg, out=np.zeros_like(counts), where=deg > 0)
-        got = mean_aggregator(*sample_neighbors(g, "all"), g.n_nodes).to_dense()
+        got = mean_aggregator(*sample_neighbors(g), g.n_nodes).to_dense()
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(random_graphs(simple=True), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_sampled_rows_are_subsets_of_neighborhoods(self, g, fanout, seed):
-        rows, cols = sample_neighbors(g, fanout, np.random.default_rng(seed))
-        assert np.all(np.diff(rows) >= 0)
-        op = mean_aggregator(rows, cols, g.n_nodes).to_dense()
-        deg = degrees(g)
-        for v in range(g.n_nodes):
-            support = np.flatnonzero(op[v])
-            assert set(support) <= set(g.edges[g.edges[:, 0] == v, 1])
-            assert support.size == min(deg[v], fanout)
-            np.testing.assert_allclose(op[v].sum(), 1.0 if deg[v] else 0.0)
 
 
 class TestBatching:

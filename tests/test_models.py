@@ -612,8 +612,8 @@ class TestScoredRows:
     @pytest.mark.filterwarnings("ignore:batch_norm. batch of size 1")
     def test_rows_equal_full_forward_rows(self, seed, n, take, sparse, batch_norm):
         """Eval logits, and a training step's logits and parameter
-        gradients (dropout, batch statistics and a fanout-2 GraphSage
-        sample from same-seeded rngs); the rows are a random sorted subset."""
+        gradients (dropout and batch statistics from same-seeded rngs); the
+        rows are a random sorted subset."""
         g = random_node_graph(seed, n, sparse)
         rng = np.random.default_rng(seed)
         k = {"one": 1, "some": max(1, n // 3), "all": n}[take]
@@ -621,7 +621,7 @@ class TestScoredRows:
         weights = Tensor(rng.standard_normal((k, 3)))
         for arch in ARCHITECTURES:
             cfg = ModelConfig(arch=arch, in_dim=g.feature_dim, hidden_dim=16, n_classes=3,
-                              heads=2, dropout=0.3, batch_norm=batch_norm, fanout=2)
+                              heads=2, dropout=0.3, batch_norm=batch_norm)
             m = init_model(cfg, seed)
             for name, stat in m.bn_state.items():  # running stats away from 0 and 1
                 stat[...] = rng.random(stat.shape) + 0.5
@@ -750,12 +750,14 @@ class TestCheckpoints:
             load_checkpoint(prefix)
 
     def test_manifest_with_activation_key_rejected(self, tmp_path):
-        """The activation follows from the architecture; a manifest that
-        still names one is malformed."""
-        prefix = self.saved(tmp_path)
-        self.edit_manifest(prefix, lambda m: m["config"].update(activation="relu"))
-        with pytest.raises(FormatError, match="malformed"):
-            load_checkpoint(prefix)
+        """The activation follows from the architecture, and GraphSage
+        always aggregates full neighborhoods; a manifest that still names
+        an activation or a fanout is malformed."""
+        for key, value in (("activation", "relu"), ("fanout", "all")):
+            prefix = self.saved(tmp_path)
+            self.edit_manifest(prefix, lambda m: m["config"].update({key: value}))
+            with pytest.raises(FormatError, match="malformed"):
+                load_checkpoint(prefix)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         prefix = self.saved(tmp_path)

@@ -211,7 +211,7 @@ class TestSupervised:
             orig = getattr(P, name)
             monkeypatch.setattr(P, name, lambda *a, o=orig, n=name: calls.append((n, a)) or o(*a))
         data = make_node_data(n_per_block=10)
-        cfg = gcn_cfg(arch=arch, heads=2, fanout=2)
+        cfg = gcn_cfg(arch=arch, heads=2)
         train_supervised(cfg, data, quick_plan([cfg], epochs=5), seed=0)
         assert [n for n, _ in calls] == ["build_forward_context"] + ["cut_scored_rows"] * 3
         for (_, args), split in zip(calls[1:], ("train", "val", "test")):
@@ -304,6 +304,18 @@ class TestBgnnStep:
             train_bgnn_step(bad_teacher, cfg, node_data, w0, plan, seed=0)
         with pytest.raises(ContractError):
             train_bgnn_step(np.zeros((5, 2)), cfg, node_data, w0, plan, seed=0)
+
+    @pytest.mark.parametrize("boosting", [False, True])
+    def test_weights_mismatch_raises_before_training(self, node_data, boosting, monkeypatch):
+        """Weights for another training set or class count fail typed,
+        with or without boosting, and nothing is trained."""
+        cfg = gcn_cfg()
+        plan = quick_plan([cfg, cfg], epochs=1, boosting=boosting)
+        n_train = node_data.split_idx("train").size
+        monkeypatch.setattr(P, "_train_student", lambda *a: pytest.fail("trained"))
+        for w in (init_weights(n_train + 1, 2), init_weights(5, 2), init_weights(n_train, 3)):
+            with pytest.raises(ContractError, match="sample weights"):
+                train_bgnn_step(oracle_logits(node_data), cfg, node_data, w, plan, seed=0)
 
     def test_oracle_teacher_never_hurts(self, node_data):
         cfg = gcn_cfg()
@@ -632,7 +644,7 @@ class TestScoredRowTraining:
             rng = np.random.default_rng(0)
             given = DatasetSplit(*(rng.permutation(i) for i in astuple(split)))
         cfg = ModelConfig(arch=arch, in_dim=6, hidden_dim=16, n_classes=3, heads=2,
-                          dropout=0.5, batch_norm=True, fanout=2)
+                          dropout=0.5, batch_norm=True)
         plan = quick_plan([cfg], epochs=6)
         data = TaskData(kind="node", graph=g, split=given)
         model, metrics = train_supervised(cfg, data, plan, seed=5)
@@ -745,19 +757,3 @@ class TestBatchCut:
         assert len(calls) == 1
         assert all(inp is inputs[0] for inp in inputs)
 
-    def test_sampling_sage_trains_like_rebatching(self, monkeypatch):
-        """A fanout-2 GraphSage draws its neighbor sample from the batch's
-        edge order, so cut batches must train exactly like rebuilt ones."""
-        cfg = graph_cfg(arch="sage", fanout=2)
-        plan = quick_plan([cfg], task="graph", epochs=3, batch_size=7)
-        model, metrics = train_supervised(cfg, random_graph_data(seed=9), plan, seed=4)
-
-        def rebatch(self, config, idx):
-            batch = batch_graphs([self.graphs[i] for i in idx])
-            return batch, build_forward_context(config, batch.graph)
-
-        monkeypatch.setattr(TaskData, "batch", rebatch)
-        ref, ref_metrics = train_supervised(cfg, random_graph_data(seed=9), plan, seed=4)
-        assert params_equal(model, ref)
-        assert metrics.per_epoch == ref_metrics.per_epoch
-        assert metrics.test_acc == ref_metrics.test_acc

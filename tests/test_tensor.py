@@ -391,13 +391,16 @@ class TestConcatGatherReshape:
             with pytest.raises(IndexError):
                 T.gather_rows(Tensor(np.ones(2)), idx)
 
-    @given(vector=st.booleans(), **scatter_cases)
-    @example(vector=False, m=0, n=3, k=16, seed=0)
+    @given(rank=st.sampled_from([1, 2, 3]), **scatter_cases)
+    @example(rank=2, m=0, n=3, k=16, seed=0)
+    @example(rank=3, m=0, n=3, k=0, seed=0)
+    @example(rank=3, m=12, n=3, k=2, seed=0)
     @settings(max_examples=60, deadline=None)
-    def test_gather_rows_bitwise_equals_add_at(self, vector, m, n, k, seed):
-        """Rows never gathered (isolated nodes) get zero gradient."""
+    def test_gather_rows_bitwise_equals_add_at(self, rank, m, n, k, seed):
+        """Rows never gathered (isolated nodes) get zero gradient; a rank-3
+        x scatters its gradient back as well as a matrix does."""
         g = np.random.default_rng(seed)
-        x = g.standard_normal(n if vector else (n, k))
+        x = g.standard_normal(((n,), (n, k), (n, k, 2))[rank - 1])
         idx = g.integers(0, int(g.integers(1, n + 1)), m)
         out, w, grad = forward_and_grad(lambda t: T.gather_rows(t, idx), x, seed)
         assert np.array_equal(out, x[idx])
