@@ -73,31 +73,29 @@ def init_temperature_module(
     return mod
 
 
-def teacher_confidence(t: Tensor | np.ndarray) -> Tensor:
+def teacher_confidence(t: np.ndarray) -> np.ndarray:
     """Per-sample entropy of the teacher's predictive distribution.
 
     Softmax at temperature 1, then -sum p log p; lies in [0, log C].
     Constant with respect to every model parameter.
     """
-    data = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-    p = _softmax_np(data)
-    h = -(p * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
-    return Tensor(h)
+    p = _softmax_np(np.asarray(t, dtype=np.float64))
+    return -(p * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
 
 
-def adaptive_temperature(module: TemperatureModule, t: Tensor | np.ndarray) -> Tensor:
+def adaptive_temperature(module: TemperatureModule, t: np.ndarray) -> Tensor:
     """Map teacher logits to temperatures in [tau_min, tau_max].
 
     sigmoid(MLP(x)) * (tau_max - tau_min) + tau_min, where x is the
     entropy alone or [logits, entropy] depending on the variant. The
     teacher input is a constant; gradients reach only the MLP parameters.
     """
-    data = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    data = np.asarray(t, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != module.n_classes:
         raise ShapeError(
             f"teacher logits {data.shape} do not match {module.n_classes} classes"
         )
-    conf = teacher_confidence(data).data[:, None]
+    conf = teacher_confidence(data)[:, None]
     x = Tensor(conf if module.variant == "entropy_only" else np.concatenate([data, conf], 1))
     h = T.relu(T.add_bias(T.matmul(x, module.params["W1"]), module.params["b1"]))
     out = T.add_bias(T.matmul(h, module.params["W2"]), module.params["b2"])

@@ -302,6 +302,8 @@ def load_json_bundle(path) -> Graph:
     labels = _int_array(obj["labels"], path, "labels")
     if labels.shape != (n,) or np.any(labels < 0):
         raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
+    if n and labels.max() >= n:  # more classes than nodes
+        raise FormatError(f"bundle {path.name}: key 'labels' has class {labels.max()} >= {n} nodes")
     split = {}
     for key in ("train_idx", "val_idx", "test_idx"):
         idx = np.unique(_int_array(obj[key], path, key))

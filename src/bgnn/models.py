@@ -37,13 +37,13 @@ ARCHITECTURES = ("gcn", "sage", "gat")
 # features of all its graphs, and cuts each batch's rows out of that one
 # CSR copy (``cut_forward_context``).
 #
-# The same test sets GCN's first layer. Dense features are aggregated
-# once: the context holds Â X, and layer 1 is (Â X) W + b, one dense
-# product with no sparse product forward or backward. CSR features are
-# projected first, Â (X W), because Â X fills in: on a Cora-shaped
+# Layer 1 follows one rule: GCN and GraphSage read the context's aggregated
+# input ``"agg_x"``, Â X or [X ‖ M̄ X], so layer 1 is one dense product plus
+# a bias. This test makes the one exception: a GCN with CSR features
+# projects first, Â (X W), because Â X fills in: on a Cora-shaped
 # 2708x1433 bundle nnz(X) is 47,744 but nnz(Â X) is 205,320 (1.2 % against
 # 5.3 % density), so a cached Â X would cost about 3.7 times the work per
-# step.
+# step. GraphSage ignores the test, since [X ‖ M̄ X] holds X's dense rows.
 SPARSE_INPUT_DENSITY = 1.0 / 64
 
 
@@ -148,13 +148,9 @@ def _project(h: Tensor | SparseMatrix, W: Tensor) -> Tensor:
     return T.spmm(h, W) if isinstance(h, SparseMatrix) else T.matmul(h, W)
 
 
-def gcn_layer(
-    h: Tensor | SparseMatrix, adj_norm: SparseMatrix | None, W: Tensor, b: Tensor
-) -> Tensor:
-    """Normalized-adjacency aggregation: adj_norm @ h @ W + b. With
-    ``adj_norm`` None, h is already aggregated (the context's Â X): h @ W + b."""
-    hw = _project(h, W)
-    return T.add_bias(hw if adj_norm is None else T.spmm(adj_norm, hw), b)
+def gcn_layer(h: Tensor | SparseMatrix, adj_norm: SparseMatrix, W: Tensor, b: Tensor) -> Tensor:
+    """Normalized-adjacency aggregation: adj_norm @ (h @ W) + b."""
+    return T.add_bias(T.spmm(adj_norm, _project(h, W)), b)
 
 
 def sage_layer(h: Tensor, neighbor_mean_op: SparseMatrix, W: Tensor, b: Tensor) -> Tensor:
@@ -221,26 +217,25 @@ def build_forward_context(config: ModelConfig, g: Graph) -> dict:
     Built once per graph and architecture and reused across epochs; the
     graph task builds it once for all its graphs batched together and cuts
     every mini-batch's and every split's context out of that one
-    (``cut_forward_context``). GraphSage keeps the full-neighborhood mean
-    operator, which every GraphSage layer reads. GCN and GAT keep features
-    below ``SPARSE_INPUT_DENSITY`` as CSR under ``"x"``; the sparse first
-    projection matches the dense one to rounding, not bit for bit.
-    GraphSage keeps dense features, since it concatenates their rows.
+    (``cut_forward_context``). GCN keeps Â as ``"adj"``, GraphSage its
+    full-neighborhood mean operator M̄ as ``"mean_op"``, GAT its edges.
 
-    This is the one place that picks GCN's first-layer input. Dense
-    features are aggregated once, as the plain array ``"adj_x"`` = Â X,
-    and layer 1 computes (Â X) W; CSR features are projected first, Â (X W),
-    since Â X fills in (see ``SPARSE_INPUT_DENSITY``). Both orders agree
-    to rounding, not bit for bit.
+    This is the one place that picks layer 1's input. Node features are
+    constants, so GCN and GraphSage aggregate them once, as the array
+    ``"agg_x"``: Â X, or [X ‖ M̄ X], bit for bit what ``sage_layer`` forms.
+    GCN and GAT keep features below ``SPARSE_INPUT_DENSITY`` as CSR ``"x"``
+    instead and project first, Â (X W), since Â X fills in. Both choices
+    match the dense project-first path to rounding, not bit for bit.
     """
-    if config.arch == "sage":
-        return {"mean_op": mean_aggregator(*sample_neighbors(g), g.n_nodes)}
-    ctx = {"adj": normalize_adjacency(g)} if config.arch == "gcn" else _attention_edges(g)
     x = g.features.data
+    if config.arch == "sage":
+        mean_op = mean_aggregator(*sample_neighbors(g), g.n_nodes)
+        return {"mean_op": mean_op, "agg_x": np.concatenate([x, mean_op.matmul_dense(x)], axis=1)}
+    ctx = {"adj": normalize_adjacency(g)} if config.arch == "gcn" else _attention_edges(g)
     if np.count_nonzero(x) < SPARSE_INPUT_DENSITY * x.size:
         ctx["x"] = SparseMatrix.from_dense(x)
     elif config.arch == "gcn":
-        ctx["adj_x"] = ctx["adj"].matmul_dense(x)
+        ctx["agg_x"] = ctx["adj"].matmul_dense(x)
     return ctx
 
 
@@ -251,16 +246,17 @@ def cut_forward_context(ctx: dict, nodes: np.ndarray, g: Graph) -> dict:
 
     Equal, bit for bit, to ``build_forward_context`` on ``g`` with the same
     choice of CSR features, and every operator keeps its transpose. That
-    holds for the rows of Â X too: Â is block-diagonal over the graphs, so
-    each row sums the same entries in the same order.
+    holds for the rows of ``agg_x`` too: Â and M̄ are block-diagonal over
+    the graphs, so each row of Â X or M̄ X sums the same entries in the
+    same order.
     """
     out = {k: ctx[k].submatrix(nodes, nodes) for k in ("adj", "mean_op") if k in ctx}
     if "src" in ctx:
         out.update(_attention_edges(g))
     if "x" in ctx:
         out["x"] = ctx["x"].submatrix(nodes)
-    if "adj_x" in ctx:
-        out["adj_x"] = ctx["adj_x"][nodes]
+    if "agg_x" in ctx:
+        out["agg_x"] = ctx["agg_x"][nodes]
     return out
 
 
@@ -321,8 +317,9 @@ def model_forward(
     Representations are post-activation, pre-dropout (the node task's
     final layer representation is its logits). GraphSage always aggregates
     full neighborhoods, so dropout is the one user of the rng, and eval
-    mode, which skips dropout, never touches it. A node-task context cut
-    by ``cut_scored_rows`` yields only its rows' logits.
+    mode, which skips dropout, never touches it. Layer 1 is ``agg_x`` @ W + b
+    whenever the context holds ``"agg_x"``, whatever the architecture. A
+    node-task context cut by ``cut_scored_rows`` yields only its rows' logits.
     """
     cfg = model.config
     if cfg.task == "graph":
@@ -342,19 +339,17 @@ def model_forward(
         raise ContractError("training forward requires an rng")
 
     h = ctx.get("x", g.features)
-    adj = ctx.get("adj")
-    if "adj_x" in ctx:
-        # Â X is a constant of training because layer 1's input never sees
-        # dropout (or batch norm): both act only between layers.
-        h, adj = Tensor(ctx["adj_x"]), None
     reps: list[Tensor] = []
     for l in range(1, cfg.n_layers + 1):
         final = l == cfg.n_layers
         cut = final and "rows" in ctx  # the last layer computes only ctx["rows"]
-        if cfg.arch == "gcn":
-            a = ctx["adj_rows"] if cut else adj
-            h = gcn_layer(h, a, model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
-            adj = ctx["adj"]
+        if l == 1 and "agg_x" in ctx:
+            # a constant: dropout and batch norm act only between layers
+            h = T.add_bias(T.matmul(Tensor(ctx["agg_x"]), model.params["layer1.W"]),
+                           model.params["layer1.b"])
+        elif cfg.arch == "gcn":
+            h = gcn_layer(h, ctx["adj_rows"] if cut else ctx["adj"],
+                          model.params[f"layer{l}.W"], model.params[f"layer{l}.b"])
         elif cfg.arch == "sage":
             h = sage_layer(h, ctx["mean_op"], model.params[f"layer{l}.W"],
                            model.params[f"layer{l}.b"])

@@ -254,7 +254,7 @@ class TrainMetrics:
 
 
 def _one_hot(labels: np.ndarray, c: int) -> np.ndarray:
-    return np.eye(c)[np.asarray(labels, dtype=np.int64)]
+    return (np.asarray(labels)[:, None] == np.arange(c)).astype(np.float64)
 
 
 def _rng_streams(seed: int) -> dict[str, np.random.Generator]:

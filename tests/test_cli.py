@@ -33,13 +33,13 @@ def write_tu_shapes(directory: Path, n_graphs: int) -> None:
     write_tu_dir(directory, directory.name, [triangle, path] * (n_graphs // 2))
 
 
-def write_four_node_bundle(path: Path, **splits) -> Path:
+def write_four_node_bundle(path: Path, **keys) -> Path:
     obj = {
         "n_nodes": 4, "edges": [[0, 1], [2, 3]], "labels": [0, 0, 1, 1],
         "features": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
         "train_idx": [0, 2], "val_idx": [1], "test_idx": [3],
     }
-    path.write_text(json.dumps({**obj, **splits}))
+    path.write_text(json.dumps({**obj, **keys}))
     return path
 
 
@@ -195,7 +195,9 @@ class TestTrain:
         assert "EMPTY_graph_indicator.txt" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["tu_byte", "ini_byte", "bundle_null", "bundle_number"])
+    @pytest.mark.parametrize(
+        "case", ["tu_byte", "ini_byte", "bundle_null", "bundle_number", "bundle_class_ids"]
+    )
     def test_unreadable_input_exits_2_before_output(self, tmp_path, capsys, case):
         out = tmp_path / "r"
         if case == "tu_byte":
@@ -208,6 +210,9 @@ class TestTrain:
             named = tmp_path / "run.ini"
             named.write_bytes(b"[run]\nplan = nokd\n# caf\xe9\n")
             argv = [*train_args(out), "--config", str(named)]
+        elif case == "bundle_class_ids":  # class 4 of 4 nodes: more classes than nodes
+            named = write_four_node_bundle(tmp_path / "classes.json", labels=[0, 0, 1, 4])
+            argv = train_args(out, dataset=named)
         else:
             named = tmp_path / "top.json"
             named.write_text("null" if case == "bundle_null" else "5")
@@ -378,6 +383,21 @@ class TestSettingsTable:
         for attr, (_, key, _) in cli.SETTINGS.items():
             flag = cli.SWITCHES[attr][0] if attr in cli.SWITCHES else cli._flag(key)
             assert f"{flag} " in usage
+
+    def test_readme_table_lists_every_setting(self):
+        """README's settings table names each setting's section, key and
+        flag, in SETTINGS order; a blank section cell repeats the one above."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        head = "| INI section | key | flag | default |"
+        rows, section = [], None
+        for line in readme[readme.index(head):].split("\n\n")[0].splitlines()[2:]:
+            sec, key, flag = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+            section = sec.strip("[]") or section
+            rows.append((section, key, flag))
+        assert rows == [
+            (sec, key, cli.SWITCHES[attr][0] if attr in cli.SWITCHES else cli._flag(key))
+            for attr, (sec, key, _) in cli.SETTINGS.items()
+        ]
 
     @pytest.mark.parametrize("attr", list(SAMPLES))
     def test_flag_and_ini_key_give_the_same_value(self, tmp_path, monkeypatch, attr):

@@ -270,6 +270,7 @@ class TestJsonBundle:
             ("features", [["1.5", 0.0], [0.0, 1.0]]),  # would coerce to 1.5
             ("features", [[True, 0.0], [0.0, 1.0]]),  # would coerce to 1.0
             ("features", [[None, 0.0], [0.0, 1.0]]),
+            ("labels", [0, 2]),  # class 2 of 2 nodes: more classes than nodes
         ],
     )
     def test_bad_labels_or_features_named(self, tmp_path, key, value):

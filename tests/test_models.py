@@ -449,7 +449,7 @@ class TestSparseFeatures:
         ctx = build_forward_context(cfg, g)
         assert ("x" in ctx) == (arch != "sage" and nnz < 4)
         # a CSR-feature GCN projects first: its context holds no Â X
-        assert ("adj_x" in ctx) == (arch == "gcn" and nnz >= 4)
+        assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and nnz >= 4))
         if "x" in ctx:
             np.testing.assert_array_equal(ctx["x"].to_dense(), x)
 
@@ -464,8 +464,8 @@ class TestSparseFeatures:
         ctx = build_forward_context(cfg, g)
         monkeypatch.setattr(models, "SPARSE_INPUT_DENSITY", 0.0)
         dense_ctx = build_forward_context(cfg, g)
-        assert "x" in ctx and "adj_x" not in ctx
-        assert "x" not in dense_ctx and ("adj_x" in dense_ctx) == (arch == "gcn")
+        assert "x" in ctx and "agg_x" not in ctx
+        assert "x" not in dense_ctx and ("agg_x" in dense_ctx) == (arch == "gcn")
         with Tape() as sparse_tape:
             sparse, _ = model_forward(m, g, training=False, ctx=ctx)
         with Tape() as dense_tape:
@@ -475,7 +475,7 @@ class TestSparseFeatures:
         def reads(tape, array):
             return any(x.data is array for _, inputs, _ in tape.entries for x in inputs)
 
-        dense_input = dense_ctx.get("adj_x", g.features.data)
+        dense_input = dense_ctx.get("agg_x", g.features.data)
         assert not reads(sparse_tape, g.features.data) and reads(dense_tape, dense_input)
 
     @pytest.mark.parametrize("arch", ["gcn", "gat"])
@@ -514,8 +514,10 @@ def project_first_forward(m: GnnModel, batch: GraphBatch) -> Tensor:
 
 
 class TestAggregatedInput:
-    """A dense-feature GCN runs layer 1 on the context's Â X, computed
-    once; it agrees with the project-first Â (X W) to rounding."""
+    """Layer 1 runs on the context's aggregated input, computed once: Â X
+    for a dense-feature GCN, which agrees with the project-first Â (X W)
+    to rounding, and [X ‖ M̄ X] for GraphSage, which is the product its
+    ``sage_layer`` forms, bit for bit."""
 
     GRAPHS = {
         "isolated nodes": (6, [[0, 1], [1, 0], [1, 2], [2, 1]]),
@@ -538,7 +540,7 @@ class TestAggregatedInput:
                           n_layers=n_layers, task=task)
         m = init_model(cfg, 7)
         ctx = build_forward_context(cfg, batch.graph)
-        assert "adj_x" in ctx and "x" not in ctx
+        assert "agg_x" in ctx and "x" not in ctx
         weights = Tensor(rng.standard_normal((batch.n_graphs if task == "graph" else n, 3)))
 
         def logits_and_grads(forward):
@@ -574,8 +576,43 @@ class TestAggregatedInput:
                 backward(T.sum_all(logits), tape)
             return len(tape)
 
-        assert "adj_x" in ctx
+        assert "agg_x" in ctx
         assert step_entries(ctx) == step_entries({"adj": ctx["adj"]}) - 1
+
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_sage_equals_the_sage_layer_path(self, task, batch_norm):
+        """A training step (dropout from same-seeded rngs) on the built
+        context against one whose layer 1 runs ``sage_layer`` on X and M̄:
+        logits, every parameter gradient and the tape length agree."""
+        rng = np.random.default_rng(5)
+        graphs = [Graph(n_nodes=n, edges=edges, features=Tensor(rng.standard_normal((n, 5))))
+                  for n, edges in self.GRAPHS.values()]
+        batch = batch_graphs(graphs if task == "graph" else graphs[:1])
+        data = batch if task == "graph" else batch.graph
+        cfg = ModelConfig(arch="sage", in_dim=5, hidden_dim=6, n_classes=3, dropout=0.3,
+                          batch_norm=batch_norm, task=task)
+        m = init_model(cfg, 7)
+        ctx = build_forward_context(cfg, batch.graph)
+        assert "agg_x" in ctx and "x" not in ctx
+        weights = Tensor(rng.standard_normal((data.n_graphs if task == "graph" else data.n_nodes, 3)))
+
+        def step(ctx):
+            for p in m.params.values():
+                p.grad = None
+            with Tape() as tape:
+                logits, _ = model_forward(
+                    m, data, training=True, rng=np.random.default_rng(0), ctx=ctx
+                )
+                backward(T.sum_all(T.mul(logits, weights)), tape)
+            return logits.data, {name: p.grad for name, p in m.params.items()}, len(tape)
+
+        out, grads, entries = step(ctx)
+        ref, ref_grads, ref_entries = step({"mean_op": ctx["mean_op"]})
+        assert_bits(out, ref)
+        for name in m.params:
+            assert_bits(grads[name], ref_grads[name])
+        assert entries == ref_entries
 
 
 def random_node_graph(seed: int, n: int, sparse: bool) -> Graph:
@@ -627,7 +664,7 @@ class TestScoredRows:
                 stat[...] = rng.random(stat.shape) + 0.5
             ctx = build_forward_context(cfg, g)
             assert ("x" in ctx) == (sparse and arch != "sage")
-            assert ("adj_x" in ctx) == (arch == "gcn" and not sparse)
+            assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and not sparse))
             cut = cut_scored_rows(ctx, rows, n)
             full, _ = model_forward(m, g, training=False, ctx=ctx)
             scored, reps = model_forward(m, g, training=False, ctx=cut)

@@ -698,7 +698,7 @@ class TestBatchCut:
             assert_bits(batch.graph_ids, ref.graph_ids)
             assert ctx.keys() == ref_ctx.keys()
             assert ("x" in ctx) == (sparse and arch != "sage")
-            assert ("adj_x" in ctx) == (arch == "gcn" and not sparse)
+            assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and not sparse))
             for key, value in ctx.items():
                 if isinstance(value, SparseMatrix):
                     assert_same_csr(value, ref_ctx[key])
