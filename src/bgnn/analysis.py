@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .graph_data import Graph, atomic_write, batch_graphs
-from .models import GnnModel, model_forward
+from .models import GnnModel, build_forward_context, model_forward
 
 
 @dataclass
@@ -40,13 +40,13 @@ def extract_layer_representations(
     Row g of layer matrix l is the average of graph g's node embeddings
     after layer l's activation. One eval forward over all graphs batched
     block-diagonally gives each node the same embedding as a forward over
-    its graph alone.
+    its graph alone; its context is built once per call.
     """
     if not graphs:
         raise ContractError("need at least one graph")
     batch = batch_graphs(graphs)
     data = batch if model.config.task == "graph" else batch.graph
-    _, reps = model_forward(model, data, training=False)
+    _, reps = model_forward(model, build_forward_context(model.config, data), training=False)
     bounds = np.cumsum([0] + [g.n_nodes for g in graphs])
     layers = [
         np.stack([r.data[a:b].mean(axis=0) for a, b in zip(bounds[:-1], bounds[1:])])

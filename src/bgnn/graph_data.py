@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .sparse import SparseMatrix
-from .tensor import Tensor
 
 # densities below this store bundle features as index/value triplets
 SPARSE_FEATURE_DENSITY = 0.25
@@ -31,7 +30,7 @@ class Graph:
 
     n_nodes: int
     edges: np.ndarray  # (n_edges, 2) int64, possibly empty
-    features: Tensor
+    features: np.ndarray  # (n_nodes, feature_dim) float64, a constant of every forward
     node_labels: np.ndarray | None = None
     graph_label: int | None = None
     split: DatasetSplit | None = None  # a node-classification graph's own split
@@ -40,10 +39,9 @@ class Graph:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
             raise FormatError(f"edge endpoint out of range [0, {self.n_nodes})")
-        if self.features.shape[0] != self.n_nodes:
-            raise ShapeError(
-                f"feature rows {self.features.shape[0]} != n_nodes {self.n_nodes}"
-            )
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or self.features.shape[0] != self.n_nodes:
+            raise ShapeError(f"features of shape {self.features.shape} for {self.n_nodes} nodes")
 
     @property
     def n_edges(self) -> int:
@@ -191,7 +189,7 @@ def load_tu_dataset(directory, name: str) -> list[Graph]:
         all_feats = np.ones((n_total, 1))
 
     return [
-        Graph(n_nodes=int(n), edges=e, features=Tensor(x), graph_label=int(y))
+        Graph(n_nodes=int(n), edges=e, features=x, graph_label=int(y))
         for n, e, x, y in zip(
             counts,
             np.split(local_ids[edges[edge_order]], edge_ends),
@@ -316,7 +314,7 @@ def load_json_bundle(path) -> Graph:
                     f"bundle {path.name}: keys {other!r} and {key!r} share node {shared[0]}"
                 )
         split[key] = idx
-    return Graph(n_nodes=n, edges=edges, features=Tensor(x), node_labels=labels,
+    return Graph(n_nodes=n, edges=edges, features=x, node_labels=labels,
                  split=DatasetSplit(**split))
 
 
@@ -335,7 +333,7 @@ def save_json_bundle(g: Graph, path) -> None:
     lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
     hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    x = g.features.data
+    x = g.features
     density = float(np.count_nonzero(x)) / x.size if x.size else 1.0
     if density < SPARSE_FEATURE_DENSITY:
         rows, cols = np.nonzero(x)
@@ -480,7 +478,7 @@ def batch_graphs(graphs: list[Graph]) -> GraphBatch:
     merged = Graph(
         n_nodes=int(offsets[-1]),
         edges=np.concatenate([g.edges + offsets[i] for i, g in enumerate(graphs)], axis=0),
-        features=Tensor(np.concatenate([g.features.data for g in graphs], axis=0)),
+        features=np.concatenate([g.features for g in graphs], axis=0),
     )
     graph_ids = np.repeat(np.arange(len(graphs)), [g.n_nodes for g in graphs])
     return GraphBatch(graph=merged, graph_ids=graph_ids, n_graphs=len(graphs))
@@ -516,4 +514,4 @@ def generate_sbm(
     )
     x = rng.standard_normal((n, feature_dim)) * noise_scale
     x[np.arange(n), labels] += 1.0
-    return Graph(n_nodes=n, edges=edges, features=Tensor(x), node_labels=labels)
+    return Graph(n_nodes=n, edges=edges, features=x, node_labels=labels)

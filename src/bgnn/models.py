@@ -1,17 +1,17 @@
 """GNN encoders: GCN, GraphSage (mean aggregator), and GAT.
 
 A model is a flat dict of named parameter tensors plus its config.
-``model_forward`` returns logits and the per-layer representations
-(post-activation, pre-dropout) used by the similarity analysis. The
-layer count, ``ModelConfig.n_layers``, is two by default; the CLI's
-``--layers`` flag (INI key ``[model] layers``) sets it for every model a
-run trains.
+``model_forward`` reads one input, the forward context built once by
+``build_forward_context``, and returns logits and the per-layer
+representations (post-activation, pre-dropout) used by the similarity
+analysis. ``ModelConfig.n_layers`` is two by default; the CLI's
+``--layers`` flag (INI key ``[model] layers``) sets it for all of a run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,10 @@ ARCHITECTURES = ("gcn", "sage", "gat")
 # features of all its graphs, and cuts each batch's rows out of that one
 # CSR copy (``cut_forward_context``).
 #
-# Layer 1 follows one rule: GCN and GraphSage read the context's aggregated
-# input ``"agg_x"``, Â X or [X ‖ M̄ X], so layer 1 is one dense product plus
-# a bias. This test makes the one exception: a GCN with CSR features
-# projects first, Â (X W), because Â X fills in: on a Cora-shaped
-# 2708x1433 bundle nnz(X) is 47,744 but nnz(Â X) is 205,320 (1.2 % against
-# 5.3 % density), so a cached Â X would cost about 3.7 times the work per
-# step. GraphSage ignores the test, since [X ‖ M̄ X] holds X's dense rows.
+# A GCN with CSR features projects first, Â (X W), rather than cache Â X,
+# which fills in: on a Cora-shaped 2708x1433 bundle nnz(X) is 47,744 but
+# nnz(Â X) is 205,320 (1.2 % against 5.3 % density), about 3.7 times the
+# work per step. GraphSage ignores the cutoff: [X ‖ M̄ X] holds X's rows.
 SPARSE_INPUT_DENSITY = 1.0 / 64
 
 
@@ -168,7 +165,8 @@ def gat_layer(
     dst: np.ndarray,
     head_params: list[dict[str, Tensor]],
     b: Tensor,
-    n_out: int,
+    n_out: int | None = None,
+    *,
     combine: str,
     seg: np.ndarray | None = None,
 ) -> Tensor:
@@ -178,21 +176,22 @@ def gat_layer(
     edge j→i, normalized per destination with a segment softmax, then
     out_i = Σ_j α_ij W h_j. Heads are concatenated or averaged.
 
-    The output has ``n_out`` rows, and edge e lands in row ``seg[e]``
-    (``dst[e]`` by default). A layer that computes only some destinations
-    gets only the edges into them, ``seg`` numbering each destination by
-    its output row.
+    The output has one row per input row (``n_out`` rows when given), and
+    edge e lands in row ``seg[e]`` (``dst[e]`` by default). A layer that
+    computes only some destinations gets only the edges into them, ``seg``
+    numbering each destination by its output row.
     """
     seg = dst if seg is None else seg
     outs = []
     for p in head_params:
         hw = _project(h, p["W"])
+        n_seg = hw.shape[0] if n_out is None else n_out
         s_self = T.reshape(T.matmul(hw, p["a_self"]), (hw.shape[0],))
         s_neigh = T.reshape(T.matmul(hw, p["a_neigh"]), (hw.shape[0],))
         e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)), 0.2)
-        alpha = T.segment_softmax(e, seg, n_out)
+        alpha = T.segment_softmax(e, seg, n_seg)
         msgs = T.scale_rows(T.gather_rows(hw, src), alpha)
-        outs.append(T.segment_sum(msgs, seg, n_out))
+        outs.append(T.segment_sum(msgs, seg, n_seg))
     if combine == "concat":
         agg = T.concat_cols(*outs)
     else:
@@ -204,59 +203,75 @@ def gat_layer(
 # forward
 
 
-def _attention_edges(g: Graph) -> dict:
-    """GAT's (src, dst) pairs: the graph's edges, then a self-loop per node."""
-    loops = np.arange(g.n_nodes)
-    return {"src": np.concatenate([g.edges[:, 0], loops]),
-            "dst": np.concatenate([g.edges[:, 1], loops])}
+def _attention_edges(edges: np.ndarray, n_nodes: int) -> dict:
+    """GAT's (src, dst) pairs: the edges, then a self-loop per node."""
+    loops = np.arange(n_nodes)
+    return {"src": np.concatenate([edges[:, 0], loops]),
+            "dst": np.concatenate([edges[:, 1], loops])}
 
 
-def build_forward_context(config: ModelConfig, g: Graph) -> dict:
-    """Precompute the per-graph structures a forward pass needs.
+def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict:
+    """Precompute all that a forward reads, ``model_forward``'s one input,
+    from a Graph (node task) or a GraphBatch (graph task), checked here once.
 
     Built once per graph and architecture and reused across epochs; the
-    graph task builds it once for all its graphs batched together and cuts
-    every mini-batch's and every split's context out of that one
-    (``cut_forward_context``). GCN keeps Â as ``"adj"``, GraphSage its
-    full-neighborhood mean operator M̄ as ``"mean_op"``, GAT its edges.
+    graph task builds it for all its graphs batched together and cuts each
+    mini-batch's and split's context out of it (``cut_forward_context``).
+    GCN keeps Â as ``"adj"``, GraphSage its full-neighborhood mean operator
+    M̄ as ``"mean_op"``, GAT its edges; the graph task adds ``"graph_ids"``
+    and ``"n_graphs"`` for its pooling.
 
     This is the one place that picks layer 1's input. Node features are
     constants, so GCN and GraphSage aggregate them once, as the array
     ``"agg_x"``: Â X, or [X ‖ M̄ X], bit for bit what ``sage_layer`` forms.
-    GCN and GAT keep features below ``SPARSE_INPUT_DENSITY`` as CSR ``"x"``
-    instead and project first, Â (X W), since Â X fills in. Both choices
-    match the dense project-first path to rounding, not bit for bit.
+    Otherwise layer 1 reads ``"x"``: GAT's dense features, or GCN's and
+    GAT's features below ``SPARSE_INPUT_DENSITY`` as CSR, projected first.
+    Â X and the CSR product differ from dense Â (X W) by rounding only.
     """
-    x = g.features.data
+    want = GraphBatch if config.task == "graph" else Graph
+    if not isinstance(data, want):
+        raise ContractError(f"a {config.task}-task context requires a {want.__name__}")
+    g, ctx = data, {}
+    if config.task == "graph":
+        g, ctx = data.graph, {"graph_ids": data.graph_ids, "n_graphs": data.n_graphs}
+    if g.feature_dim != config.in_dim:
+        raise ShapeError(f"feature dim {g.feature_dim} != configured in_dim {config.in_dim}")
+    x = g.features
     if config.arch == "sage":
-        mean_op = mean_aggregator(*sample_neighbors(g), g.n_nodes)
-        return {"mean_op": mean_op, "agg_x": np.concatenate([x, mean_op.matmul_dense(x)], axis=1)}
-    ctx = {"adj": normalize_adjacency(g)} if config.arch == "gcn" else _attention_edges(g)
+        op = mean_aggregator(*sample_neighbors(g), g.n_nodes)
+        return dict(ctx, mean_op=op, agg_x=np.concatenate([x, op.matmul_dense(x)], axis=1))
+    ctx.update({"adj": normalize_adjacency(g)} if config.arch == "gcn"
+               else _attention_edges(g.edges, g.n_nodes))
     if np.count_nonzero(x) < SPARSE_INPUT_DENSITY * x.size:
         ctx["x"] = SparseMatrix.from_dense(x)
     elif config.arch == "gcn":
         ctx["agg_x"] = ctx["adj"].matmul_dense(x)
+    else:
+        ctx["x"] = x
     return ctx
 
 
-def cut_forward_context(ctx: dict, nodes: np.ndarray, g: Graph) -> dict:
-    """The context of ``g``, the subgraph on ``nodes`` of the graph ``ctx``
-    was built for, renumbered by place in ``nodes``, when no edge leaves
-    ``nodes``: the graph task's batches are whole graphs of its full batch.
+def cut_forward_context(
+    ctx: dict, nodes: np.ndarray, edges: np.ndarray, graph_ids: np.ndarray, n_graphs: int
+) -> dict:
+    """The graph-task context of the subgraph on ``nodes`` of the batch
+    ``ctx`` was built for, renumbered by place in ``nodes``, given the
+    subgraph's ``edges`` in those numbers and its pooling ``graph_ids`` and
+    ``n_graphs``. No edge may leave ``nodes``: the cut takes whole graphs.
 
-    Equal, bit for bit, to ``build_forward_context`` on ``g`` with the same
-    choice of CSR features, and every operator keeps its transpose. That
-    holds for the rows of ``agg_x`` too: Â and M̄ are block-diagonal over
-    the graphs, so each row of Â X or M̄ X sums the same entries in the
-    same order.
+    Equal, bit for bit, to ``build_forward_context`` on the batch of those
+    graphs with the same choice of CSR features, and every operator keeps
+    its transpose. That holds for the rows of ``agg_x`` too: Â and M̄ are
+    block-diagonal over the graphs, so each row of Â X or M̄ X sums the
+    same entries in the same order.
     """
     out = {k: ctx[k].submatrix(nodes, nodes) for k in ("adj", "mean_op") if k in ctx}
+    out.update(graph_ids=graph_ids, n_graphs=n_graphs)
     if "src" in ctx:
-        out.update(_attention_edges(g))
-    if "x" in ctx:
-        out["x"] = ctx["x"].submatrix(nodes)
-    if "agg_x" in ctx:
-        out["agg_x"] = ctx["agg_x"][nodes]
+        out.update(_attention_edges(edges, nodes.size))
+    for k in ("x", "agg_x"):
+        if k in ctx:
+            out[k] = ctx[k].submatrix(nodes) if isinstance(ctx[k], SparseMatrix) else ctx[k][nodes]
     return out
 
 
@@ -304,41 +319,31 @@ def _gat_head_params(model: GnnModel, l: int) -> list[dict[str, Tensor]]:
 
 def model_forward(
     model: GnnModel,
-    data: Graph | GraphBatch,
+    ctx: dict,
     training: bool,
     rng: np.random.Generator | None = None,
-    ctx: dict | None = None,
 ) -> tuple[Tensor, list[Tensor]]:
-    """Run the model; returns (logits, per-layer representations).
+    """Run the model on its forward context, its one input; returns
+    (logits, per-layer representations).
 
-    Node task takes a Graph and yields per-node logits; graph task takes
-    a GraphBatch and yields per-graph logits via sum pooling and a linear
-    head. Hidden layers apply ELU for GAT and ReLU otherwise.
-    Representations are post-activation, pre-dropout (the node task's
-    final layer representation is its logits). GraphSage always aggregates
-    full neighborhoods, so dropout is the one user of the rng, and eval
-    mode, which skips dropout, never touches it. Layer 1 is ``agg_x`` @ W + b
-    whenever the context holds ``"agg_x"``, whatever the architecture. A
-    node-task context cut by ``cut_scored_rows`` yields only its rows' logits.
+    A node-task context yields per-node logits, a graph-task one per-graph
+    logits via sum pooling and a linear head; a context of the other task
+    than the model's raises ContractError. Hidden layers apply ELU for GAT
+    and ReLU otherwise. Representations are post-activation, pre-dropout
+    (the node task's last one is its logits). Dropout is the rng's one
+    user, so eval mode never touches it. Layer 1 is ``agg_x`` @ W + b when
+    the context holds ``"agg_x"`` and reads ``"x"`` otherwise. A context
+    cut by ``cut_scored_rows`` yields only its rows' logits.
     """
     cfg = model.config
-    if cfg.task == "graph":
-        if not isinstance(data, GraphBatch):
-            raise ContractError("graph-task forward requires a GraphBatch")
-        g = data.graph
-    else:
-        if isinstance(data, GraphBatch):
-            raise ContractError("node-task forward requires a Graph")
-        g = data
-    if g.feature_dim != cfg.in_dim:
-        raise ShapeError(f"feature dim {g.feature_dim} != configured in_dim {cfg.in_dim}")
-    if ctx is None:
-        ctx = build_forward_context(cfg, g)
+    if ("graph_ids" in ctx) != (cfg.task == "graph"):
+        raise ContractError(f"a {cfg.task}-task model needs a {cfg.task}-task context")
     act = T.elu if cfg.arch == "gat" else T.relu
     if training and cfg.dropout > 0.0 and rng is None:
         raise ContractError("training forward requires an rng")
 
-    h = ctx.get("x", g.features)
+    h = ctx.get("x")
+    h = Tensor(h) if isinstance(h, np.ndarray) else h
     reps: list[Tensor] = []
     for l in range(1, cfg.n_layers + 1):
         final = l == cfg.n_layers
@@ -363,7 +368,7 @@ def model_forward(
                 dst,
                 _gat_head_params(model, l),
                 model.params[f"layer{l}.b"],
-                ctx["rows"].size if cut else g.n_nodes,
+                ctx["rows"].size if cut else None,
                 combine="average" if final else "concat",
                 seg=seg,
             )
@@ -386,7 +391,7 @@ def model_forward(
             )
 
     if cfg.task == "graph":
-        pooled = T.segment_sum(h, data.graph_ids, data.n_graphs)
+        pooled = T.segment_sum(h, ctx["graph_ids"], ctx["n_graphs"])
         logits = T.add_bias(T.matmul(pooled, model.params["head.W"]), model.params["head.b"])
     else:
         logits = h
@@ -426,16 +431,27 @@ def load_checkpoint(path_prefix) -> GnnModel:
     """Rebuild a model from <prefix>.json and <prefix>.bin.
 
     The manifest must name exactly the arrays the config implies, with
-    their shapes, and the binary must hold exactly those values; anything
-    else raises FormatError.
+    their shapes, and the binary must hold exactly those values. The seed,
+    the integer config fields and every shape entry must be JSON integers.
+    Anything else raises FormatError naming the file.
     """
     prefix = Path(path_prefix)
     where = prefix.with_suffix(".json")
+
+    def integer(value, key: str) -> int:
+        if type(value) is not int:
+            raise FormatError(f"checkpoint manifest {where}: {key} is {value!r}, not an integer")
+        return value
+
     try:
         manifest = json.loads(where.read_text(encoding="utf-8"))
+        for f in fields(ModelConfig):
+            if f.type == "int" and f.name in manifest["config"]:
+                integer(manifest["config"][f.name], f"key {f.name!r}")
         config = ModelConfig(**manifest["config"])
-        seed = int(manifest["seed"])
-        specs = [(str(a["name"]), tuple(a["shape"])) for a in manifest["arrays"]]
+        seed = integer(manifest["seed"], "key 'seed'")
+        specs = [(str(a["name"]), tuple(integer(n, f"the shape of {a['name']!r}")
+                                        for n in a["shape"])) for a in manifest["arrays"]]
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"checkpoint manifest {where} is malformed: {e}") from e
     model = init_model(config, seed)

@@ -7,7 +7,8 @@ step to plain supervised training bit for bit (same seed, same rng
 streams, same update order). Random streams are derived per purpose from
 the run seed: parameter init uses the seed itself, dropout and batch
 shuffling use spawned substreams, and the temperature module draws
-from its own substream so enabling it never shifts the others.
+from its own substream so enabling it never shifts the others. Every
+forward reads only a forward context, which ``TaskData`` builds or cuts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .models import (
 )
 from .optim import Adam
 from .sparse import concat_ranges
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, backward
 
 DEFAULT_EPOCHS = {"node": 300, "graph": 200}
 
@@ -44,14 +45,14 @@ class TaskData:
     Every construction is checked: each split index must be an integer in
     ``[0, n_samples)``. A node task given no split takes the graph's.
 
-    Forward inputs are built lazily, never at construction: the graph
-    task batches its graphs once, the full-data context is built once per
-    architecture (``forward_input``), and each split's input is cut from
-    them once per architecture (``split_input``). The graph task cuts
-    every mini-batch (``batch``) and every split out of that one
-    block-diagonal batch and its context, so training never batches graphs
-    or builds a context again. The node task cuts a split's context so
-    that the last layer computes only the split's rows.
+    A forward reads one forward context, built lazily: the graph task
+    batches its graphs once, the full-data context is built once per
+    architecture (``forward_input``), and each split's context is cut from
+    it once per architecture (``split_input``). The graph task cuts every
+    mini-batch (``batch``) and every split out of that one block-diagonal
+    context, so training never batches graphs or builds a context again.
+    The node task cuts a split's context so that the last layer computes
+    only the split's rows.
     """
 
     kind: str
@@ -59,7 +60,7 @@ class TaskData:
     graphs: list[Graph] | None = None
     split: DatasetSplit | None = None
     labels: np.ndarray = field(init=False, repr=False, compare=False)
-    # arch or (arch, split) -> (forward input, context)
+    # arch or (arch, split) -> forward context
     _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,64 +115,53 @@ class TaskData:
         return (np.cumsum([0] + [g.n_nodes for g in self.graphs]),
                 np.cumsum([0] + [g.n_edges for g in self.graphs]))
 
-    def forward_input(self, config: ModelConfig) -> tuple[Graph | GraphBatch, dict]:
-        """The full-data forward input (the graph, or every graph batched,
-        once per dataset) and its forward context, built once per
-        architecture.
+    def forward_input(self, config: ModelConfig) -> dict:
+        """The full-data forward context (of the graph, or of every graph
+        batched once per dataset), built once per architecture.
 
-        The context depends only on the graph and the architecture, so
+        The context depends only on the data and the architecture, so
         node-task training, every evaluation and teacher logits share it.
         """
         if config.arch not in self._inputs:
-            inp = self._full_input
-            g = inp.graph if isinstance(inp, GraphBatch) else inp
-            self._inputs[config.arch] = (inp, build_forward_context(config, g))
+            self._inputs[config.arch] = build_forward_context(config, self._full_input)
         return self._inputs[config.arch]
 
-    def batch(self, config: ModelConfig, idx) -> tuple[GraphBatch, dict]:
-        """The graphs ``idx`` in that order, batched as ``batch_graphs``
-        batches them (same node ids, edge order and features), with their
-        forward context; both are cut from ``forward_input`` and equal,
-        bit for bit, what ``batch_graphs`` and ``build_forward_context``
-        build, except that the CSR-feature choice is the full data's."""
+    def batch(self, config: ModelConfig, idx) -> dict:
+        """The forward context of the graphs ``idx`` batched in that order,
+        cut from ``forward_input``; it equals, bit for bit, what
+        ``build_forward_context`` builds on their ``batch_graphs``, except
+        that the CSR-feature choice is the full data's."""
         if self.kind != "graph":
             raise ContractError("only the graph task is cut into batches")
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0 or idx.min() < 0 or idx.max() >= self.n_samples:
             raise ContractError(f"a batch needs graph ids in [0, {self.n_samples})")
-        full, ctx = self.forward_input(config)
         node_off, edge_off = self._offsets
         n_nodes = node_off[idx + 1] - node_off[idx]
         n_edges = edge_off[idx + 1] - edge_off[idx]
-        starts = np.concatenate([[0], np.cumsum(n_nodes)])
-        nodes = concat_ranges(node_off[idx], n_nodes)
-        shift = np.repeat(starts[:-1] - node_off[idx], n_edges)
-        sub = Graph(
-            n_nodes=int(starts[-1]),
-            edges=full.graph.edges[concat_ranges(edge_off[idx], n_edges)] + shift[:, None],
-            features=Tensor(full.graph.features.data[nodes]),
+        shift = np.repeat(np.cumsum(n_nodes) - n_nodes - node_off[idx], n_edges)  # new - old id
+        edges = self._full_input.graph.edges[concat_ranges(edge_off[idx], n_edges)]
+        return cut_forward_context(
+            self.forward_input(config), concat_ranges(node_off[idx], n_nodes),
+            edges + shift[:, None], np.repeat(np.arange(idx.size), n_nodes), idx.size,
         )
-        graph_ids = np.repeat(np.arange(idx.size), n_nodes)
-        batch = GraphBatch(graph=sub, graph_ids=graph_ids, n_graphs=idx.size)
-        return batch, cut_forward_context(ctx, nodes, sub)
 
-    def split_input(self, config: ModelConfig, split: str) -> tuple[Graph | GraphBatch, dict]:
-        """The forward input and context that score one split, cut once per
+    def split_input(self, config: ModelConfig, split: str) -> dict:
+        """The forward context that scores one split, cut once per
         architecture and split: ``batch`` of the split's graphs, or the
-        graph with its context cut to the split's rows (``cut_scored_rows``).
-        Either way the logits are the split's rows of a full forward, in
-        split order. The node task's match bit for bit. The graph task's
-        match to rounding, not bit for bit: BLAS rounds a row of a dense
-        product by the row's place among the product's rows, and a split's
-        batch places its nodes elsewhere (seen at hidden width 16 and up)."""
+        full context cut to the split's rows (``cut_scored_rows``). Either
+        way the logits are the split's rows of a full forward, in split
+        order. The node task's match bit for bit. The graph task's match
+        to rounding, not bit for bit: BLAS rounds a row of a dense product
+        by the row's place among the product's rows, and a split's batch
+        places its nodes elsewhere (seen at hidden width 16 and up)."""
         key = (config.arch, split)
         if key not in self._inputs:
             idx = self.split_idx(split)
-            if self.kind == "graph":
-                self._inputs[key] = self.batch(config, idx)
-            else:
-                g, ctx = self.forward_input(config)
-                self._inputs[key] = (g, cut_scored_rows(ctx, idx, g.n_nodes))
+            self._inputs[key] = (
+                self.batch(config, idx) if self.kind == "graph"
+                else cut_scored_rows(self.forward_input(config), idx, self.graph.n_nodes)
+            )
         return self._inputs[key]
 
 
@@ -280,8 +270,7 @@ def _restore(model: GnnModel, snap: dict) -> None:
 
 def predict_logits(model: GnnModel, data: TaskData) -> np.ndarray:
     """Eval-mode logits for every sample (node or graph)."""
-    inp, ctx = data.forward_input(model.config)
-    logits, _ = model_forward(model, inp, training=False, ctx=ctx)
+    logits, _ = model_forward(model, data.forward_input(model.config), training=False)
     return logits.data
 
 
@@ -318,8 +307,8 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
             )
         pred = preds[idx]
     else:
-        inp, ctx = data.split_input(model_or_preds.config, split)
-        logits, _ = model_forward(model_or_preds, inp, training=False, ctx=ctx)
+        ctx = data.split_input(model_or_preds.config, split)
+        logits, _ = model_forward(model_or_preds, ctx, training=False)
         pred = logits.data.argmax(axis=1)
     true = data.labels[idx]
     return EvalResult(
@@ -334,7 +323,7 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
 def _epoch_batches(
     config: ModelConfig, data: TaskData, plan: TrainPlan, train_idx, shuffle, distill: bool
 ):
-    """Yield one epoch's training batches as (forward input, ctx, sample ids
+    """Yield one epoch's training batches as (forward context, sample ids
     of the logits rows, logits rows under the label loss or None for all).
 
     The node task is a single full-graph batch whose label loss covers the
@@ -342,22 +331,19 @@ def _epoch_batches(
     ``shuffle``. Its last layer computes only those nodes
     (``TaskData.split_input``) unless ``distill``: the node task's KD term
     reads every node. The graph task yields shuffled ``batch_size`` chunks
-    of training graphs, each cut from the full-data batch and its context
-    (``TaskData.batch``) as ``batch_graphs`` would have batched it.
+    of training graphs, each context cut from the full-data one
+    (``TaskData.batch``).
     """
     if data.kind == "node":
         if distill:
-            inp, ctx = data.forward_input(config)
-            yield inp, ctx, np.arange(data.n_samples), train_idx
+            yield data.forward_input(config), np.arange(data.n_samples), train_idx
         else:
-            inp, ctx = data.split_input(config, "train")
-            yield inp, ctx, train_idx, None
+            yield data.split_input(config, "train"), train_idx, None
         return
     order = shuffle.permutation(train_idx)
     for start in range(0, order.size, plan.batch_size):
         chunk = order[start : start + plan.batch_size]
-        inp, ctx = data.batch(config, chunk)
-        yield inp, ctx, chunk, None
+        yield data.batch(config, chunk), chunk, None
 
 
 def _train_student(
@@ -400,14 +386,12 @@ def _train_student(
     best = {"val_acc": -1.0, "snap": _snapshot(model)}
     for epoch in range(plan.epochs):
         losses = []
-        for inp, ctx, ids, rows in _epoch_batches(
+        for ctx, ids, rows in _epoch_batches(
             config, data, plan, train_idx, streams["shuffle"], distill
         ):
             label_ids = ids if rows is None else ids[rows]
             with Tape() as tape:
-                logits, _ = model_forward(
-                    model, inp, training=True, rng=streams["dropout"], ctx=ctx
-                )
+                logits, _ = model_forward(model, ctx, training=True, rng=streams["dropout"])
                 scored = logits if rows is None else T.gather_rows(logits, rows)
                 loss = weighted_label_loss(
                     T.softmax_rows(scored), _one_hot(labels[label_ids], c), sample_w[label_ids]

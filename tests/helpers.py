@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, a bitwise
 array comparison, the scatter reference the bincount kernel is checked
-against, node degrees and one-hot degree features for graph fixtures,
-and a TU-format directory writer."""
+against, a forward on a freshly built context, node degrees and one-hot
+degree features for graph fixtures, and a TU-format directory writer."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from bgnn.graph_data import Graph
+from bgnn.graph_data import Graph, GraphBatch
+from bgnn.models import GnnModel, build_forward_context, model_forward
 from bgnn.tensor import Tape, Tensor, backward
 
 
@@ -79,6 +80,13 @@ def wide_range(g: np.random.Generator, shape) -> np.ndarray:
     return g.standard_normal(shape) * 10.0 ** g.integers(-8, 9, shape)
 
 
+def forward(model: GnnModel, data: Graph | GraphBatch, training: bool = False, rng=None):
+    """``model_forward`` on the context ``build_forward_context`` builds
+    from ``data``, a Graph for a node-task model or a GraphBatch for a
+    graph-task one."""
+    return model_forward(model, build_forward_context(model.config, data), training, rng)
+
+
 def degrees(g: Graph) -> np.ndarray:
     """Out-degree of each node: its edges counted by source."""
     return np.bincount(g.edges[:, 0], minlength=g.n_nodes)
@@ -96,7 +104,7 @@ def one_hot_degree_features(graphs: list[Graph], cap: int | None = None) -> list
     for g in graphs:
         x = np.zeros((g.n_nodes, top + 1))
         x[np.arange(g.n_nodes), np.minimum(degrees(g), top)] = 1.0
-        out.append(replace(g, features=Tensor(x)))
+        out.append(replace(g, features=x))
     return out
 
 

@@ -31,7 +31,7 @@ from bgnn.graph_data import (
     load_tu_dataset,
     random_split,
 )
-from bgnn.models import ModelConfig, init_model, model_forward
+from bgnn.models import ModelConfig, init_model
 from bgnn.pipeline import (
     TaskData,
     TrainPlan,
@@ -44,7 +44,7 @@ from bgnn.pipeline import (
 from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import check_grads
+from helpers import check_grads, forward
 
 
 def _find_data(name: str) -> Path | None:
@@ -84,7 +84,7 @@ def _one_hot(labels: np.ndarray, c: int) -> np.ndarray:
 
 def _ce_loss_all_nodes(model, graph, targets: np.ndarray):
     rng = np.random.default_rng(17)
-    logits, _ = model_forward(model, graph, training=True, rng=rng)
+    logits, _ = forward(model, graph, training=True, rng=rng)
     p = T.clamp_min(T.softmax_rows(logits), 1e-12)
     return T.neg(T.sum_all(T.mul(T.log(p), Tensor(targets))))
 
@@ -519,7 +519,7 @@ def test_11_tu_dataset_loader(tmp_path):
         deg = np.bincount(np.asarray(g.edges)[:, 0], minlength=g.n_nodes)
         expect = np.zeros((g.n_nodes, g.features.shape[1]))
         expect[np.arange(g.n_nodes), deg - 1] = 1.0
-        np.testing.assert_array_equal(g.features.data, expect)
+        np.testing.assert_array_equal(g.features, expect)
     assert len(tri_labels) == 1 and len(path_labels) == 1
     assert tri_labels != path_labels
     print("[criterion 11] ENZYMES not present; tu_toy fixture round-trips exactly")

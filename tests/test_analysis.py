@@ -15,8 +15,9 @@ from bgnn.analysis import (
 )
 from bgnn.errors import ContractError, DomainError
 from bgnn.graph_data import Graph
-from bgnn.models import ModelConfig, init_model, model_forward
-from bgnn.tensor import Tensor
+from bgnn.models import ModelConfig, init_model
+
+from helpers import forward
 
 
 def cka_via_grams(x: np.ndarray, y: np.ndarray) -> float:
@@ -39,7 +40,7 @@ def small_graph(n_nodes=4, feat=3, seed=0) -> Graph:
     return Graph(
         n_nodes,
         np.vstack([e, e[:, ::-1]]),
-        Tensor(rng.normal(size=(n_nodes, feat))),
+        rng.normal(size=(n_nodes, feat)),
         graph_label=0,
     )
 
@@ -121,14 +122,14 @@ class TestExtraction:
         g = Graph(
             1,
             np.zeros((0, 2), dtype=np.int64),
-            Tensor(np.array([[1.0, 2.0, 3.0]])),
+            np.array([[1.0, 2.0, 3.0]]),
             graph_label=0,
         )
         model = self.graph_model()
         reps = extract_layer_representations(model, [g])
         from bgnn.graph_data import batch_graphs
 
-        _, layer_reps = model_forward(model, batch_graphs([g]), training=False)
+        _, layer_reps = forward(model, batch_graphs([g]), training=False)
         for got, want in zip(reps.layers, layer_reps):
             assert np.allclose(got[0], want.data[0])
 
@@ -147,7 +148,7 @@ class TestExtraction:
         from bgnn.graph_data import batch_graphs
 
         for i, g in enumerate(gs):
-            _, layer_reps = model_forward(model, batch_graphs([g]), training=False)
+            _, layer_reps = forward(model, batch_graphs([g]), training=False)
             for l, r in enumerate(layer_reps):
                 assert np.allclose(reps.layers[l][i], r.data.mean(axis=0))
 
@@ -155,7 +156,7 @@ class TestExtraction:
     @pytest.mark.parametrize("task", ["graph", "node"])
     def test_one_batched_forward_matches_per_graph_forwards(self, arch, task):
         no_edges = np.zeros((0, 2), dtype=np.int64)
-        isolated = Graph(2, no_edges, Tensor(np.ones((2, 3))), graph_label=0)
+        isolated = Graph(2, no_edges, np.ones((2, 3)), graph_label=0)
         gs = [small_graph(seed=5), isolated, small_graph(n_nodes=6, seed=6)]
         cfg = ModelConfig(arch=arch, in_dim=3, hidden_dim=4, n_classes=2, heads=2,
                           batch_norm=True, task=task)
@@ -165,7 +166,7 @@ class TestExtraction:
 
         for i, g in enumerate(gs):
             data = batch_graphs([g]) if task == "graph" else g
-            _, layer_reps = model_forward(model, data, training=False)
+            _, layer_reps = forward(model, data, training=False)
             for l, r in enumerate(layer_reps):
                 np.testing.assert_allclose(
                     reps.layers[l][i], r.data.mean(axis=0), rtol=1e-12, atol=1e-12

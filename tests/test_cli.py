@@ -14,6 +14,7 @@ from bgnn.errors import ConfigError
 from bgnn.graph_data import load_json_bundle, load_tu_dataset
 from bgnn.models import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from bgnn.pipeline import predict
+from bgnn.sparse import SparseMatrix
 from helpers import write_tu_dir
 
 
@@ -278,7 +279,7 @@ class TestTrain:
         data = load_dataset(str(bundle))
         for seed in (0, 1):
             model = load_checkpoint(out / f"model_seed{seed}")
-            assert "x" in data.forward_input(model.config)[1]
+            assert isinstance(data.forward_input(model.config)["x"], SparseMatrix)
             lines = (out / f"predictions_seed{seed}.csv").read_text().splitlines()[1:]
             ids, _, pred = np.array([line.split(",") for line in lines], dtype=int).T
             np.testing.assert_array_equal(predict(model, data)[ids], pred)
@@ -618,6 +619,22 @@ class TestCka:
         assert "checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "cka.csv").exists()
 
+    def test_float_checkpoint_shape_exits_2(self, tmp_path, capsys):
+        """A shape of floats equal to the config's compares equal to it
+        (3.0 == 3) but cannot reshape the binary: typed, before --out."""
+        d = tmp_path / "TOY"
+        assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
+        ckpt = self.make_checkpoint(tmp_path)
+        manifest = json.loads(ckpt.with_suffix(".json").read_text())
+        manifest["arrays"][0]["shape"] = [float(n) for n in manifest["arrays"][0]["shape"]]
+        ckpt.with_suffix(".json").write_text(json.dumps(manifest))
+        out = tmp_path / "cka.csv"
+        code = run("cka", "--checkpoints", str(ckpt), "--dataset", f"tu:{d}", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt.with_suffix(".json")) in err and "not an integer" in err
+        assert not out.exists()
+
     def test_checkpoint_naming_an_activation_exits_2(self, tmp_path, capsys):
         d = tmp_path / "TOY"
         assert run("make-fixtures", "--kind", "tu_toy", "--seed", "0", "--out", str(d)) == 0
@@ -682,7 +699,7 @@ class TestDatasets:
     def test_sbm_presets_fixed_across_calls(self):
         a = load_dataset("sbm:small")
         b = load_dataset("sbm:small")
-        assert np.array_equal(a.graph.features.data, b.graph.features.data)
+        assert np.array_equal(a.graph.features, b.graph.features)
         assert np.array_equal(a.split_idx("train"), b.split_idx("train"))
 
     def test_builtin_datasets_keep_dense_features(self, tmp_path):
@@ -694,4 +711,4 @@ class TestDatasets:
             for arch in ("gcn", "gat"):
                 cfg = ModelConfig(arch=arch, in_dim=data.feature_dim, hidden_dim=8,
                                   n_classes=data.n_classes, task=data.kind)
-                assert "x" not in data.forward_input(cfg)[1]
+                assert not isinstance(data.forward_input(cfg).get("x"), SparseMatrix)

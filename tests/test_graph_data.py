@@ -30,7 +30,7 @@ from helpers import assert_bits, degrees, one_hot_degree_features, write_tu_dir
 
 
 def tiny_graph(n=3, edges=((0, 1), (1, 0)), dim=2):
-    return Graph(n_nodes=n, edges=np.array(edges), features=Tensor(np.zeros((n, dim))))
+    return Graph(n_nodes=n, edges=np.array(edges), features=np.zeros((n, dim)))
 
 
 class TestGraphValidation:
@@ -40,7 +40,14 @@ class TestGraphValidation:
 
     def test_feature_row_mismatch(self):
         with pytest.raises(ShapeError):
-            Graph(n_nodes=3, edges=np.zeros((0, 2)), features=Tensor(np.zeros((2, 2))))
+            Graph(n_nodes=3, edges=np.zeros((0, 2)), features=np.zeros((2, 2)))
+
+    def test_features_are_a_float64_array(self):
+        g = Graph(n_nodes=2, edges=np.zeros((0, 2)), features=[[1, 2], [3, 4]])
+        assert isinstance(g.features, np.ndarray) and g.features.dtype == np.float64
+        assert g.feature_dim == 2
+        with pytest.raises(ShapeError):
+            Graph(n_nodes=2, edges=np.zeros((0, 2)), features=np.zeros(2))
 
     def test_degrees(self):
         g = tiny_graph(n=4, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
@@ -96,8 +103,8 @@ class TestTuLoader:
         (tmp_path / "TOY_node_labels.txt").write_text("\n".join(["0", "1", "0", "2", "1", "0"]))
         graphs = load_tu_dataset(tmp_path, "TOY")
         assert graphs[0].feature_dim == 3
-        np.testing.assert_allclose(graphs[0].features.data.sum(axis=1), 1.0)
-        np.testing.assert_allclose(graphs[0].features.data[1], [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(graphs[0].features.sum(axis=1), 1.0)
+        np.testing.assert_allclose(graphs[0].features[1], [0.0, 1.0, 0.0])
 
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="TOY_A.txt"):
@@ -182,7 +189,7 @@ class TestTuLoader:
                 want = np.eye(len(node_classes))[[node_classes.index(x) for x in labels]]
             else:
                 want = np.ones((len(labels), 1))
-            np.testing.assert_array_equal(g.features.data, want)
+            np.testing.assert_array_equal(g.features, want)
             assert g.graph_label == graph_classes.index(label)
 
 
@@ -308,7 +315,7 @@ class TestJsonBundle:
         p.write_text(json.dumps(obj))
         g = load_json_bundle(p)
         assert g.features.shape == (2, 5)
-        assert g.features.data[0, 3] == 2.0 and g.features.data[1, 0] == 5.0
+        assert g.features[0, 3] == 2.0 and g.features[1, 0] == 5.0
 
     @pytest.mark.parametrize(
         "features",
@@ -363,7 +370,7 @@ class TestJsonBundle:
         g = Graph(
             n_nodes=6,
             edges=np.array([[0, 1], [1, 0]]),
-            features=Tensor(x),
+            features=x,
             node_labels=np.zeros(6, dtype=np.int64),
         )
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -375,7 +382,7 @@ class TestJsonBundle:
 
 class TestNormalizeAdjacency:
     def test_single_node(self):
-        g = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=Tensor(np.zeros((1, 1))))
+        g = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 1)))
         np.testing.assert_allclose(normalize_adjacency(g).to_dense(), [[1.0]])
 
     def test_two_nodes_one_edge(self):
@@ -402,7 +409,7 @@ class TestNormalizeAdjacency:
         edges = np.concatenate(
             [np.stack([src[keep], dst[keep]], 1), np.stack([dst[keep], src[keep]], 1)], axis=0
         )
-        graph = Graph(n_nodes=n, edges=edges, features=Tensor(np.zeros((n, 1))))
+        graph = Graph(n_nodes=n, edges=edges, features=np.zeros((n, 1)))
         a = normalize_adjacency(graph).to_dense()
         assert np.abs(a - a.T).max() < 1e-12
         assert np.all(a.sum(axis=1) > 0.0)
@@ -412,22 +419,22 @@ class TestNormalizeAdjacency:
 
 class TestDegreeFeatures:
     def test_isolated_node(self):
-        g = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=Tensor(np.zeros((1, 1))))
+        g = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 1)))
         (out,) = one_hot_degree_features([g])
-        np.testing.assert_allclose(out.features.data, [[1.0]])
+        np.testing.assert_allclose(out.features, [[1.0]])
 
     def test_triangle_all_degree_two(self):
         g = tiny_graph(n=3, edges=((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)))
         (out,) = one_hot_degree_features([g])
         assert out.feature_dim == 3
-        np.testing.assert_allclose(out.features.data[:, 2], 1.0)
+        np.testing.assert_allclose(out.features[:, 2], 1.0)
 
     def test_cap_clamps(self):
         star_edges = [(0, i) for i in range(1, 10)] + [(i, 0) for i in range(1, 10)]
         g = tiny_graph(n=10, edges=star_edges)
         (out,) = one_hot_degree_features([g], cap=5)
         assert out.feature_dim == 6
-        assert out.features.data[0, 5] == 1.0  # hub degree 9 lands in the top bucket
+        assert out.features[0, 5] == 1.0  # hub degree 9 lands in the top bucket
 
 
 class TestRandomSplit:
@@ -541,13 +548,13 @@ class TestBatching:
         g1 = Graph(
             n_nodes=2,
             edges=np.array([[0, 1], [1, 0]]),
-            features=Tensor(np.arange(4.0).reshape(2, 2)),
+            features=np.arange(4.0).reshape(2, 2),
             graph_label=0,
         )
         g2 = Graph(
             n_nodes=3,
             edges=np.array([[0, 2], [2, 0]]),
-            features=Tensor(np.arange(6.0).reshape(3, 2) + 10),
+            features=np.arange(6.0).reshape(3, 2) + 10,
             graph_label=1,
         )
         return [g1, g2]
@@ -567,13 +574,13 @@ class TestBatching:
     def test_segment_sum_matches_per_graph_sums(self):
         gs = self.graphs()
         b = batch_graphs(gs)
-        pooled = T.segment_sum(b.graph.features, b.graph_ids, b.n_graphs).data
+        pooled = T.segment_sum(Tensor(b.graph.features), b.graph_ids, b.n_graphs).data
         for i, g in enumerate(gs):
-            np.testing.assert_allclose(pooled[i], g.features.data.sum(axis=0))
+            np.testing.assert_allclose(pooled[i], g.features.sum(axis=0))
 
     def test_feature_dim_mismatch(self):
         g1, _ = self.graphs()
-        g3 = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=Tensor(np.zeros((1, 7))))
+        g3 = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 7)))
         with pytest.raises(ShapeError):
             batch_graphs([g1, g3])
 
@@ -598,7 +605,7 @@ class TestSbm:
         a = generate_sbm(10, 3, 0.5, 0.1, 5, seed=11)
         b = generate_sbm(10, 3, 0.5, 0.1, 5, seed=11)
         np.testing.assert_array_equal(a.edges, b.edges)
-        np.testing.assert_allclose(a.features.data, b.features.data)
+        np.testing.assert_allclose(a.features, b.features)
 
     def test_labels_and_feature_shape(self):
         g = generate_sbm(4, 3, 0.5, 0.1, 8, seed=2)

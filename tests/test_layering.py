@@ -1,0 +1,52 @@
+"""Module layering: the data layer (sparse matrices, graphs and their
+loaders) sits below autodiff, models and training, and imports none of
+them. Node features are plain arrays, so nothing there needs a Tensor."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bgnn
+
+PACKAGE = Path(bgnn.__file__).parent
+ABOVE = {"tensor", "models", "pipeline"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every ``bgnn`` module the file imports, by its name inside the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("bgnn"):
+                continue
+            base = base.removeprefix("bgnn").lstrip(".")
+            # ``from . import tensor`` names the module in its import list
+            names = [base] if base else [a.name for a in node.names]
+            names = [f"bgnn.{n}" for n in names]
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("bgnn."))
+    return found
+
+
+@pytest.mark.parametrize("module", ["sparse", "graph_data"])
+def test_data_layer_imports_nothing_above_it(module):
+    assert imported_modules(PACKAGE / f"{module}.py") & ABOVE == set()
+
+
+@pytest.mark.parametrize("source, want", [
+    ("from .tensor import Tensor", {"tensor"}),
+    ("from . import tensor as T", {"tensor"}),
+    ("from .models import init_model", {"models"}),
+    ("import bgnn.pipeline", {"pipeline"}),
+    ("from bgnn.tensor import Tensor", {"tensor"}),
+    ("from .errors import FormatError\nimport numpy as np", {"errors"}),
+])
+def test_the_import_scan_sees_every_form(tmp_path, source, want):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert imported_modules(path) == want

@@ -1,6 +1,8 @@
 """GNN layers, initialization, forward passes, checkpoints."""
 
+import inspect
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from bgnn.models import (
 from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import assert_bits, check_grads, numeric_grad
+from helpers import assert_bits, check_grads, forward, numeric_grad
 
 
 def small_graph(seed=0, n=6, dim=5, classes=3):
@@ -44,7 +46,7 @@ def small_graph(seed=0, n=6, dim=5, classes=3):
     edges = np.unique(np.stack([src, dst], axis=1), axis=0)
     labels = g.integers(0, classes, n)
     return Graph(
-        n_nodes=n, edges=edges, features=Tensor(g.standard_normal((n, dim))), node_labels=labels
+        n_nodes=n, edges=edges, features=g.standard_normal((n, dim)), node_labels=labels
     )
 
 
@@ -57,7 +59,7 @@ def sparse_graph(seed=0, n=12, dim=80, nnz=10):
     x = np.zeros(n * dim)
     x[rng.choice(n * dim, size=nnz, replace=False)] = rng.standard_normal(nnz)
     assert nnz < SPARSE_INPUT_DENSITY * n * dim
-    return Graph(n_nodes=n, edges=g.edges, features=Tensor(x.reshape(n, dim)),
+    return Graph(n_nodes=n, edges=g.edges, features=x.reshape(n, dim),
                  node_labels=g.node_labels)
 
 
@@ -76,7 +78,7 @@ class TestConfig:
         g = generate_sbm(10, 2, 0.5, 0.1, 4, seed=0)
         for arch in ARCHITECTURES:
             m = init_model(ModelConfig(arch=arch, in_dim=4, hidden_dim=8, n_classes=2), 0)
-            h = model_forward(m, g, training=False)[1][0].data
+            h = forward(m, g, training=False)[1][0].data
             if arch == "gat":
                 assert -1.0 < h.min() < 0.0
             else:
@@ -144,12 +146,12 @@ class TestGcnLayer:
         w0 = rng.standard_normal((3, 2))
 
         def loss_of_w(w):
-            out = adj.matmul_dense(g.features.data @ w)
+            out = adj.matmul_dense(g.features @ w)
             return float((out**2).sum())
 
         W = Tensor(w0, requires_grad=True)
         with Tape() as tape:
-            out = gcn_layer(g.features, adj, W, Tensor(np.zeros(2), requires_grad=True))
+            out = gcn_layer(Tensor(g.features), adj, W, Tensor(np.zeros(2), requires_grad=True))
             loss = T.sum_all(T.mul(out, out))
         backward(loss, tape)
         np.testing.assert_allclose(W.grad, numeric_grad(loss_of_w, w0), rtol=1e-4, atol=1e-7)
@@ -277,22 +279,22 @@ class TestModelForward:
         g = small_graph(10)
         for cfg in self.configs():
             m = init_model(cfg, 0)
-            a, _ = model_forward(m, g, training=False)
-            b, _ = model_forward(m, g, training=False)
+            a, _ = forward(m, g, training=False)
+            b, _ = forward(m, g, training=False)
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_zero_features_zero_biases_give_zero_gcn_logits(self):
         g = small_graph(11)
-        g = Graph(n_nodes=g.n_nodes, edges=g.edges, features=Tensor(np.zeros((g.n_nodes, 5))))
+        g = Graph(n_nodes=g.n_nodes, edges=g.edges, features=np.zeros((g.n_nodes, 5)))
         m = init_model(ModelConfig(arch="gcn", in_dim=5, hidden_dim=8, n_classes=3), 0)
-        logits, _ = model_forward(m, g, training=False)
+        logits, _ = forward(m, g, training=False)
         np.testing.assert_allclose(logits.data, 0.0)
 
     def test_reps_shapes_and_count(self):
         g = small_graph(12)
         for cfg in self.configs():
             m = init_model(cfg, 1)
-            logits, reps = model_forward(m, g, training=False)
+            logits, reps = forward(m, g, training=False)
             assert logits.shape == (6, 3)
             assert len(reps) == 2
             assert reps[0].shape == (6, 8)
@@ -302,13 +304,7 @@ class TestModelForward:
         g = small_graph(13)
         m = init_model(self.configs()[0], 0)
         with pytest.raises(ContractError):
-            model_forward(m, g, training=True)
-
-    def test_feature_dim_mismatch(self):
-        g = small_graph(14, dim=4)
-        m = init_model(self.configs()[0], 0)
-        with pytest.raises(ShapeError):
-            model_forward(m, g, training=False)
+            forward(m, g, training=True)
 
     def test_graph_task_batch_matches_per_graph(self):
         gs = [generate_sbm(4, 2, 0.9, 0.2, 6, seed=s) for s in (0, 1)]
@@ -318,16 +314,10 @@ class TestModelForward:
         ]
         cfg = ModelConfig(arch="gcn", in_dim=6, hidden_dim=8, n_classes=2, task="graph")
         m = init_model(cfg, 2)
-        both, _ = model_forward(m, batch_graphs(gs), training=False)
+        both, _ = forward(m, batch_graphs(gs), training=False)
         for i, g in enumerate(gs):
-            one, _ = model_forward(m, batch_graphs([g]), training=False)
+            one, _ = forward(m, batch_graphs([g]), training=False)
             np.testing.assert_allclose(both.data[i], one.data[0], atol=1e-10)
-
-    def test_graph_task_rejects_plain_graph(self):
-        cfg = ModelConfig(arch="gcn", in_dim=5, hidden_dim=8, n_classes=2, task="graph")
-        m = init_model(cfg, 0)
-        with pytest.raises(ContractError):
-            model_forward(m, small_graph(15), training=False)
 
     def test_node_permutation_leaves_graph_logits_unchanged(self):
         g0 = generate_sbm(5, 2, 0.8, 0.3, 6, seed=3)
@@ -336,7 +326,7 @@ class TestModelForward:
         permuted = Graph(
             n_nodes=g0.n_nodes,
             edges=inv[g0.edges],
-            features=Tensor(g0.features.data[perm]),
+            features=g0.features[perm],
             graph_label=0,
         )
         orig = Graph(n_nodes=g0.n_nodes, edges=g0.edges, features=g0.features, graph_label=0)
@@ -345,8 +335,8 @@ class TestModelForward:
                 arch=arch, in_dim=6, hidden_dim=8, n_classes=2, task="graph", heads=heads
             )
             m = init_model(cfg, 4)
-            a, _ = model_forward(m, batch_graphs([orig]), training=False)
-            b, _ = model_forward(m, batch_graphs([permuted]), training=False)
+            a, _ = forward(m, batch_graphs([orig]), training=False)
+            b, _ = forward(m, batch_graphs([permuted]), training=False)
             np.testing.assert_allclose(a.data, b.data, atol=1e-10)
 
     def test_end_to_end_gradient_all_architectures(self):
@@ -363,7 +353,7 @@ class TestModelForward:
             p = m.params[name]
 
             with Tape() as tape:
-                logits, _ = model_forward(m, g, training=False, ctx=ctx)
+                logits, _ = model_forward(m, ctx, training=False)
                 probs = T.softmax_rows(logits)
                 loss = T.neg(T.sum_all(T.mul(T.log(T.clamp_min(probs, 1e-10)), Tensor(y))))
             backward(loss, tape)
@@ -372,7 +362,7 @@ class TestModelForward:
             def loss_np(w, name=name, m=m, cfg=cfg, ctx=ctx):
                 saved = m.params[name].data.copy()
                 m.params[name].data[...] = w
-                logits, _ = model_forward(m, g, training=False, ctx=ctx)
+                logits, _ = model_forward(m, ctx, training=False)
                 z = logits.data
                 e = np.exp(z - z.max(axis=1, keepdims=True))
                 probs = e / e.sum(axis=1, keepdims=True)
@@ -394,16 +384,54 @@ class TestModelForward:
         m = init_model(cfg, 3)
         batch = batch_graphs(gs)
         before = m.bn_state["bn1.mean"].copy()
-        model_forward(m, batch, training=True, rng=np.random.default_rng(0))
+        forward(m, batch, training=True, rng=np.random.default_rng(0))
         assert not np.allclose(m.bn_state["bn1.mean"], before)  # running stats moved
 
     def test_four_layer_override(self):
         g = small_graph(17, n=8, dim=4)
         cfg = ModelConfig(arch="gcn", in_dim=4, hidden_dim=6, n_classes=3, n_layers=4, dropout=0.0)
         m = init_model(cfg, 6)
-        logits, reps = model_forward(m, g, training=False)
+        logits, reps = forward(m, g, training=False)
         assert logits.shape == (8, 3)
         assert len(reps) == 4
+
+
+class TestForwardContext:
+    """The context is the forward's one input: the builder checks the data
+    once, and a forward checks only that the context is of its task."""
+
+    def test_forward_takes_the_context_alone(self):
+        params = list(inspect.signature(model_forward).parameters)
+        assert params == ["model", "ctx", "training", "rng"]
+
+    def test_forward_refuses_a_context_of_the_other_task(self):
+        g = small_graph(15)
+        batch = batch_graphs([replace(g, graph_label=0)])
+        for arch in ARCHITECTURES:
+            node = ModelConfig(arch=arch, in_dim=5, hidden_dim=8, n_classes=2, heads=2)
+            graph = replace(node, task="graph")
+            with pytest.raises(ContractError, match="node-task model needs a node-task"):
+                model_forward(init_model(node, 0), build_forward_context(graph, batch), False)
+            with pytest.raises(ContractError, match="graph-task model needs a graph-task"):
+                model_forward(init_model(graph, 0), build_forward_context(node, g), False)
+
+    def test_builder_refuses_the_other_tasks_input(self):
+        g = small_graph(15)
+        for arch in ARCHITECTURES:
+            node = ModelConfig(arch=arch, in_dim=5, hidden_dim=8, n_classes=2, heads=2)
+            with pytest.raises(ContractError, match="graph-task context requires a GraphBatch"):
+                build_forward_context(replace(node, task="graph"), g)
+            with pytest.raises(ContractError, match="node-task context requires a Graph"):
+                build_forward_context(node, batch_graphs([g]))
+
+    def test_builder_refuses_a_feature_dim_mismatch(self):
+        g = small_graph(14, dim=4)
+        for arch in ARCHITECTURES:
+            for task, data in (("node", g), ("graph", batch_graphs([g]))):
+                cfg = ModelConfig(arch=arch, in_dim=5, hidden_dim=8, n_classes=3, heads=2,
+                                  task=task)
+                with pytest.raises(ShapeError, match="feature dim 4 != configured in_dim 5"):
+                    build_forward_context(cfg, data)
 
 
 class TestSparseFeatures:
@@ -444,14 +472,17 @@ class TestSparseFeatures:
         """64 entries per row over 4 rows: the cutoff is 4 nonzeros."""
         x = np.zeros((4, 64))
         x.reshape(-1)[:nnz] = 1.0
-        g = Graph(n_nodes=4, edges=np.array([[0, 1], [1, 0]]), features=Tensor(x))
+        g = Graph(n_nodes=4, edges=np.array([[0, 1], [1, 0]]), features=x)
         cfg = ModelConfig(arch=arch, in_dim=64, hidden_dim=4, n_classes=2, heads=2)
         ctx = build_forward_context(cfg, g)
-        assert ("x" in ctx) == (arch != "sage" and nnz < 4)
+        assert isinstance(ctx.get("x"), SparseMatrix) == (arch != "sage" and nnz < 4)
         # a CSR-feature GCN projects first: its context holds no Â X
         assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and nnz >= 4))
-        if "x" in ctx:
+        assert ("x" in ctx) != ("agg_x" in ctx)  # layer 1 reads exactly one of them
+        if isinstance(ctx.get("x"), SparseMatrix):
             np.testing.assert_array_equal(ctx["x"].to_dense(), x)
+        elif "x" in ctx:
+            assert ctx["x"] is g.features  # a dense GAT reads X itself
 
     @pytest.mark.parametrize("arch", ["gcn", "gat"])
     def test_logits_match_the_dense_path(self, arch, monkeypatch):
@@ -464,19 +495,19 @@ class TestSparseFeatures:
         ctx = build_forward_context(cfg, g)
         monkeypatch.setattr(models, "SPARSE_INPUT_DENSITY", 0.0)
         dense_ctx = build_forward_context(cfg, g)
-        assert "x" in ctx and "agg_x" not in ctx
-        assert "x" not in dense_ctx and ("agg_x" in dense_ctx) == (arch == "gcn")
+        assert isinstance(ctx["x"], SparseMatrix) and "agg_x" not in ctx
+        assert ("x" in dense_ctx) == (arch == "gat") and ("agg_x" in dense_ctx) == (arch == "gcn")
         with Tape() as sparse_tape:
-            sparse, _ = model_forward(m, g, training=False, ctx=ctx)
+            sparse, _ = model_forward(m, ctx, training=False)
         with Tape() as dense_tape:
-            dense, _ = model_forward(m, g, training=False, ctx=dense_ctx)
+            dense, _ = model_forward(m, dense_ctx, training=False)
         np.testing.assert_allclose(sparse.data, dense.data, rtol=0, atol=1e-12)
 
         def reads(tape, array):
             return any(x.data is array for _, inputs, _ in tape.entries for x in inputs)
 
-        dense_input = dense_ctx.get("agg_x", g.features.data)
-        assert not reads(sparse_tape, g.features.data) and reads(dense_tape, dense_input)
+        dense_input = dense_ctx.get("agg_x", g.features)
+        assert not reads(sparse_tape, g.features) and reads(dense_tape, dense_input)
 
     @pytest.mark.parametrize("arch", ["gcn", "gat"])
     def test_model_loss_gradients_match_finite_differences(self, arch):
@@ -490,7 +521,7 @@ class TestSparseFeatures:
 
         def loss(*params):
             m.params = dict(zip(names, params))
-            logits, _ = model_forward(m, g, training=False, ctx=ctx)
+            logits, _ = model_forward(m, ctx, training=False)
             probs = T.clamp_min(T.softmax_rows(logits), 1e-10)
             return T.neg(T.sum_all(T.mul(T.log(probs), Tensor(y))))
 
@@ -502,7 +533,7 @@ def project_first_forward(m: GnnModel, batch: GraphBatch) -> Tensor:
     every layer, X first projected then aggregated; dropout must be 0."""
     cfg, p = m.config, m.params
     adj = normalize_adjacency(batch.graph)
-    h = batch.graph.features
+    h = Tensor(batch.graph.features)
     for l in range(1, cfg.n_layers + 1):
         h = gcn_layer(h, adj, p[f"layer{l}.W"], p[f"layer{l}.b"])
         if l < cfg.n_layers or cfg.task == "graph":
@@ -531,15 +562,15 @@ class TestAggregatedInput:
     def test_matches_project_first_composition(self, shape, n_layers, task):
         rng = np.random.default_rng(n_layers)
         n, edges = self.GRAPHS[shape]
-        g = Graph(n_nodes=n, edges=edges, features=Tensor(rng.standard_normal((n, 5))))
+        g = Graph(n_nodes=n, edges=edges, features=rng.standard_normal((n, 5)))
         other = Graph(n_nodes=3, edges=[[0, 1], [1, 0]],
-                      features=Tensor(rng.standard_normal((3, 5))))
+                      features=rng.standard_normal((3, 5)))
         batch = batch_graphs([g, other] if task == "graph" else [g])
         data = batch if task == "graph" else batch.graph
         cfg = ModelConfig(arch="gcn", in_dim=5, hidden_dim=6, n_classes=3, dropout=0.0,
                           n_layers=n_layers, task=task)
         m = init_model(cfg, 7)
-        ctx = build_forward_context(cfg, batch.graph)
+        ctx = build_forward_context(cfg, data)
         assert "agg_x" in ctx and "x" not in ctx
         weights = Tensor(rng.standard_normal((batch.n_graphs if task == "graph" else n, 3)))
 
@@ -553,7 +584,7 @@ class TestAggregatedInput:
             return logits.data, {name: p.grad for name, p in m.params.items()}
 
         cached, cached_grads = logits_and_grads(
-            lambda: model_forward(m, data, training=True, rng=rng, ctx=ctx)[0]
+            lambda: model_forward(m, ctx, training=True, rng=rng)[0]
         )
         oracle, oracle_grads = logits_and_grads(lambda: project_first_forward(m, batch))
         np.testing.assert_allclose(cached, oracle, rtol=1e-12, atol=1e-12)
@@ -570,14 +601,12 @@ class TestAggregatedInput:
 
         def step_entries(ctx):
             with Tape() as tape:
-                logits, _ = model_forward(
-                    m, g, training=True, rng=np.random.default_rng(0), ctx=ctx
-                )
+                logits, _ = model_forward(m, ctx, training=True, rng=np.random.default_rng(0))
                 backward(T.sum_all(logits), tape)
             return len(tape)
 
         assert "agg_x" in ctx
-        assert step_entries(ctx) == step_entries({"adj": ctx["adj"]}) - 1
+        assert step_entries(ctx) == step_entries({"adj": ctx["adj"], "x": g.features}) - 1
 
     @pytest.mark.parametrize("task", ["node", "graph"])
     @pytest.mark.parametrize("batch_norm", [False, True])
@@ -586,14 +615,14 @@ class TestAggregatedInput:
         context against one whose layer 1 runs ``sage_layer`` on X and M̄:
         logits, every parameter gradient and the tape length agree."""
         rng = np.random.default_rng(5)
-        graphs = [Graph(n_nodes=n, edges=edges, features=Tensor(rng.standard_normal((n, 5))))
+        graphs = [Graph(n_nodes=n, edges=edges, features=rng.standard_normal((n, 5)))
                   for n, edges in self.GRAPHS.values()]
         batch = batch_graphs(graphs if task == "graph" else graphs[:1])
         data = batch if task == "graph" else batch.graph
         cfg = ModelConfig(arch="sage", in_dim=5, hidden_dim=6, n_classes=3, dropout=0.3,
                           batch_norm=batch_norm, task=task)
         m = init_model(cfg, 7)
-        ctx = build_forward_context(cfg, batch.graph)
+        ctx = build_forward_context(cfg, data)
         assert "agg_x" in ctx and "x" not in ctx
         weights = Tensor(rng.standard_normal((data.n_graphs if task == "graph" else data.n_nodes, 3)))
 
@@ -601,14 +630,13 @@ class TestAggregatedInput:
             for p in m.params.values():
                 p.grad = None
             with Tape() as tape:
-                logits, _ = model_forward(
-                    m, data, training=True, rng=np.random.default_rng(0), ctx=ctx
-                )
+                logits, _ = model_forward(m, ctx, training=True, rng=np.random.default_rng(0))
                 backward(T.sum_all(T.mul(logits, weights)), tape)
             return logits.data, {name: p.grad for name, p in m.params.items()}, len(tape)
 
         out, grads, entries = step(ctx)
-        ref, ref_grads, ref_entries = step({"mean_op": ctx["mean_op"]})
+        ref_ctx = {k: v for k, v in ctx.items() if k != "agg_x"}
+        ref, ref_grads, ref_entries = step(dict(ref_ctx, x=batch.graph.features))
         assert_bits(out, ref)
         for name in m.params:
             assert_bits(grads[name], ref_grads[name])
@@ -628,7 +656,7 @@ def random_node_graph(seed: int, n: int, sparse: bool) -> Graph:
         x = x.reshape(n, 70)
     else:
         x = g.standard_normal((n, 5))
-    return Graph(n_nodes=n, edges=edges, features=Tensor(x))
+    return Graph(n_nodes=n, edges=edges, features=x)
 
 
 class TestScoredRows:
@@ -663,11 +691,11 @@ class TestScoredRows:
             for name, stat in m.bn_state.items():  # running stats away from 0 and 1
                 stat[...] = rng.random(stat.shape) + 0.5
             ctx = build_forward_context(cfg, g)
-            assert ("x" in ctx) == (sparse and arch != "sage")
+            assert isinstance(ctx.get("x"), SparseMatrix) == (sparse and arch != "sage")
             assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and not sparse))
             cut = cut_scored_rows(ctx, rows, n)
-            full, _ = model_forward(m, g, training=False, ctx=ctx)
-            scored, reps = model_forward(m, g, training=False, ctx=cut)
+            full, _ = model_forward(m, ctx, training=False)
+            scored, reps = model_forward(m, cut, training=False)
             assert_bits(scored.data, full.data[rows])
             assert reps[-1] is scored
 
@@ -680,9 +708,9 @@ class TestScoredRows:
                 backward(loss, tape)
                 return logits.data, {name: p.grad for name, p in m.params.items()}
 
-            out, grads = step(lambda r: model_forward(m, g, True, r, ctx=cut)[0])
+            out, grads = step(lambda r: model_forward(m, cut, True, r)[0])
             ref, ref_grads = step(
-                lambda r: T.gather_rows(model_forward(m, g, True, r, ctx=ctx)[0], rows)
+                lambda r: T.gather_rows(model_forward(m, ctx, True, r)[0], rows)
             )
             assert_bits(out, ref)
             for name in m.params:
@@ -745,9 +773,9 @@ class TestCheckpoints:
         g = small_graph(18)
         cfg = ModelConfig(arch="sage", in_dim=5, hidden_dim=8, n_classes=3)
         m = init_model(cfg, 2)
-        a, _ = model_forward(m, g, training=False)
+        a, _ = forward(m, g, training=False)
         save_checkpoint(m, tmp_path / "s")
-        b, _ = model_forward(load_checkpoint(tmp_path / "s"), g, training=False)
+        b, _ = forward(load_checkpoint(tmp_path / "s"), g, training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def saved(self, tmp_path):
@@ -795,6 +823,26 @@ class TestCheckpoints:
             self.edit_manifest(prefix, lambda m: m["config"].update({key: value}))
             with pytest.raises(FormatError, match="malformed"):
                 load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("field, edit", [
+        pytest.param("the shape of 'layer1.W'",
+                     lambda m: m["arrays"][0].update(shape=[4.0, 6.0]), id="float_shape"),
+        pytest.param("key 'n_layers'", lambda m: m["config"].update(n_layers=2.0), id="n_layers"),
+        pytest.param("key 'hidden_dim'", lambda m: m["config"].update(hidden_dim=True),
+                     id="bool_hidden_dim"),
+        pytest.param("key 'seed'", lambda m: m.update(seed=1.5), id="fractional_seed"),
+        pytest.param("key 'seed'", lambda m: m.update(seed=3.0), id="whole_float_seed"),
+    ])
+    def test_non_integer_fields_rejected(self, tmp_path, field, edit):
+        """A float equal to an integer passes ``==`` checks but not
+        ``reshape`` or ``range``, and a fraction would be truncated: the
+        integer fields of a manifest must be JSON integers."""
+        prefix = self.saved(tmp_path)
+        self.edit_manifest(prefix, edit)
+        with pytest.raises(FormatError) as e:
+            load_checkpoint(prefix)
+        assert str(prefix.with_suffix(".json")) in str(e.value)
+        assert f"{field} is " in str(e.value) and "not an integer" in str(e.value)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         prefix = self.saved(tmp_path)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bgnn.graph_data as GD
 import bgnn.models as M
 import bgnn.pipeline as P
 from bgnn.boosting import init_weights
@@ -37,7 +38,6 @@ from bgnn.pipeline import (
     train_supervised,
 )
 from bgnn.sparse import SparseMatrix
-from bgnn.tensor import Tensor
 from helpers import assert_bits, one_hot_degree_features
 
 
@@ -52,10 +52,10 @@ def make_graph_data(n=40, seed=0):
     for i in range(n):
         if i % 2 == 0:
             e = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int64)
-            g = Graph(3, np.vstack([e, e[:, ::-1]]), Tensor(np.zeros((3, 1))), graph_label=0)
+            g = Graph(3, np.vstack([e, e[:, ::-1]]), np.zeros((3, 1)), graph_label=0)
         else:
             e = np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64)
-            g = Graph(4, np.vstack([e, e[:, ::-1]]), Tensor(np.zeros((4, 1))), graph_label=1)
+            g = Graph(4, np.vstack([e, e[:, ::-1]]), np.zeros((4, 1)), graph_label=1)
         graphs.append(g)
     graphs = one_hot_degree_features(graphs)
     labels = np.array([g.graph_label for g in graphs])
@@ -607,7 +607,7 @@ def random_graphs(seed: int, n: int, one_hot_dim: int = 0) -> list[Graph]:
             x = np.eye(one_hot_dim)[g.integers(0, one_hot_dim, size)]
         else:
             x = g.standard_normal((size, 3))
-        graphs.append(Graph(size, edges, Tensor(x), graph_label=int(g.integers(0, 2))))
+        graphs.append(Graph(size, edges, x, graph_label=int(g.integers(0, 2))))
     return graphs
 
 
@@ -631,8 +631,7 @@ class TestScoredRowTraining:
 
     @staticmethod
     def full_forward_batches(config, data, plan, train_idx, shuffle, distill):
-        inp, ctx = data.forward_input(config)
-        yield inp, ctx, np.arange(data.n_samples), train_idx
+        yield data.forward_input(config), np.arange(data.n_samples), train_idx
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     @pytest.mark.parametrize("order", ["sorted", "shuffled"])
@@ -649,7 +648,7 @@ class TestScoredRowTraining:
         data = TaskData(kind="node", graph=g, split=given)
         model, metrics = train_supervised(cfg, data, plan, seed=5)
         batches = P._epoch_batches(cfg, data, plan, split.train_idx, None, distill=False)
-        assert "rows" in next(batches)[1]
+        assert "rows" in next(batches)[0]
         monkeypatch.setattr(P, "_epoch_batches", self.full_forward_batches)
         ref, ref_metrics = train_supervised(cfg, TaskData(kind="node", graph=g, split=split),
                                             plan, seed=5)
@@ -662,7 +661,7 @@ class TestScoredRowTraining:
     def test_kd_term_forwards_every_node(self, node_data):
         batches = P._epoch_batches(gcn_cfg(), node_data, quick_plan([gcn_cfg()]),
                                    node_data.split_idx("train"), None, distill=True)
-        inp, ctx, ids, rows = next(batches)
+        ctx, ids, rows = next(batches)
         assert "rows" not in ctx
         assert_bits(ids, np.arange(node_data.n_samples))
         assert_bits(rows, node_data.split_idx("train"))
@@ -679,8 +678,10 @@ class TestBatchCut:
     @example(seed=3, n=8, take="all", sparse=True)
     @settings(max_examples=60, deadline=None)
     def test_cut_equals_rebatching(self, seed, n, take, sparse):
-        """Node ids, edge order, features, graph ids and every context
-        entry, including each operator's transpose, bit for bit."""
+        """Every context entry (operators, edges, features, aggregated
+        features, graph ids and graph count) and each operator's
+        transpose, bit for bit, for every architecture with dense and with
+        CSR features."""
         graphs = random_graphs(seed, n, one_hot_dim=70 if sparse else 0)
         empty = np.zeros(0, dtype=np.int64)
         data = TaskData(kind="graph", graphs=graphs, split=DatasetSplit(np.arange(n), empty, empty))
@@ -689,15 +690,11 @@ class TestBatchCut:
         for arch in ARCHITECTURES:
             cfg = ModelConfig(arch=arch, in_dim=graphs[0].feature_dim, hidden_dim=4,
                               n_classes=2, heads=2, task="graph")
-            batch, ctx = data.batch(cfg, idx)
-            ref = batch_graphs([graphs[i] for i in idx])
-            ref_ctx = build_forward_context(cfg, ref.graph)
-            assert (batch.graph.n_nodes, batch.n_graphs) == (ref.graph.n_nodes, ref.n_graphs)
-            assert_bits(batch.graph.edges, ref.graph.edges)
-            assert_bits(batch.graph.features.data, ref.graph.features.data)
-            assert_bits(batch.graph_ids, ref.graph_ids)
-            assert ctx.keys() == ref_ctx.keys()
-            assert ("x" in ctx) == (sparse and arch != "sage")
+            ctx = data.batch(cfg, idx)
+            ref_ctx = build_forward_context(cfg, batch_graphs([graphs[i] for i in idx]))
+            assert ctx.keys() == ref_ctx.keys() >= {"graph_ids", "n_graphs"}
+            assert isinstance(ctx.get("x"), SparseMatrix) == (sparse and arch != "sage")
+            assert ("x" in ctx) == (arch == "gat" or (arch == "gcn" and sparse))
             assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and not sparse))
             for key, value in ctx.items():
                 if isinstance(value, SparseMatrix):
@@ -708,6 +705,23 @@ class TestBatchCut:
                 if key in ctx:
                     assert ctx[key]._transpose is not None  # cut, not rebuilt
                     assert_same_csr(ctx[key].transpose(), ref_ctx[key].transpose())
+
+    def test_cut_builds_no_graph(self, monkeypatch):
+        """A batch is a cut context: once the full-data context exists, no
+        Graph or GraphBatch is built or validated again."""
+        data = random_graph_data(seed=4)
+        cfgs = [graph_cfg(arch=a, heads=2) for a in ARCHITECTURES]
+        for cfg in cfgs:
+            data.forward_input(cfg)
+
+        def refuse(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(GD.Graph, "__post_init__", refuse)
+        monkeypatch.setattr(GD.GraphBatch, "__post_init__", refuse)
+        for cfg in cfgs:
+            data.batch(cfg, [3, 0, 7])
+            data.split_input(cfg, "val")
 
     def test_node_task_and_bad_ids_rejected(self, node_data, graph_data):
         with pytest.raises(ContractError, match="graph task"):
@@ -726,10 +740,10 @@ class TestBatchCut:
         assert any(np.any(v != 0) for k, v in model.bn_state.items() if k.endswith(".mean"))
         full = predict_logits(model, data)
         for split in ("train", "val", "test"):
-            inp, ctx = data.split_input(cfg, split)
-            logits, _ = M.model_forward(model, inp, training=False, ctx=ctx)
+            ctx = data.split_input(cfg, split)
+            logits, _ = M.model_forward(model, ctx, training=False)
             assert_bits(logits.data, full[data.split_idx(split)])
-            assert data.split_input(cfg, split)[0] is inp  # cut once
+            assert data.split_input(cfg, split) is ctx  # cut once
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_split_logits_match_full_forward_rows_at_hidden_16(self, arch):
@@ -744,8 +758,7 @@ class TestBatchCut:
         full, preds = predict_logits(model, data), predict(model, data)
         for split in ("train", "val", "test"):
             idx = data.split_idx(split)
-            inp, ctx = data.split_input(cfg, split)
-            logits, _ = M.model_forward(model, inp, training=False, ctx=ctx)
+            logits, _ = M.model_forward(model, data.split_input(cfg, split), training=False)
             np.testing.assert_allclose(logits.data, full[idx], rtol=0, atol=1e-12)
             assert_bits(evaluate(model, data, split).pred, preds[idx])
 
@@ -753,7 +766,7 @@ class TestBatchCut:
         calls = []
         monkeypatch.setattr(P, "batch_graphs", lambda gs: calls.append(gs) or batch_graphs(gs))
         data = random_graph_data(seed=2)
-        inputs = [data.forward_input(graph_cfg(arch=a, heads=2))[0] for a in ARCHITECTURES]
+        contexts = [data.forward_input(graph_cfg(arch=a, heads=2)) for a in ARCHITECTURES]
         assert len(calls) == 1
-        assert all(inp is inputs[0] for inp in inputs)
+        assert all(ctx["graph_ids"] is contexts[0]["graph_ids"] for ctx in contexts)
 
