@@ -227,6 +227,8 @@ def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict
     Otherwise layer 1 reads ``"x"``: GAT's dense features, or GCN's and
     GAT's features below ``SPARSE_INPUT_DENSITY`` as CSR, projected first.
     Â X and the CSR product differ from dense Â (X W) by rounding only.
+    The context never holds layer 1's output; a caller that already has
+    it adds it to a copy as ``"h1"`` (see ``model_forward``).
     """
     want = GraphBatch if config.task == "graph" else Graph
     if not isinstance(data, want):
@@ -334,6 +336,13 @@ def model_forward(
     user, so eval mode never touches it. Layer 1 is ``agg_x`` @ W + b when
     the context holds ``"agg_x"`` and reads ``"x"`` otherwise. A context
     cut by ``cut_scored_rows`` yields only its rows' logits.
+
+    A context may instead hand over layer 1's output as the array
+    ``"h1"``: a node-task ``reps[0]`` of an earlier forward at the same
+    parameters. Layer 1 is then that array, and layer 1's dropout and
+    batch norm and layers 2..L run on it as usual. Dropout and batch norm
+    act only after layer 1's activation, so a training forward's
+    ``reps[0]`` is bit for bit the eval-mode layer 1.
     """
     cfg = model.config
     if ("graph_ids" in ctx) != (cfg.task == "graph"):
@@ -348,7 +357,10 @@ def model_forward(
     for l in range(1, cfg.n_layers + 1):
         final = l == cfg.n_layers
         cut = final and "rows" in ctx  # the last layer computes only ctx["rows"]
-        if l == 1 and "agg_x" in ctx:
+        handed = l == 1 and "h1" in ctx  # layer 1's output, activation included
+        if handed:
+            h = Tensor(ctx["h1"])
+        elif l == 1 and "agg_x" in ctx:
             # a constant: dropout and batch norm act only between layers
             h = T.add_bias(T.matmul(Tensor(ctx["agg_x"]), model.params["layer1.W"]),
                            model.params["layer1.b"])
@@ -375,7 +387,7 @@ def model_forward(
         if final and cfg.task == "node":
             reps.append(h)  # logits double as the last representation
             break
-        h = act(h)
+        h = h if handed else act(h)
         reps.append(h)
         if final:
             break

@@ -9,6 +9,9 @@ the run seed: parameter init uses the seed itself, dropout and batch
 shuffling use spawned substreams, and the temperature module draws
 from its own substream so enabling it never shifts the others. Every
 forward reads only a forward context, which ``TaskData`` builds or cuts.
+A node-task epoch's validation reuses layer 1 of the next epoch's
+training forward, taken at the same parameters, so it runs only layers
+2..L; its numbers equal a standalone evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -286,7 +289,9 @@ class EvalResult:
     pred: np.ndarray
 
 
-def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
+def evaluate(
+    model_or_preds, data: TaskData, split: str, h1: np.ndarray | None = None
+) -> EvalResult:
     """Accuracy and per-sample correctness on one split.
 
     Accepts a model or an already-computed full prediction vector (one
@@ -295,6 +300,11 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
     (``TaskData.split_input``): the split's graphs, or a last layer over
     the split's nodes. Either gives the split's rows of a full forward,
     bit for bit for the node task and to rounding for the graph task.
+
+    ``h1``, for a node-task model, is its layer 1's output over every
+    node, taken from a forward at the same parameters (``reps[0]``); the
+    forward then runs only layers 2..L (``model_forward``), with the same
+    result as without it.
     """
     idx = data.split_idx(split)
     if idx.size == 0:
@@ -308,6 +318,8 @@ def evaluate(model_or_preds, data: TaskData, split: str) -> EvalResult:
         pred = preds[idx]
     else:
         ctx = data.split_input(model_or_preds.config, split)
+        if h1 is not None:
+            ctx = dict(ctx, h1=h1)
         logits, _ = model_forward(model_or_preds, ctx, training=False)
         pred = logits.data.argmax(axis=1)
     true = data.labels[idx]
@@ -356,7 +368,19 @@ def _train_student(
     variant: str = "entropy_only",
 ) -> tuple[GnnModel, TrainMetrics]:
     """Train a fresh model on weighted label loss, plus the distillation
-    term against ``teacher_logits`` when given and ``plan.lam`` > 0."""
+    term against ``teacher_logits`` when given and ``plan.lam`` > 0.
+
+    Each epoch ends with one ``evaluate(..., "val")`` of the model it
+    trained, and the best-validation snapshot (parameters and batch-norm
+    state) is restored at the end. On the node task, epoch t is validated
+    during epoch t + 1's step, between its backward and its optimizer
+    step: the parameters are still epoch t's, batch norm reads the state
+    copied before that step's training forward, and layer 1 is read from
+    that forward (``reps[0]``, handed to ``evaluate`` as ``h1``), so only
+    layers 2..L run again. The last epoch is validated on its own. The
+    graph task trains on other graphs than it validates on, so it
+    validates each epoch after its last batch.
+    """
     t0 = time.perf_counter()
     streams = _rng_streams(seed)
     model = init_model(config, seed)
@@ -384,14 +408,26 @@ def _train_student(
 
     per_epoch: list[dict] = []
     best = {"val_acc": -1.0, "snap": _snapshot(model)}
+    train_loss = 0.0
+
+    def validate(trained: GnnModel, h1: np.ndarray | None = None) -> None:
+        """Close the epoch that ``trained`` ended: record it, keep it if best."""
+        val_acc = evaluate(trained, data, "val", h1).accuracy
+        per_epoch.append({"epoch": len(per_epoch), "train_loss": train_loss, "val_acc": val_acc})
+        if val_acc > best["val_acc"]:
+            best.update(val_acc=val_acc, snap=_snapshot(trained))
+
+    node = data.kind == "node"
     for epoch in range(plan.epochs):
         losses = []
         for ctx, ids, rows in _epoch_batches(
             config, data, plan, train_idx, streams["shuffle"], distill
         ):
             label_ids = ids if rows is None else ids[rows]
+            # a training batch norm updates bn_state in place: keep the last epoch's
+            bn = {k: v.copy() for k, v in model.bn_state.items()} if node else None
             with Tape() as tape:
-                logits, _ = model_forward(model, ctx, training=True, rng=streams["dropout"])
+                logits, reps = model_forward(model, ctx, training=True, rng=streams["dropout"])
                 scored = logits if rows is None else T.gather_rows(logits, rows)
                 loss = weighted_label_loss(
                     T.softmax_rows(scored), _one_hot(labels[label_ids], c), sample_w[label_ids]
@@ -411,19 +447,18 @@ def _train_student(
             # Every recorded tensor points back at its tape; emptying the tape
             # frees the step's activations now instead of at the next cyclic GC.
             tape.entries.clear()
+            if node and epoch > 0:
+                # the parameters are still the last epoch's: validate it from
+                # this forward's layer 1, before the step moves them
+                validate(replace(model, bn_state=bn), reps[0].data)
             opt.step()
             opt.zero_grad()
             losses.append(loss_val)
-        val_acc = evaluate(model, data, "val").accuracy
-        per_epoch.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)) if losses else 0.0,
-                "val_acc": val_acc,
-            }
-        )
-        if val_acc > best["val_acc"]:
-            best = {"val_acc": val_acc, "snap": _snapshot(model)}
+        train_loss = float(np.mean(losses)) if losses else 0.0
+        if not node:
+            validate(model)
+    if node and plan.epochs:
+        validate(model)
 
     _restore(model, best["snap"])
     test_acc = evaluate(model, data, "test").accuracy

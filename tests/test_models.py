@@ -10,10 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bgnn import models
+from bgnn import models, pipeline
 from bgnn import tensor as T
+from bgnn.boosting import init_weights
 from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
-from bgnn.graph_data import Graph, GraphBatch, batch_graphs, generate_sbm, normalize_adjacency
+from bgnn.graph_data import (
+    DatasetSplit, Graph, GraphBatch, batch_graphs, generate_sbm, normalize_adjacency, random_split,
+)
 from bgnn.models import (
     ARCHITECTURES,
     SPARSE_INPUT_DENSITY,
@@ -743,6 +746,84 @@ class TestScoredRows:
         ctx = build_forward_context(ModelConfig(arch="gcn", in_dim=5, hidden_dim=4, n_classes=3), g)
         with pytest.raises(ContractError, match="strictly increasing node ids"):
             cut_scored_rows(ctx, np.array(bad, dtype=np.int64), 12)
+
+
+class TestHandedLayerOne:
+    """A node-task context may carry layer 1's output as ``"h1"``, a
+    training forward's ``reps[0]`` at the same parameters: the forward
+    runs only layers 2..L, and its eval logits equal a standalone eval
+    forward bit for bit, given the batch-norm state from before the
+    training forward."""
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_eval_logits_equal_the_standalone_forward(self, arch, batch_norm, n_layers, sparse):
+        g = random_node_graph(3, 24, sparse)
+        rng = np.random.default_rng(4)
+        cfg = ModelConfig(arch=arch, in_dim=g.feature_dim, hidden_dim=16, n_classes=3, heads=2,
+                          dropout=0.4, batch_norm=batch_norm, n_layers=n_layers)
+        m = init_model(cfg, 1)
+        for stat in m.bn_state.values():  # running stats away from 0 and 1
+            stat[...] = rng.random(stat.shape) + 0.5
+        ctx = build_forward_context(cfg, g)
+        cut = cut_scored_rows(ctx, [1, 5, 6, 17, 23], g.n_nodes)
+        standalone, _ = model_forward(m, cut, training=False)
+        # a handed-over forward reads no layer-1 input
+        after_layer_1 = {k: v for k, v in cut.items() if k not in ("x", "agg_x")}
+        for train_ctx in (ctx, cut_scored_rows(ctx, [0, 2, 3, 9], g.n_nodes)):
+            bn = {k: v.copy() for k, v in m.bn_state.items()}
+            with Tape():
+                _, reps = model_forward(m, train_ctx, training=True, rng=rng)
+            # a training batch norm moves every running statistic in place
+            assert all(not np.array_equal(bn[k], v) for k, v in m.bn_state.items())
+            handed, handed_reps = model_forward(
+                replace(m, bn_state=bn), dict(after_layer_1, h1=reps[0].data), training=False
+            )
+            assert_bits(handed.data, standalone.data)
+            assert handed_reps[0].data is reps[0].data
+            assert len(handed_reps) == n_layers
+            m.bn_state = bn
+
+    @pytest.mark.parametrize("arch, extra, kd, entries", [
+        ("gat", dict(hidden_dim=32, heads=16, batch_norm=True, dropout=0.6), None, 432),
+        ("gcn", {}, {}, 34),
+        ("gcn", dict(in_dim=70), dict(boosting=False, adaptive_temp=False, fixed_tau=2.0), 26),
+        ("sage", dict(in_dim=5, n_classes=2, task="graph"), {}, 38),
+    ], ids=["gat teacher", "gcn student", "gcn csr student", "sage graph student"])
+    def test_training_steps_record_the_same_tape_entries(self, arch, extra, kd, entries,
+                                                         monkeypatch):
+        """Tape entries per training step, as the benchmark counts them, of
+        the criterion-8 16-head GAT teacher and boosted adaptive-tau GCN
+        student, a fixed-tau GCN student on CSR features and a boosted
+        adaptive-tau graph-task GraphSage student, over epochs whose
+        validation is handed layer 1."""
+        cfg = ModelConfig(**dict(dict(arch=arch, in_dim=16, hidden_dim=16, n_classes=3), **extra))
+        if cfg.task == "graph":
+            graphs = [replace(random_node_graph(s, 4 + s % 5, False), graph_label=s % 2)
+                      for s in range(24)]
+            split = DatasetSplit(np.arange(12), np.arange(12, 18), np.arange(18, 24))
+            data = pipeline.TaskData(kind="graph", graphs=graphs, split=split)
+        else:
+            g = generate_sbm(20, 3, 0.3, 0.05, 16, seed=7)
+            if cfg.in_dim == 70:  # features below the CSR cutoff
+                g = replace(g, features=random_node_graph(1, 60, sparse=True).features)
+            split = random_split(g.n_nodes, g.node_labels, (0.1, 0.15, 0.75), seed=7)
+            data = pipeline.TaskData(kind="node", graph=replace(g, split=split))
+        plan = pipeline.TrainPlan([cfg, cfg], task=cfg.task, epochs=3, batch_size=4, **(kd or {}))
+        lengths = []
+        orig = pipeline.backward
+        monkeypatch.setattr(pipeline, "backward",
+                            lambda loss, tape: lengths.append(len(tape)) or orig(loss, tape))
+        if kd is None:
+            pipeline.train_supervised(cfg, data, plan, seed=0)
+        else:
+            teacher = np.random.default_rng(0).standard_normal((data.n_samples, cfg.n_classes))
+            weights = init_weights(data.split_idx("train").size, cfg.n_classes)
+            pipeline.train_bgnn_step(teacher, cfg, data, weights, plan, seed=1)
+        batches = 3 if cfg.task == "graph" else 1  # 12 training graphs in batches of 4
+        assert lengths == [entries] * (3 * batches)
 
 
 class TestCheckpoints:

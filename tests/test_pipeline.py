@@ -38,6 +38,7 @@ from bgnn.pipeline import (
     train_supervised,
 )
 from bgnn.sparse import SparseMatrix
+from bgnn.tensor import active_tape
 from helpers import assert_bits, one_hot_degree_features
 
 
@@ -260,6 +261,81 @@ class TestSupervised:
         plan = quick_plan([gcn_cfg()], epochs=30, lr=1e200)
         with pytest.raises(TrainingError, match="epoch"):
             train_supervised(gcn_cfg(), node_data, plan, seed=0)
+
+
+def train_for(cfg: ModelConfig, data: TaskData, epochs: int, kd: bool):
+    """A supervised run, or a boosted adaptive-tau KD step against fixed
+    random teacher logits, at seed 3; returns the model and its metrics."""
+    plan = quick_plan([cfg, cfg], task=cfg.task, epochs=epochs, lam=float(kd), boosting=kd,
+                      adaptive_temp=kd, batch_size=8)
+    if not kd:
+        return train_supervised(cfg, data, plan, seed=3)
+    teacher = np.random.default_rng(0).standard_normal((data.n_samples, data.n_classes))
+    w0 = init_weights(data.split_idx("train").size, data.n_classes)
+    model, _, metrics = train_bgnn_step(teacher, cfg, data, w0, plan, seed=3)
+    return model, metrics
+
+
+class TestPerEpochValidation:
+    """Each epoch is validated once, outside the tape, on the model it
+    trained. A node-task epoch is validated during the next epoch's step,
+    from that step's layer 1, and the last one on its own; either way a
+    k-epoch run is the first k epochs of a longer run."""
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    @pytest.mark.parametrize("kd", [False, True], ids=["supervised", "kd"])
+    def test_a_shorter_run_is_a_prefix(self, arch, batch_norm, n_layers, kd):
+        """Every k-epoch run's records are the first k of an E-epoch run's,
+        and the E-run restores, bit for bit, the model that the run ending
+        at its first best epoch restores, batch-norm state included."""
+        g = generate_sbm(30, 3, 0.2, 0.1, 8, seed=2, noise_scale=2.0)  # hard: val_acc moves
+        split = random_split(g.n_nodes, g.node_labels, (0.3, 0.3, 0.4), seed=2)
+        data = TaskData(kind="node", graph=replace(g, split=split))
+        cfg = gcn_cfg(arch=arch, n_classes=3, heads=2, batch_norm=batch_norm, n_layers=n_layers,
+                      dropout=0.5)
+        runs = [train_for(cfg, data, k, kd) for k in range(1, 9)]
+        model, metrics = runs[-1]
+        for k, (_, m) in enumerate(runs, start=1):
+            assert m.per_epoch == metrics.per_epoch[:k]
+        best, best_metrics = runs[int(np.argmax([e["val_acc"] for e in metrics.per_epoch]))]
+        for name in model.params:
+            assert_bits(model.params[name].data, best.params[name].data)
+        for name in model.bn_state:
+            assert_bits(model.bn_state[name], best.bn_state[name])
+        assert metrics.test_acc == best_metrics.test_acc
+
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    @pytest.mark.parametrize("kd", [False, True], ids=["supervised", "kd"])
+    @pytest.mark.parametrize("epochs", [0, 1, 4])
+    def test_each_epoch_validated_once(self, task, kd, epochs, monkeypatch):
+        calls = []
+        orig = P.evaluate
+
+        def spy(model, data, split, h1=None):
+            calls.append((split, h1 is not None, active_tape() is None))
+            return orig(model, data, split, h1)
+
+        monkeypatch.setattr(P, "evaluate", spy)
+        if task == "node":
+            data, cfg = make_node_data(n_per_block=10), gcn_cfg(batch_norm=True)
+        else:
+            data, cfg = make_graph_data(n=20), graph_cfg(batch_norm=True)
+        model, metrics = train_for(cfg, data, epochs, kd)
+        val = [c for c in calls if c[0] == "val"]
+        assert len(val) == epochs
+        handed = task == "node" and epochs > 1
+        assert [c[1] for c in val] == [handed] * (epochs - 1) + [False] * (epochs > 0)
+        assert all(outside for _, _, outside in calls)
+        assert [e["epoch"] for e in metrics.per_epoch] == list(range(epochs))
+        for e in metrics.per_epoch:
+            assert set(e) == {"epoch", "train_loss", "val_acc"}
+            assert 0.0 <= e["val_acc"] <= 1.0
+        if epochs == 0:
+            initial = init_model(cfg, 3)
+            assert params_equal(model, initial)
+            assert metrics.test_acc == orig(initial, data, "test").accuracy
 
 
 class TestBgnnStep:
