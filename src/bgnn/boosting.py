@@ -4,7 +4,8 @@ Weights start uniform, are multiplied per step by the real-valued
 multiclass update exp(-((C-1)/C) * y . log p) under the frozen teacher's
 probabilities, and renormalize to the simplex. The classic ensemble step
 is deliberately absent: weights only reshape the next student's
-supervised loss.
+supervised loss, a ``tensor.cross_entropy`` weighted per sample. Both
+read -y . log p from ``tensor.cross_entropy_np``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .tensor import PROB_FLOOR, Tensor
+from .tensor import Tensor, cross_entropy_np
 
 
 @dataclass
@@ -48,7 +49,7 @@ def samme_r_update(
     """Multiplicative reweighting by the teacher's true-class confidence.
 
     w_i <- w_i * exp(-((C-1)/C) * y_i . log p_i), then renormalized to
-    sum 1. Probabilities are clamped to >= 1e-10 before the log, bounding
+    sum 1. Probabilities are clamped to >= PROB_FLOOR before the log, bounding
     any single multiplier. Confidently-correct samples keep their weight;
     low true-class probability inflates it.
     """
@@ -62,8 +63,7 @@ def samme_r_update(
     if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
         raise ContractError("teacher probability rows must sum to 1")
     c = weights.n_classes
-    log_p_true = (y * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
-    w = weights.weights * np.exp(-((c - 1) / c) * log_p_true)
+    w = weights.weights * np.exp(((c - 1) / c) * cross_entropy_np(p, y))
     return SampleWeights(w / w.sum(), c)
 
 
@@ -82,6 +82,4 @@ def weighted_label_loss(probs: Tensor, labels_one_hot: np.ndarray, weights: np.n
         raise ContractError(
             f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {probs.shape[0]} samples"
         )
-    log_p = T.log(T.clamp_min(probs, PROB_FLOOR))
-    per_sample = T.neg(T.sum_rows(T.mul(log_p, Tensor(y))))
-    return T.sum_all(T.mul(per_sample, Tensor(w)))
+    return T.cross_entropy(probs, y, w)

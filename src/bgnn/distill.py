@@ -1,10 +1,13 @@
 """Knowledge distillation: soft cross-entropy loss, per-sample adaptive
 temperature, and a closed-form gradient oracle.
 
-The teacher's softened distribution softmax(t/tau) is a constant: no
-gradient reaches the teacher logits or, through that branch, the
-temperature. The student branch softmax(z/tau) stays on the tape, so the
-temperature module trains jointly with the student.
+The teacher's softened distribution softmax(t/tau), from
+``tensor.softmax_np``, is a constant: no gradient reaches the teacher
+logits or, through that branch, the temperature. The student branch
+softmax(z/tau) stays on the tape, so the temperature module trains
+jointly with the student; ``tensor.cross_entropy`` compares the two.
+The teacher's entropy is ``tensor.cross_entropy_np`` of its
+distribution against itself.
 """
 
 from __future__ import annotations
@@ -15,16 +18,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import PROB_FLOOR, Tensor
+from .tensor import Tensor, cross_entropy_np, softmax_np
 
 TEMP_HIDDEN = 64  # hidden units of the temperature module's MLP
-
-
-def _softmax_np(z: np.ndarray, tau=1.0) -> np.ndarray:
-    s = z / tau
-    s = s - s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 @dataclass
@@ -79,8 +75,8 @@ def teacher_confidence(t: np.ndarray) -> np.ndarray:
     Softmax at temperature 1, then -sum p log p; lies in [0, log C].
     Constant with respect to every model parameter.
     """
-    p = _softmax_np(np.asarray(t, dtype=np.float64))
-    return -(p * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
+    p = softmax_np(np.asarray(t, dtype=np.float64))
+    return cross_entropy_np(p, p)
 
 
 def adaptive_temperature(module: TemperatureModule, t: np.ndarray) -> Tensor:
@@ -117,9 +113,8 @@ def kd_loss(z: Tensor, t: np.ndarray, tau) -> Tensor:
     if np.any(tau.data <= 0.0):
         raise ContractError("temperatures must be positive")
     # softmax_rows checks tau's shape, so it runs before the teacher's softmax
-    log_p = T.log(T.clamp_min(T.softmax_rows(z, tau), PROB_FLOOR))
-    soft_teacher = _softmax_np(t, tau.data.reshape(-1, 1))  # constant target
-    return T.sum_all(T.neg(T.sum_rows(T.mul(log_p, Tensor(soft_teacher)))))
+    p = T.softmax_rows(z, tau)
+    return T.cross_entropy(p, softmax_np(t, tau.data.reshape(-1, 1)))
 
 
 def kd_gradient_reference(z, t, tau) -> np.ndarray:
@@ -131,4 +126,4 @@ def kd_gradient_reference(z, t, tau) -> np.ndarray:
     t = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
     tau = tau.data if isinstance(tau, Tensor) else np.asarray(tau, dtype=np.float64)
     col = tau.reshape(-1, 1) if tau.ndim == 1 else tau
-    return (_softmax_np(z, col) - _softmax_np(t, col)) / col
+    return (softmax_np(z, col) - softmax_np(t, col)) / col

@@ -450,10 +450,10 @@ def apply_split_masks(g: Graph, split: DatasetSplit) -> Graph:
 
 
 def sample_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every directed edge as (rows, cols), grouped by row in stable
-    source order: each node's full neighborhood, for GraphSage's mean."""
-    order = np.argsort(g.edges[:, 0], kind="stable")
-    return g.edges[order, 0], g.edges[order, 1]
+    """Every directed edge as (rows, cols), in edge order: each node's full
+    neighborhood, for GraphSage's mean. Nothing is sorted, since
+    ``SparseMatrix.from_coo`` sorts the pairs itself."""
+    return g.edges[:, 0], g.edges[:, 1]
 
 
 def mean_aggregator(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> SparseMatrix:

@@ -188,7 +188,7 @@ def gat_layer(
         n_seg = hw.shape[0] if n_out is None else n_out
         s_self = T.reshape(T.matmul(hw, p["a_self"]), (hw.shape[0],))
         s_neigh = T.reshape(T.matmul(hw, p["a_neigh"]), (hw.shape[0],))
-        e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)), 0.2)
+        e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)))
         alpha = T.segment_softmax(e, seg, n_seg)
         msgs = T.scale_rows(T.gather_rows(hw, src), alpha)
         outs.append(T.segment_sum(msgs, seg, n_seg))

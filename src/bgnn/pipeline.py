@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .boosting import SampleWeights, init_weights, samme_r_update, weighted_label_loss
-from .distill import _softmax_np, adaptive_temperature, init_temperature_module, kd_loss
+from .distill import adaptive_temperature, init_temperature_module, kd_loss
 from .errors import ConfigError, ContractError, TrainingError
 from .graph_data import DatasetSplit, Graph, GraphBatch, atomic_write, batch_graphs
 from .models import (
@@ -35,7 +35,7 @@ from .models import (
 )
 from .optim import Adam
 from .sparse import concat_ranges
-from .tensor import Tape, backward
+from .tensor import Tape, backward, softmax_np
 
 DEFAULT_EPOCHS = {"node": 300, "graph": 200}
 
@@ -528,7 +528,7 @@ def train_bgnn_step(
     labels = data.labels
 
     if plan.boosting:
-        probs = _softmax_np(t_logits[train_idx])
+        probs = softmax_np(t_logits[train_idx])
         weights = samme_r_update(weights, probs, _one_hot(labels[train_idx], c))
 
     student, metrics = _train_student(

@@ -26,6 +26,10 @@ from .errors import ContractError, DomainError, ShapeError
 from .sparse import SparseMatrix, scatter_add
 
 PROB_FLOOR = 1e-10  # lower clamp applied before taking logs of probabilities
+LEAKY_SLOPE = 0.2  # leaky_relu's slope below zero, as in GAT's attention scores
+ELU_ALPHA = 1.0  # elu's saturation value below zero is -ELU_ALPHA
+BN_MOMENTUM = 0.1  # weight of a training batch's statistics in the running ones
+BN_EPS = 1e-5  # added to the variance before batch_norm's square root
 
 
 class Tensor:
@@ -163,21 +167,12 @@ def add(*xs: Tensor) -> Tensor:
     return _record(Tensor(total), [(x, lambda g: g) for x in xs])
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return _record(Tensor(a.data - b.data), [(a, lambda g: g), (b, lambda g: -g)])
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     _require_same_shape(a, b, "mul")
     return _record(
         Tensor(a.data * b.data), [(a, lambda g: g * b.data), (b, lambda g: g * a.data)]
     )
-
-
-def neg(x: Tensor) -> Tensor:
-    return _record(Tensor(-x.data), [(x, lambda g: -g)])
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -226,19 +221,19 @@ def relu(x: Tensor) -> Tensor:
     return _record(Tensor(np.maximum(x.data, 0.0)), [(x, lambda g: g * mask)])
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
     return _record(
-        Tensor(np.where(mask, x.data, slope * x.data)),
-        [(x, lambda g: g * np.where(mask, 1.0, slope))],
+        Tensor(np.where(mask, x.data, LEAKY_SLOPE * x.data)),
+        [(x, lambda g: g * np.where(mask, 1.0, LEAKY_SLOPE))],
     )
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    neg_part = alpha * np.expm1(np.minimum(x.data, 0.0))
+def elu(x: Tensor) -> Tensor:
+    neg_part = ELU_ALPHA * np.expm1(np.minimum(x.data, 0.0))
     return _record(
         Tensor(np.where(x.data > 0.0, x.data, neg_part)),
-        [(x, lambda g: g * np.where(x.data > 0.0, 1.0, neg_part + alpha))],
+        [(x, lambda g: g * np.where(x.data > 0.0, 1.0, neg_part + ELU_ALPHA))],
     )
 
 
@@ -252,25 +247,21 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(Tensor(v), [(x, lambda g: g * v * (1.0 - v))])
 
 
-def exp(x: Tensor) -> Tensor:
-    v = np.exp(x.data)
-    return _record(Tensor(v), [(x, lambda g: g * v)])
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    return _record(Tensor(np.log(x.data)), [(x, lambda g: g / x.data)])
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    """max(x, floor); gradient passes only where the input was not clamped."""
-    mask = x.data >= floor
-    return _record(Tensor(np.maximum(x.data, floor)), [(x, lambda g: g * mask)])
-
-
 # ---------------------------------------------------------------------------
-# softmax and structured reductions
+# softmax, cross-entropy and structured reductions
+
+
+def softmax_np(z: np.ndarray, tau=1.0) -> np.ndarray:
+    """Row-wise softmax of z/τ with max-subtraction; τ is a scalar or a column."""
+    s = z / tau
+    s = s - s.max(axis=1, keepdims=True)
+    e = np.exp(s)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy_np(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-row soft cross-entropy -Σ_c q_ic log max(p_ic, PROB_FLOOR)."""
+    return -(q * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
 
 
 def _as_tau_column(tau, m: int) -> tuple[np.ndarray, Tensor | None]:
@@ -296,10 +287,7 @@ def softmax_rows(z: Tensor, tau=1.0) -> Tensor:
     tau_col, tau_t = _as_tau_column(tau, m)
     if np.any(tau_col <= 0.0):
         raise DomainError("softmax temperature must be positive")
-    s = z.data / tau_col
-    s = s - s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = softmax_np(z.data, tau_col)
 
     def d_s(g):  # the gradient with respect to z / τ
         return y * (g - (g * y).sum(axis=1, keepdims=True))
@@ -314,6 +302,27 @@ def softmax_rows(z: Tensor, tau=1.0) -> Tensor:
 
         rules.append((tau_t, d_tau))
     return _record(Tensor(y), rules)
+
+
+def cross_entropy(p: Tensor, q: np.ndarray, w: np.ndarray | None = None) -> Tensor:
+    """Σ_i w_i · cross_entropy_np(p, q)_i: the soft cross-entropy of
+    probabilities p against constant targets q, each row weighted by the
+    constant w_i (1 when ``w`` is omitted; a product by 1 is exact).
+
+    The gradient is -w_i q_ic / max(p_ic, PROB_FLOOR), zero where p was
+    floored; only p receives one.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if p.ndim != 2 or q.shape != p.shape:
+        raise ShapeError(f"cross_entropy: probabilities {p.shape} and targets {q.shape} differ")
+    w = np.ones(p.shape[0]) if w is None else np.asarray(w, dtype=np.float64)
+    if w.shape != (p.shape[0],):
+        raise ShapeError(f"cross_entropy: weights {w.shape} for {p.shape[0]} rows")
+
+    def d_p(g):
+        return -(g * w)[:, None] * q / np.maximum(p.data, PROB_FLOOR) * (p.data >= PROB_FLOOR)
+
+    return _record(Tensor((cross_entropy_np(p.data, q) * w).sum()), [(p, d_p)])
 
 
 def segment_sum(x: Tensor, segment_ids: Sequence[int], n_segments: int) -> Tensor:
@@ -383,15 +392,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(Tensor(x.data.sum()), [(x, lambda g: np.full_like(x.data, float(g)))])
 
 
-def sum_rows(x: Tensor) -> Tensor:
-    """Row sums of a matrix, returned as a vector."""
-    if x.ndim != 2:
-        raise ShapeError(f"sum_rows expects a matrix, got shape {x.shape}")
-    return _record(
-        Tensor(x.data.sum(axis=1)), [(x, lambda g: np.repeat(g[:, None], x.shape[1], axis=1))]
-    )
-
-
 def scale_rows(x: Tensor, v: Tensor) -> Tensor:
     """Multiply row i of x by v[i]."""
     if x.ndim != 2 or v.shape != (x.shape[0],):
@@ -424,13 +424,11 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Batch normalization over axis 0 with running statistics.
 
     Training normalizes by batch mean and (biased) variance and updates the
-    running statistics in place (unbiased variance, momentum-weighted).
+    running statistics in place (unbiased variance, weighted by BN_MOMENTUM).
     Eval, and a training batch of a single row, normalize by the running
     statistics instead; the single-row case emits a warning.
     """
@@ -447,14 +445,14 @@ def batch_norm(
     if use_batch_stats:
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * x.data.var(axis=0, ddof=1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * x.data.var(axis=0, ddof=1)
     else:
         mean = running_mean.copy()
         var = running_var.copy()
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean) * inv_std
 
     def d_x(g):

@@ -85,8 +85,7 @@ def _one_hot(labels: np.ndarray, c: int) -> np.ndarray:
 def _ce_loss_all_nodes(model, graph, targets: np.ndarray):
     rng = np.random.default_rng(17)
     logits, _ = forward(model, graph, training=True, rng=rng)
-    p = T.clamp_min(T.softmax_rows(logits), 1e-12)
-    return T.neg(T.sum_all(T.mul(T.log(p), Tensor(targets))))
+    return T.cross_entropy(T.softmax_rows(logits), targets)
 
 
 def test_01_finite_difference_gradients_ops_and_models():
@@ -104,9 +103,7 @@ def test_01_finite_difference_gradients_ops_and_models():
         return T.sum_all(T.mul(x, Tensor(const)))
 
     check_grads(lambda x, y: red(T.add(x, y)), a, b)
-    check_grads(lambda x, y: red(T.sub(x, y)), a, b)
     check_grads(lambda x, y: red(T.mul(x, y)), a, b)
-    check_grads(lambda x: red(T.neg(x)), a)
     check_grads(lambda x: red(T.scale(x, -1.7)), a)
     check_grads(lambda x: red(T.add_scalar(x, 0.9)), a)
     c54 = rng.normal(size=(5, 4))
@@ -120,12 +117,9 @@ def test_01_finite_difference_gradients_ops_and_models():
     sp = SparseMatrix.from_coo(5, 5, [0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 0, 3], np.full(6, 0.7))
     check_grads(lambda x: red(T.spmm(sp, x)), a)
     check_grads(lambda x: red(T.relu(x)), off_kink)
-    check_grads(lambda x: red(T.leaky_relu(x, 0.2)), off_kink)
+    check_grads(lambda x: red(T.leaky_relu(x)), off_kink)
     check_grads(lambda x: red(T.elu(x)), off_kink)
     check_grads(lambda x: red(T.sigmoid(x)), a)
-    check_grads(lambda x: red(T.exp(x)), a)
-    check_grads(lambda x: red(T.log(x)), pos)
-    check_grads(lambda x: red(T.clamp_min(x, 0.4)), pos + 0.2)  # entries off the floor
     check_grads(lambda x: red(T.softmax_rows(x)), a)
     check_grads(lambda x: red(T.softmax_rows(x, 2.5)), a)
     tau_vec = rng.uniform(1.0, 3.0, size=5)
@@ -138,7 +132,9 @@ def test_01_finite_difference_gradients_ops_and_models():
     check_grads(lambda x: T.sum_all(T.mul(T.gather_rows(x, [3, 0, 2, 2]), Tensor(c43))), a)
     check_grads(lambda x: T.sum_all(T.mul(T.reshape(x, (3, 5)), Tensor(c35))), a)
     check_grads(T.sum_all, a)
-    check_grads(lambda x: T.sum_all(T.mul(T.sum_rows(x), Tensor(c5))), a)
+    q = rng.uniform(size=(5, 3)) * (rng.uniform(size=(5, 3)) > 0.3)  # some targets zero
+    check_grads(lambda p: T.cross_entropy(p, q), pos)  # probabilities off the floor
+    check_grads(lambda p: T.cross_entropy(p, q, c5), pos)
     check_grads(lambda x, v: red(T.scale_rows(x, v)), a, rng.uniform(0.5, 2.0, size=5))
     check_grads(lambda x: red(T.dropout(x, 0.4, True, rng=np.random.default_rng(9))), a)
     rm, rv = np.zeros(3), np.ones(3)

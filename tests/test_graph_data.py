@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
@@ -510,16 +510,21 @@ def random_graphs(draw):
 
 
 class TestSampleNeighbors:
-    def star(self, n=11):
-        edges = [(0, i) for i in range(1, n)] + [(i, 0) for i in range(1, n)]
-        return tiny_graph(n=n, edges=edges)
-
-    def test_fanout_all_identity(self):
-        g = self.star()
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs())
+    @example(tiny_graph(n=3, edges=((1, 0), (0, 2), (1, 0), (2, 2), (0, 2), (0, 1), (2, 2))))
+    def test_fanout_all_identity(self, g):
+        """The edges as they are, repeated ones included, give the operator
+        that the edges grouped by source in stable order give, array for
+        array."""
         rows, cols = sample_neighbors(g)
+        assert_bits(rows, g.edges[:, 0])
+        assert_bits(cols, g.edges[:, 1])
         order = np.argsort(g.edges[:, 0], kind="stable")
-        np.testing.assert_array_equal(rows, g.edges[order, 0])
-        np.testing.assert_array_equal(cols, g.edges[order, 1])
+        raw = mean_aggregator(rows, cols, g.n_nodes)
+        grouped = mean_aggregator(g.edges[order, 0], g.edges[order, 1], g.n_nodes)
+        for name in ("row_offsets", "col_indices", "values"):
+            assert_bits(getattr(raw, name), getattr(grouped, name))
 
     def test_zero_degree_node_gets_empty(self):
         g = tiny_graph(n=3, edges=((0, 1), (1, 0)))
