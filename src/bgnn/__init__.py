@@ -1,30 +1,3 @@
 """Boosted sequential knowledge distillation for graph neural networks."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BgnnError,
-    ConfigError,
-    ContractError,
-    DomainError,
-    FormatError,
-    ShapeError,
-    TrainingError,
-)
-from .sparse import SparseMatrix
-from .tensor import Tape, Tensor, backward
-
-__all__ = [
-    "BgnnError",
-    "ConfigError",
-    "ContractError",
-    "DomainError",
-    "FormatError",
-    "ShapeError",
-    "TrainingError",
-    "SparseMatrix",
-    "Tape",
-    "Tensor",
-    "backward",
-    "__version__",
-]

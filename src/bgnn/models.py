@@ -21,7 +21,7 @@ from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .graph_data import (
     Graph, GraphBatch, atomic_write, mean_aggregator, normalize_adjacency, sample_neighbors
 )
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, concat_ranges
 from .tensor import Tensor
 
 ARCHITECTURES = ("gcn", "sage", "gat")
@@ -253,13 +253,25 @@ def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict
     return ctx
 
 
-def cut_forward_context(
-    ctx: dict, nodes: np.ndarray, edges: np.ndarray, graph_ids: np.ndarray, n_graphs: int
-) -> dict:
-    """The graph-task context of the subgraph on ``nodes`` of the batch
-    ``ctx`` was built for, renumbered by place in ``nodes``, given the
-    subgraph's ``edges`` in those numbers and its pooling ``graph_ids`` and
-    ``n_graphs``. No edge may leave ``nodes``: the cut takes whole graphs.
+def _graph_ranges(graph_ids: np.ndarray, graphs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The places in the nondecreasing ``graph_ids`` that hold each of
+    ``graphs``, graph after graph, and how many each holds."""
+    starts = np.searchsorted(graph_ids, graphs)
+    counts = np.searchsorted(graph_ids, graphs, side="right") - starts
+    return concat_ranges(starts, counts), counts
+
+
+def cut_forward_context(ctx: dict, graphs: np.ndarray) -> dict:
+    """The context of the distinct graphs ``graphs`` of the graph-task
+    context ``ctx``, batched in that order, read from ``ctx`` alone.
+
+    It relies on two layout invariants of a context that
+    ``build_forward_context`` made from a ``batch_graphs`` batch: its
+    ``graph_ids`` are nondecreasing (``GraphBatch.__post_init__`` rejects
+    any other), so each graph's nodes are one range; and GAT's ``src`` and
+    ``dst`` list each graph's edges in graph order (``batch_graphs``
+    concatenates them so), then a self-loop per node (``_attention_edges``
+    appends them last), so each graph's edges are one range too.
 
     Equal, bit for bit, to ``build_forward_context`` on the batch of those
     graphs with the same choice of CSR features, and every operator keeps
@@ -267,10 +279,17 @@ def cut_forward_context(
     block-diagonal over the graphs, so each row of Â X or M̄ X sums the
     same entries in the same order.
     """
+    ids = ctx["graph_ids"]
+    nodes, n_nodes = _graph_ranges(ids, graphs)
     out = {k: ctx[k].submatrix(nodes, nodes) for k in ("adj", "mean_op") if k in ctx}
-    out.update(graph_ids=graph_ids, n_graphs=n_graphs)
+    out.update(graph_ids=np.repeat(np.arange(graphs.size), n_nodes), n_graphs=graphs.size)
     if "src" in ctx:
-        out.update(_attention_edges(edges, nodes.size))
+        n_edges = ctx["src"].size - ids.size
+        edges, _ = _graph_ranges(ids[ctx["dst"][:n_edges]], graphs)
+        place = np.empty(ids.size, dtype=np.int64)
+        place[nodes] = np.arange(nodes.size)
+        pairs = np.stack([ctx["src"][edges], ctx["dst"][edges]], axis=1)
+        out.update(_attention_edges(place[pairs], nodes.size))
     for k in ("x", "agg_x"):
         if k in ctx:
             out[k] = ctx[k].submatrix(nodes) if isinstance(ctx[k], SparseMatrix) else ctx[k][nodes]

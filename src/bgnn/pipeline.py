@@ -34,7 +34,6 @@ from .models import (
     model_forward,
 )
 from .optim import Adam
-from .sparse import concat_ranges
 from .tensor import Tape, backward, softmax_np
 
 DEFAULT_EPOCHS = {"node": 300, "graph": 200}
@@ -112,12 +111,6 @@ class TaskData:
     def _full_input(self) -> Graph | GraphBatch:
         return self.graph if self.kind == "node" else batch_graphs(self.graphs)
 
-    @cached_property
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where each graph's nodes and edges start in the full batch, and the totals."""
-        return (np.cumsum([0] + [g.n_nodes for g in self.graphs]),
-                np.cumsum([0] + [g.n_edges for g in self.graphs]))
-
     def forward_input(self, config: ModelConfig) -> dict:
         """The full-data forward context (of the graph, or of every graph
         batched once per dataset), built once per architecture.
@@ -130,24 +123,18 @@ class TaskData:
         return self._inputs[config.arch]
 
     def batch(self, config: ModelConfig, idx) -> dict:
-        """The forward context of the graphs ``idx`` batched in that order,
-        cut from ``forward_input``; it equals, bit for bit, what
-        ``build_forward_context`` builds on their ``batch_graphs``, except
-        that the CSR-feature choice is the full data's."""
+        """The forward context of the distinct graphs ``idx`` batched in
+        that order, cut from ``forward_input`` (``cut_forward_context``); it
+        equals, bit for bit, what ``build_forward_context`` builds on their
+        ``batch_graphs``, except that the CSR-feature choice is the full
+        data's."""
         if self.kind != "graph":
             raise ContractError("only the graph task is cut into batches")
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= self.n_samples:
-            raise ContractError(f"a batch needs graph ids in [0, {self.n_samples})")
-        node_off, edge_off = self._offsets
-        n_nodes = node_off[idx + 1] - node_off[idx]
-        n_edges = edge_off[idx + 1] - edge_off[idx]
-        shift = np.repeat(np.cumsum(n_nodes) - n_nodes - node_off[idx], n_edges)  # new - old id
-        edges = self._full_input.graph.edges[concat_ranges(edge_off[idx], n_edges)]
-        return cut_forward_context(
-            self.forward_input(config), concat_ranges(node_off[idx], n_nodes),
-            edges + shift[:, None], np.repeat(np.arange(idx.size), n_nodes), idx.size,
-        )
+        idx, n = np.asarray(idx), self.n_samples
+        if (idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu" or idx.min() < 0
+                or idx.max() >= n or np.unique(idx).size != idx.size):
+            raise ContractError(f"a batch needs distinct integer graph ids in [0, {n})")
+        return cut_forward_context(self.forward_input(config), idx)
 
     def split_input(self, config: ModelConfig, split: str) -> dict:
         """The forward context that scores one split, cut once per

@@ -1,6 +1,8 @@
 """Module layering: the data layer (sparse matrices, graphs and their
 loaders) sits below autodiff, models and training, and imports none of
-them. Node features are plain arrays, so nothing there needs a Tensor."""
+them. Node features are plain arrays, so nothing there needs a Tensor.
+Training cuts its contexts through ``models`` and does no CSR or
+block-layout index arithmetic, so it imports nothing from ``sparse``."""
 
 import ast
 from pathlib import Path
@@ -36,6 +38,10 @@ def imported_modules(path: Path) -> set[str]:
 @pytest.mark.parametrize("module", ["sparse", "graph_data"])
 def test_data_layer_imports_nothing_above_it(module):
     assert imported_modules(PACKAGE / f"{module}.py") & ABOVE == set()
+
+
+def test_training_layer_imports_nothing_from_sparse():
+    assert "sparse" not in imported_modules(PACKAGE / "pipeline.py")
 
 
 @pytest.mark.parametrize("source, want", [

@@ -784,25 +784,34 @@ class TestBatchCut:
 
     def test_cut_builds_no_graph(self, monkeypatch):
         """A batch is a cut context: once the full-data context exists, no
-        Graph or GraphBatch is built or validated again."""
-        data = random_graph_data(seed=4)
+        Graph or GraphBatch is built or validated again, and the graph list
+        is never read. The cuts equal those of an untouched copy."""
+        data, ref = random_graph_data(seed=4), random_graph_data(seed=4)
         cfgs = [graph_cfg(arch=a, heads=2) for a in ARCHITECTURES]
+        want = {}
         for cfg in cfgs:
             data.forward_input(cfg)
+            want[cfg.arch] = (ref.batch(cfg, [3, 0, 7]), ref.split_input(cfg, "val"))
 
-        def refuse(self):
-            raise AssertionError(f"built a {type(self).__name__}")
+        def refuse(self, *_):
+            raise AssertionError(f"touched a {type(self).__name__}")
 
         monkeypatch.setattr(GD.Graph, "__post_init__", refuse)
         monkeypatch.setattr(GD.GraphBatch, "__post_init__", refuse)
+        untouchable = ("__getattribute__", "__getitem__", "__iter__", "__len__", "__bool__")
+        data.graphs = type("GraphList", (), dict.fromkeys(untouchable, refuse))()
         for cfg in cfgs:
-            data.batch(cfg, [3, 0, 7])
-            data.split_input(cfg, "val")
+            got = (data.batch(cfg, [3, 0, 7]), data.split_input(cfg, "val"))
+            for ctx, ref_ctx in zip(got, want[cfg.arch]):
+                assert ctx.keys() == ref_ctx.keys()
+                for key, value in ctx.items():
+                    same = assert_same_csr if isinstance(value, SparseMatrix) else assert_bits
+                    same(value, ref_ctx[key])
 
     def test_node_task_and_bad_ids_rejected(self, node_data, graph_data):
         with pytest.raises(ContractError, match="graph task"):
             node_data.batch(gcn_cfg(), [0])
-        for bad in ([], [-1], [graph_data.n_samples]):
+        for bad in ([], [-1], [graph_data.n_samples], [1, 1], [1.7]):
             with pytest.raises(ContractError, match="graph ids"):
                 graph_data.batch(graph_cfg(), bad)
 
