@@ -494,6 +494,9 @@ def main(argv=None) -> int:
     except (BgnnError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # e.g. the weights of a 10**12-wide feature shape
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,11 +26,13 @@ SPARSE_FEATURE_DENSITY = 0.25
 
 @dataclass
 class Graph:
-    """A graph with node features; undirected edges appear in both directions."""
+    """A graph with node features; undirected edges appear in both directions.
+    The features, a constant of every forward, are a float64 array or a CSR
+    ``SparseMatrix`` (a sparse bundle's own entries, stored zeros included)."""
 
     n_nodes: int
     edges: np.ndarray  # (n_edges, 2) int64, possibly empty
-    features: np.ndarray  # (n_nodes, feature_dim) float64, a constant of every forward
+    features: np.ndarray | SparseMatrix  # (n_nodes, feature_dim)
     node_labels: np.ndarray | None = None
     graph_label: int | None = None
     split: DatasetSplit | None = None  # a node-classification graph's own split
@@ -39,9 +41,11 @@ class Graph:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
             raise FormatError(f"edge endpoint out of range [0, {self.n_nodes})")
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.n_nodes:
-            raise ShapeError(f"features of shape {self.features.shape} for {self.n_nodes} nodes")
+        if not isinstance(self.features, SparseMatrix):
+            self.features = np.asarray(self.features, dtype=np.float64)
+        shape = self.features.shape
+        if len(shape) != 2 or shape[0] != self.n_nodes:
+            raise ShapeError(f"features of shape {shape} for {self.n_nodes} nodes")
 
     @property
     def n_edges(self) -> int:
@@ -50,6 +54,12 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def dense_features(self) -> np.ndarray:
+        """The features as an array: CSR features are densified (a new
+        array each call, a stored -0.0 kept), an array is returned as is."""
+        x = self.features
+        return x.to_dense() if isinstance(x, SparseMatrix) else x
 
 
 @dataclass
@@ -242,9 +252,11 @@ def load_json_bundle(path) -> Graph:
     """Load a node-classification graph from a JSON bundle.
 
     The bundle stores each undirected edge once; the Graph mirrors it in
-    both directions. Features may be dense (nested arrays) or sparse
-    ({indices: [[row, col], ...], values, shape}). Each split list is
-    sorted and its repeats merge; two lists that share a node raise
+    both directions. Features may be dense (nested arrays), loaded as a
+    float64 array, or sparse ({indices: [[row, col], ...], values,
+    shape}), loaded as a CSR ``SparseMatrix`` of exactly those entries
+    once they pass every check: no n-by-d array is made. Each split list
+    is sorted and its repeats merge; two lists that share a node raise
     FormatError naming both keys.
     """
     path = Path(path)
@@ -265,6 +277,12 @@ def load_json_bundle(path) -> Graph:
     if stored.size and (stored.min() < 0 or stored.max() >= n):
         raise FormatError(f"bundle {path.name}: key 'edges' has endpoint out of range")
     edges = np.concatenate([stored, stored[:, ::-1]], axis=0)
+    # labels first: an n_nodes that the labels do not back sizes no array
+    labels = _int_array(obj["labels"], path, "labels")
+    if labels.shape != (n,) or np.any(labels < 0):
+        raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
+    if n and labels.max() >= n:  # more classes than nodes
+        raise FormatError(f"bundle {path.name}: key 'labels' has class {labels.max()} >= {n} nodes")
 
     feats = obj["features"]
     if isinstance(feats, dict):
@@ -274,7 +292,10 @@ def load_json_bundle(path) -> Graph:
         shape = tuple(_int_array(feats["shape"], path, "features").tolist())
         if len(shape) != 2 or min(shape) < 0:
             raise FormatError(f"bundle {path.name}: key 'features' has shape {shape}")
-        x = np.zeros(shape)
+        if shape[0] != n:
+            raise FormatError(
+                f"bundle {path.name}: key 'features' has shape {shape}, expected {n} rows"
+            )
         idx = _int_array(feats["indices"], path, "features", pairs=True)
         values = _float_array(feats["values"], path, "features")
         if values.shape != (idx.shape[0],):
@@ -284,24 +305,18 @@ def load_json_bundle(path) -> Graph:
             )
         if idx.size and (idx.min() < 0 or np.any(idx.max(axis=0) >= shape)):
             raise FormatError(f"bundle {path.name}: key 'features' index out of range")
-        flat = np.sort(idx[:, 0] * shape[1] + idx[:, 1])
-        repeats = flat[1:][flat[1:] == flat[:-1]]
-        if repeats.size:
-            row, col = divmod(int(repeats[0]), shape[1])
+        x = SparseMatrix.from_coo(*shape, idx[:, 0], idx[:, 1], values)
+        if x.nnz < idx.shape[0]:  # from_coo merged a repeated index pair
+            pairs, counts = np.unique(idx, axis=0, return_counts=True)
+            row, col = pairs[np.argmax(counts > 1)]
             raise FormatError(f"bundle {path.name}: key 'features' repeats index [{row}, {col}]")
-        x[idx[:, 0], idx[:, 1]] = values
     else:
         x = _float_array(feats, path, "features", matrix=True)
-    if x.ndim != 2 or x.shape[0] != n:
-        raise FormatError(
-            f"bundle {path.name}: key 'features' has shape {x.shape}, expected {n} rows"
-        )
+        if x.ndim != 2 or x.shape[0] != n:
+            raise FormatError(
+                f"bundle {path.name}: key 'features' has shape {x.shape}, expected {n} rows"
+            )
 
-    labels = _int_array(obj["labels"], path, "labels")
-    if labels.shape != (n,) or np.any(labels < 0):
-        raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
-    if n and labels.max() >= n:  # more classes than nodes
-        raise FormatError(f"bundle {path.name}: key 'labels' has class {labels.max()} >= {n} nodes")
     split = {}
     for key in ("train_idx", "val_idx", "test_idx"):
         idx = np.unique(_int_array(obj[key], path, key))
@@ -322,8 +337,10 @@ def save_json_bundle(g: Graph, path) -> None:
     """Write a Graph as a canonical JSON bundle.
 
     Canonical form: undirected edges stored once with src < dst, sorted;
-    features written sparse when fewer than a quarter of entries are
-    nonzero, dense otherwise. load(save(g)) reproduces the same bundle
+    features written sparse, their nonzero entries in row-major order,
+    when fewer than a quarter of entries are nonzero or there are none,
+    dense otherwise. Array and CSR features with the same dense form
+    write the same bytes. load(save(g)) reproduces the same bundle
     byte-for-byte on a second save. The graph must carry node labels,
     since the loader requires one per node; a graph without a split writes
     empty split lists.
@@ -334,16 +351,18 @@ def save_json_bundle(g: Graph, path) -> None:
     hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
     pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
     x = g.features
-    density = float(np.count_nonzero(x)) / x.size if x.size else 1.0
+    nonzero = x.drop_zeros() if isinstance(x, SparseMatrix) else SparseMatrix.from_dense(x)
+    size = g.n_nodes * g.feature_dim
+    # a dense list of no rows would lose the width, so an empty matrix is sparse
+    density = nonzero.nnz / size if size else 0.0
     if density < SPARSE_FEATURE_DENSITY:
-        rows, cols = np.nonzero(x)
         features = {
-            "indices": np.stack([rows, cols], axis=1).tolist(),
-            "values": x[rows, cols].tolist(),
-            "shape": list(x.shape),
+            "indices": np.stack([nonzero.row_ids, nonzero.col_indices], axis=1).tolist(),
+            "values": nonzero.values.tolist(),
+            "shape": [g.n_nodes, g.feature_dim],
         }
     else:
-        features = x.tolist()
+        features = g.dense_features().tolist()
     obj = {
         "n_nodes": g.n_nodes,
         "edges": pairs.tolist(),
@@ -467,9 +486,13 @@ def mean_aggregator(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> SparseM
 
 
 def batch_graphs(graphs: list[Graph]) -> GraphBatch:
-    """Merge graphs into one block-diagonal graph with offset node ids."""
+    """Merge graphs into one block-diagonal graph with offset node ids.
+    Features must be arrays: only the TU loader and the SBM generator make
+    graph-task graphs, and both make arrays."""
     if not graphs:
         raise ConfigError("cannot batch an empty list of graphs")
+    if any(isinstance(g.features, SparseMatrix) for g in graphs):
+        raise ContractError("batch_graphs takes graphs with array features, not CSR")
     dim = graphs[0].feature_dim
     for g in graphs:
         if g.feature_dim != dim:

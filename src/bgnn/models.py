@@ -219,13 +219,18 @@ def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict
     mini-batch's and split's context out of it (``cut_forward_context``).
     GCN keeps Â as ``"adj"``, GraphSage its full-neighborhood mean operator
     M̄ as ``"mean_op"``, GAT its edges; the graph task adds ``"graph_ids"``
-    and ``"n_graphs"`` for its pooling.
+    and ``"n_graphs"`` for its pooling, and GAT the graph of each edge
+    other than the self-loops, ``"edge_graph_ids"``, for the cut.
 
-    This is the one place that picks layer 1's input. Node features are
-    constants, so GCN and GraphSage aggregate them once, as the array
-    ``"agg_x"``: Â X, or [X ‖ M̄ X], bit for bit what ``sage_layer`` forms.
-    Otherwise layer 1 reads ``"x"``: GAT's dense features, or GCN's and
-    GAT's features below ``SPARSE_INPUT_DENSITY`` as CSR, projected first.
+    This is the one place that picks layer 1's input, from array or CSR
+    features alike. Node features are constants, so GCN and GraphSage
+    aggregate them once, as the array ``"agg_x"``: Â X, or [X ‖ M̄ X], bit
+    for bit what ``sage_layer`` forms. Otherwise layer 1 reads ``"x"``:
+    GAT's dense features, or GCN's and GAT's features below
+    ``SPARSE_INPUT_DENSITY`` as CSR, projected first. CSR features are
+    densified only where a dense input is picked; below the cutoff they
+    are ``"x"`` themselves, less any stored zeros (a copy only if there
+    are some), so both forms of the same features give the same context.
     Â X and the CSR product differ from dense Â (X W) by rounding only.
     The context never holds layer 1's output; a caller that already has
     it adds it to a copy as ``"h1"`` (see ``model_forward``).
@@ -238,32 +243,37 @@ def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict
         g, ctx = data.graph, {"graph_ids": data.graph_ids, "n_graphs": data.n_graphs}
     if g.feature_dim != config.in_dim:
         raise ShapeError(f"feature dim {g.feature_dim} != configured in_dim {config.in_dim}")
-    x = g.features
     if config.arch == "sage":
+        x = g.dense_features()
         op = mean_aggregator(*sample_neighbors(g), g.n_nodes)
         return dict(ctx, mean_op=op, agg_x=np.concatenate([x, op.matmul_dense(x)], axis=1))
     ctx.update({"adj": normalize_adjacency(g)} if config.arch == "gcn"
                else _attention_edges(g.edges, g.n_nodes))
-    if np.count_nonzero(x) < SPARSE_INPUT_DENSITY * x.size:
-        ctx["x"] = SparseMatrix.from_dense(x)
+    if config.task == "graph" and config.arch == "gat":
+        ctx["edge_graph_ids"] = data.graph_ids[g.edges[:, 1]]
+    x = g.features
+    csr = x.drop_zeros() if isinstance(x, SparseMatrix) else None
+    n_nonzero = np.count_nonzero(x) if csr is None else csr.nnz
+    if n_nonzero < SPARSE_INPUT_DENSITY * g.n_nodes * g.feature_dim:
+        ctx["x"] = SparseMatrix.from_dense(x) if csr is None else csr
     elif config.arch == "gcn":
-        ctx["agg_x"] = ctx["adj"].matmul_dense(x)
+        ctx["agg_x"] = ctx["adj"].matmul_dense(g.dense_features())
     else:
-        ctx["x"] = x
+        ctx["x"] = g.dense_features()
     return ctx
 
 
 def _graph_ranges(graph_ids: np.ndarray, graphs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The places in the nondecreasing ``graph_ids`` that hold each of
-    ``graphs``, graph after graph, and how many each holds."""
+    """Where the run of each of ``graphs`` starts in the nondecreasing
+    ``graph_ids``, and how long it is."""
     starts = np.searchsorted(graph_ids, graphs)
-    counts = np.searchsorted(graph_ids, graphs, side="right") - starts
-    return concat_ranges(starts, counts), counts
+    return starts, np.searchsorted(graph_ids, graphs, side="right") - starts
 
 
 def cut_forward_context(ctx: dict, graphs: np.ndarray) -> dict:
     """The context of the distinct graphs ``graphs`` of the graph-task
-    context ``ctx``, batched in that order, read from ``ctx`` alone.
+    context ``ctx``, batched in that order, read from ``ctx`` alone, at a
+    cost that grows with the batch, not with ``ctx``.
 
     It relies on two layout invariants of a context that
     ``build_forward_context`` made from a ``batch_graphs`` batch: its
@@ -271,7 +281,8 @@ def cut_forward_context(ctx: dict, graphs: np.ndarray) -> dict:
     any other), so each graph's nodes are one range; and GAT's ``src`` and
     ``dst`` list each graph's edges in graph order (``batch_graphs``
     concatenates them so), then a self-loop per node (``_attention_edges``
-    appends them last), so each graph's edges are one range too.
+    appends them last), so each graph's edges are one range of
+    ``edge_graph_ids`` too, and shift by as much as its nodes do.
 
     Equal, bit for bit, to ``build_forward_context`` on the batch of those
     graphs with the same choice of CSR features, and every operator keeps
@@ -279,17 +290,17 @@ def cut_forward_context(ctx: dict, graphs: np.ndarray) -> dict:
     block-diagonal over the graphs, so each row of Â X or M̄ X sums the
     same entries in the same order.
     """
-    ids = ctx["graph_ids"]
-    nodes, n_nodes = _graph_ranges(ids, graphs)
+    starts, n_nodes = _graph_ranges(ctx["graph_ids"], graphs)
+    nodes = concat_ranges(starts, n_nodes)
     out = {k: ctx[k].submatrix(nodes, nodes) for k in ("adj", "mean_op") if k in ctx}
     out.update(graph_ids=np.repeat(np.arange(graphs.size), n_nodes), n_graphs=graphs.size)
     if "src" in ctx:
-        n_edges = ctx["src"].size - ids.size
-        edges, _ = _graph_ranges(ids[ctx["dst"][:n_edges]], graphs)
-        place = np.empty(ids.size, dtype=np.int64)
-        place[nodes] = np.arange(nodes.size)
-        pairs = np.stack([ctx["src"][edges], ctx["dst"][edges]], axis=1)
-        out.update(_attention_edges(place[pairs], nodes.size))
+        edge_starts, n_edges = _graph_ranges(ctx["edge_graph_ids"], graphs)
+        edges = concat_ranges(edge_starts, n_edges)
+        shift = np.repeat(np.cumsum(n_nodes) - n_nodes - starts, n_edges)[:, None]
+        pairs = np.stack([ctx["src"][edges], ctx["dst"][edges]], axis=1) + shift
+        out.update(_attention_edges(pairs, nodes.size),
+                   edge_graph_ids=np.repeat(np.arange(graphs.size), n_edges))
     for k in ("x", "agg_x"):
         if k in ctx:
             out[k] = ctx[k].submatrix(nodes) if isinstance(ctx[k], SparseMatrix) else ctx[k][nodes]

@@ -1,10 +1,10 @@
 """Compressed sparse row matrices for graph operators and sparse features.
 
 Only the handful of operations the models need: construction from COO
-triples or a dense array, dense conversion, sparse @ dense, cutting out
-rows or diagonal blocks, and transposition (cached, since the backward
-pass of every product needs it). Values are float64; indices are int64.
-No scipy.
+triples or a dense array, dense conversion, dropping stored zeros, sparse
+@ dense, cutting out rows or diagonal blocks, and transposition (cached,
+since the backward pass of every product needs it). Values are float64;
+indices are int64. No scipy.
 
 :func:`scatter_add` is the one scatter kernel of the package: the sparse
 product, the segment reductions and the gather backward all sum rows
@@ -91,6 +91,10 @@ class SparseMatrix:
         return self.col_indices.shape[0]
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_cols
+
+    @property
     def row_ids(self) -> np.ndarray:
         """Row of each stored entry (length nnz); computed once and cached."""
         if self._row_ids is None:
@@ -99,7 +103,9 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, values) -> "SparseMatrix":
-        """Build from coordinate triples; duplicate (row, col) entries are summed."""
+        """Build from coordinate triples; duplicate (row, col) entries are
+        summed. Without duplicates every value is kept bit for bit, so a
+        stored -0.0 stays -0.0 (a sum into a zeroed bucket would give 0.0)."""
         r = np.asarray(rows, dtype=np.int64)
         c = np.asarray(cols, dtype=np.int64)
         v = np.asarray(values, dtype=np.float64)
@@ -112,11 +118,10 @@ class SparseMatrix:
                 raise FormatError(f"column index out of range [0, {n_cols})")
         order = np.lexsort((c, r))
         r, c, v = r[order], c[order], v[order]
-        if r.size:
+        new_group = np.ones(r.size, dtype=bool)
+        new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        if not new_group.all():
             # collapse duplicates by summing their values
-            new_group = np.empty(r.size, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
             group_id = np.cumsum(new_group) - 1
             summed = scatter_add(group_id, v, group_id[-1] + 1)
             r, c, v = r[new_group], c[new_group], summed
@@ -132,6 +137,18 @@ class SparseMatrix:
         row_offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=row_offsets[1:])
         return cls(x.shape[0], x.shape[1], row_offsets, cols, x[rows, cols])
+
+    def drop_zeros(self) -> "SparseMatrix":
+        """The stored entries whose value is nonzero, as ``from_dense`` of
+        ``to_dense()`` would list them (-0.0 counts as zero); this matrix
+        itself, not a copy, when it stores no zero."""
+        keep = self.values != 0
+        if keep.all():
+            return self
+        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        return SparseMatrix(self.n_rows, self.n_cols, kept_before[self.row_offsets],
+                            self.col_indices[keep], self.values[keep])
 
     def to_dense(self) -> np.ndarray:
         d = np.zeros((self.n_rows, self.n_cols))

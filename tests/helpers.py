@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking, a bitwise
-array comparison, the scatter reference the bincount kernel is checked
+"""Shared test utilities: finite-difference gradient checking, bitwise
+array and CSR comparisons, the scatter reference the bincount kernel is checked
 against, a forward on a freshly built context, node degrees and one-hot
 degree features for graph fixtures, and a TU-format directory writer."""
 
@@ -12,6 +12,7 @@ import numpy as np
 
 from bgnn.graph_data import Graph, GraphBatch
 from bgnn.models import GnnModel, build_forward_context, model_forward
+from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tape, Tensor, backward
 
 
@@ -64,6 +65,13 @@ def assert_bits(a, b) -> None:
     a, b = np.asarray(a), np.asarray(b)
     assert (a.dtype, a.shape) == (b.dtype, b.shape)
     assert a.tobytes() == b.tobytes()
+
+
+def assert_same_csr(a: SparseMatrix, b: SparseMatrix) -> None:
+    """Same shape, and the same bytes in each CSR array."""
+    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+    for part in ("row_offsets", "col_indices", "values"):
+        assert_bits(getattr(a, part), getattr(b, part))
 
 
 def add_at_reference(ids, x, n: int) -> np.ndarray:

@@ -269,6 +269,17 @@ class TestTrain:
         assert "sparse.json: key 'features' repeats index [1, " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("student", ["gcn", "sage"])
+    def test_feature_width_too_large_to_hold_exits_1(self, tmp_path, capsys, student):
+        """A 10**12-wide sparse shape loads, since no dense matrix is made,
+        but its weights (GCN) or dense features (GraphSage) cannot be
+        allocated: one error line and exit code 1, not a traceback."""
+        wide = {"indices": [[0, 10**12 - 1]], "values": [1.0], "shape": [4, 10**12]}
+        bundle = write_four_node_bundle(tmp_path / "wide.json", features=wide)
+        assert run(*train_args(tmp_path / "r", dataset=bundle, student=student)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("student", ["gcn", "gat"])
     def test_sparse_bundle_predictions_survive_reload(self, tmp_path, student):
         """The CSR path depends only on the data, so a reloaded model on a

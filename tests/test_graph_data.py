@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +25,13 @@ from bgnn.graph_data import (
     sample_neighbors,
     save_json_bundle,
 )
+from bgnn.models import ARCHITECTURES, SPARSE_INPUT_DENSITY, ModelConfig, build_forward_context
+from bgnn.sparse import SparseMatrix
 from bgnn.tensor import Tensor
 from bgnn import tensor as T
-from helpers import assert_bits, degrees, one_hot_degree_features, write_tu_dir
+from helpers import (
+    assert_bits, assert_same_csr, degrees, one_hot_degree_features, wide_range, write_tu_dir
+)
 
 
 def tiny_graph(n=3, edges=((0, 1), (1, 0)), dim=2):
@@ -48,6 +53,14 @@ class TestGraphValidation:
         assert g.feature_dim == 2
         with pytest.raises(ShapeError):
             Graph(n_nodes=2, edges=np.zeros((0, 2)), features=np.zeros(2))
+
+    def test_csr_features_kept_and_row_count_checked(self):
+        x = SparseMatrix.from_coo(2, 7, [1], [6], [3.0])
+        g = Graph(n_nodes=2, edges=np.zeros((0, 2)), features=x)
+        assert g.features is x and g.feature_dim == 7
+        with pytest.raises(ShapeError, match=r"\(3, 7\) for 2 nodes"):
+            Graph(n_nodes=2, edges=np.zeros((0, 2)),
+                  features=SparseMatrix.from_coo(3, 7, [], [], []))
 
     def test_degrees(self):
         g = tiny_graph(n=4, edges=((0, 1), (1, 0), (1, 2), (2, 1)))
@@ -314,8 +327,10 @@ class TestJsonBundle:
         p = tmp_path / "s.json"
         p.write_text(json.dumps(obj))
         g = load_json_bundle(p)
-        assert g.features.shape == (2, 5)
-        assert g.features[0, 3] == 2.0 and g.features[1, 0] == 5.0
+        assert isinstance(g.features, SparseMatrix) and g.features.shape == (2, 5)
+        x = g.features.to_dense()
+        assert x[0, 3] == 2.0 and x[1, 0] == 5.0
+        assert np.count_nonzero(x) == 2
 
     @pytest.mark.parametrize(
         "features",
@@ -337,6 +352,8 @@ class TestJsonBundle:
             {"indices": [[0, 1]], "values": [float("-inf")], "shape": [2, 5]},
             {"indices": [[0, 1]], "values": 1.0, "shape": [2, 5]},
             {"indices": [[0, 0], [0, 0]], "values": [1.0, 5.0], "shape": [2, 5]},  # repeated
+            {"indices": [], "values": [], "shape": [3, 5]},  # 3 rows for 2 nodes
+            {"indices": [], "values": [], "shape": [10**12, 5]},  # checked before any allocation
         ],
     )
     def test_bad_sparse_features_rejected(self, tmp_path, features):
@@ -345,6 +362,28 @@ class TestJsonBundle:
         obj["features"] = features
         p.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match="features"):
+            load_json_bundle(p)
+
+    def test_sparse_index_pairs_compared_without_overflow(self, tmp_path):
+        """[0, 0] and [2, 2] of a (2**63 - 1)-wide shape are distinct pairs,
+        though a flat row * width + col index wraps both to one int64."""
+        wide = 2**63 - 1
+        features = {"indices": [[0, 0], [2, 2]], "values": [1.0, 2.0], "shape": [3, wide]}
+        g = load_json_bundle(write_bundle(tmp_path / "w.json", 3, features))
+        assert g.features.shape == (3, wide) and g.features.nnz == 2
+        features["indices"].append([2, 2])
+        features["values"].append(3.0)
+        with pytest.raises(FormatError, match=r"w.json: key 'features' repeats index \[2, 2\]"):
+            load_json_bundle(write_bundle(tmp_path / "w.json", 3, features))
+
+    def test_n_nodes_that_labels_do_not_back_sizes_nothing(self, tmp_path):
+        """10**12 nodes with a matching sparse shape but two labels fail on
+        the labels, before anything with a row per node is made."""
+        p = self.minimal_bundle(tmp_path)
+        obj = json.loads(p.read_text())
+        obj.update(n_nodes=10**12, features={"indices": [], "values": [], "shape": [10**12, 2]})
+        p.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="b.json: key 'labels'"):
             load_json_bundle(p)
 
     def test_round_trip_canonical(self, tmp_path):
@@ -376,8 +415,105 @@ class TestJsonBundle:
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_json_bundle(g, p1)
         assert "indices" in p1.read_text()  # density 2/60 stays sparse on disk
-        save_json_bundle(load_json_bundle(p1), p2)
+        back = load_json_bundle(p1)
+        assert_bits(back.features.to_dense(), x)
+        save_json_bundle(back, p2)
         assert p1.read_text() == p2.read_text()
+
+
+def write_bundle(path: Path, n: int, features, edges=()) -> Path:
+    """A bundle of ``n`` nodes of class 0 with ``features`` and no split."""
+    obj = {"n_nodes": n, "edges": [list(e) for e in edges], "features": features,
+           "labels": [0] * n, "train_idx": [], "val_idx": [], "test_idx": []}
+    path.write_text(json.dumps(obj))
+    return path
+
+
+class TestSparseBundle:
+    """A sparse bundle loads as CSR features holding its own entries, and
+    gives what the same features in dense form give: the same dense
+    matrix, the same forward contexts and the same saved bytes."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(0, 12),
+        d=st.integers(0, 40),
+        nonzeros=st.sampled_from(["none", "below", "above"]),  # the CSR cutoff
+        zeros=st.booleans(),
+    )
+    @example(seed=0, n=0, d=5, nonzeros="below", zeros=False)  # no nodes
+    @example(seed=0, n=4, d=0, nonzeros="below", zeros=False)  # no columns
+    @example(seed=0, n=9, d=30, nonzeros="none", zeros=False)  # all zero, every row empty
+    @example(seed=0, n=9, d=30, nonzeros="none", zeros=True)  # stored 0.0 and -0.0 only
+    @example(seed=0, n=12, d=40, nonzeros="below", zeros=True)
+    @example(seed=0, n=12, d=40, nonzeros="above", zeros=True)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_dense_form(self, seed, n, d, nonzeros, zeros):
+        rng = np.random.default_rng(seed)
+        size = n * d
+        # the most nonzeros a matrix of this size can hold under the cutoff
+        most = max(0, int(np.ceil(SPARSE_INPUT_DENSITY * size)) - 1)
+        n_nonzero = {"none": 0, "below": int(rng.integers(0, most + 1)),
+                     "above": int(rng.integers(min(most + 1, size), size + 1))}[nonzeros]
+        n_zero = int(rng.integers(min(1, size - n_nonzero), size - n_nonzero + 1)) if zeros else 0
+        cells = rng.permutation(size)[: n_nonzero + n_zero]  # bundle order is not CSR order
+        rows, cols = np.divmod(cells, max(d, 1))
+        values = np.concatenate([wide_range(rng, n_nonzero), rng.choice([0.0, -0.0], n_zero)])
+        want = np.zeros((n, d))
+        want[rows, cols] = values
+        edges = rng.integers(0, n, (int(rng.integers(0, 2 * n + 1)), 2)) if n > 1 else []
+        edges = [e for e in np.asarray(edges).tolist() if e[0] != e[1]]
+        sparse_form = {"indices": np.stack([rows, cols], axis=1).tolist(),
+                       "values": values.tolist(), "shape": [n, d]}
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            g = load_json_bundle(write_bundle(tmp / "s.json", n, sparse_form, edges))
+            assert isinstance(g.features, SparseMatrix) and g.features.nnz == cells.size
+            assert_bits(g.features.to_dense(), want)
+            if n:
+                dense = load_json_bundle(write_bundle(tmp / "d.json", n, want.tolist(), edges))
+                assert_bits(dense.features, want)
+            else:  # a dense list of no rows cannot give its width
+                dense = replace(g, features=want)
+
+            for arch in ARCHITECTURES if d else ():
+                cfg = ModelConfig(arch=arch, in_dim=d, hidden_dim=4, n_classes=2, heads=2)
+                got, ref = build_forward_context(cfg, g), build_forward_context(cfg, dense)
+                assert got.keys() == ref.keys()
+                for key, value in got.items():
+                    same = assert_same_csr if isinstance(value, SparseMatrix) else assert_bits
+                    same(value, ref[key])
+                picked_csr = n_nonzero < SPARSE_INPUT_DENSITY * size
+                if arch != "sage":
+                    assert isinstance(got.get("x"), SparseMatrix) == picked_csr
+                    if picked_csr and not n_zero:
+                        assert got["x"] is g.features  # taken as it is, no copy
+
+            paths = [tmp / f"{k}.json" for k in ("a", "b", "c")]
+            save_json_bundle(g, paths[0])
+            save_json_bundle(load_json_bundle(paths[0]), paths[1])
+            save_json_bundle(dense, paths[2])
+            first, *rest = (p.read_bytes() for p in paths)
+            assert rest == [first, first]
+
+    def test_loading_makes_no_dense_matrix(self, tmp_path):
+        """A 2000x5000 bundle at 0.5 % density: a dense float64 copy of its
+        features would take 80 MB, and loading it allocates well under that."""
+        n, d = 2000, 5000
+        rng = np.random.default_rng(0)
+        rows, cols = np.divmod(np.sort(rng.choice(n * d, n * d // 200, replace=False)), d)
+        features = {"indices": np.stack([rows, cols], axis=1).tolist(),
+                    "values": [1.0] * rows.size, "shape": [n, d]}
+        path = write_bundle(tmp_path / "big.json", n, features)
+        tracemalloc.start()
+        try:
+            g = load_json_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(g.features, SparseMatrix) and g.features.nnz == rows.size
+        assert peak < n * d * 8 / 4
 
 
 class TestNormalizeAdjacency:
@@ -588,6 +724,12 @@ class TestBatching:
         g3 = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 7)))
         with pytest.raises(ShapeError):
             batch_graphs([g1, g3])
+
+    def test_csr_features_refused(self):
+        g1, g2 = self.graphs()
+        g2 = replace(g2, features=SparseMatrix.from_dense(g2.features))
+        with pytest.raises(ContractError, match="array features"):
+            batch_graphs([g1, g2])
 
 
 class TestSbm:

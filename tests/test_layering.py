@@ -1,6 +1,7 @@
 """Module layering: the data layer (sparse matrices, graphs and their
 loaders) sits below autodiff, models and training, and imports none of
-them. Node features are plain arrays, so nothing there needs a Tensor.
+them. Node features are arrays or CSR matrices, constants of every
+forward, so nothing there needs a Tensor.
 Training cuts its contexts through ``models`` and does no CSR or
 block-layout index arithmetic, so it imports nothing from ``sparse``."""
 

@@ -39,7 +39,7 @@ from bgnn.pipeline import (
 )
 from bgnn.sparse import SparseMatrix
 from bgnn.tensor import active_tape
-from helpers import assert_bits, one_hot_degree_features
+from helpers import assert_bits, assert_same_csr, one_hot_degree_features
 
 
 def make_node_data(n_per_block=40, seed=0, feat=8, noise=1.0):
@@ -691,12 +691,6 @@ def random_graph_data(seed: int, n: int = 30) -> TaskData:
     graphs = random_graphs(seed, n)
     split = random_split(n, np.array([g.graph_label for g in graphs]), (0.6, 0.2, 0.2), seed)
     return TaskData(kind="graph", graphs=graphs, split=split)
-
-
-def assert_same_csr(a: SparseMatrix, b: SparseMatrix) -> None:
-    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
-    for part in ("row_offsets", "col_indices", "values"):
-        assert_bits(getattr(a, part), getattr(b, part))
 
 
 class TestScoredRowTraining:
