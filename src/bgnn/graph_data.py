@@ -48,10 +48,6 @@ class Graph:
             raise ShapeError(f"features of shape {shape} for {self.n_nodes} nodes")
 
     @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
@@ -252,12 +248,12 @@ def load_json_bundle(path) -> Graph:
     """Load a node-classification graph from a JSON bundle.
 
     The bundle stores each undirected edge once; the Graph mirrors it in
-    both directions. Features may be dense (nested arrays), loaded as a
-    float64 array, or sparse ({indices: [[row, col], ...], values,
-    shape}), loaded as a CSR ``SparseMatrix`` of exactly those entries
-    once they pass every check: no n-by-d array is made. Each split list
-    is sorted and its repeats merge; two lists that share a node raise
-    FormatError naming both keys.
+    both directions, except a stored self-loop ``[i, i]``, kept once.
+    Features may be dense (nested arrays), loaded as a float64 array, or
+    sparse ({indices: [[row, col], ...], values, shape}), loaded as a CSR
+    ``SparseMatrix`` of exactly those entries once they pass every check:
+    no n-by-d array is made. Each split list is sorted and its repeats
+    merge; two lists that share a node raise FormatError naming both keys.
     """
     path = Path(path)
     try:
@@ -276,7 +272,7 @@ def load_json_bundle(path) -> Graph:
     stored = _int_array(obj["edges"], path, "edges", pairs=True)
     if stored.size and (stored.min() < 0 or stored.max() >= n):
         raise FormatError(f"bundle {path.name}: key 'edges' has endpoint out of range")
-    edges = np.concatenate([stored, stored[:, ::-1]], axis=0)
+    edges = np.concatenate([stored, stored[stored[:, 0] != stored[:, 1], ::-1]], axis=0)
     # labels first: an n_nodes that the labels do not back sizes no array
     labels = _int_array(obj["labels"], path, "labels")
     if labels.shape != (n,) or np.any(labels < 0):
@@ -336,11 +332,11 @@ def load_json_bundle(path) -> Graph:
 def save_json_bundle(g: Graph, path) -> None:
     """Write a Graph as a canonical JSON bundle.
 
-    Canonical form: undirected edges stored once with src < dst, sorted;
-    features written sparse, their nonzero entries in row-major order,
-    when fewer than a quarter of entries are nonzero or there are none,
-    dense otherwise. Array and CSR features with the same dense form
-    write the same bytes. load(save(g)) reproduces the same bundle
+    Canonical form: undirected edges stored once with src <= dst, sorted,
+    repeats merged; features written sparse, their nonzero entries in
+    row-major order, when fewer than a quarter of entries are nonzero or
+    there are none, dense otherwise. Array and CSR features with the same
+    dense form write the same bytes. load(save(g)) reproduces the same bundle
     byte-for-byte on a second save. The graph must carry node labels,
     since the loader requires one per node; a graph without a split writes
     empty split lists.
@@ -349,7 +345,7 @@ def save_json_bundle(g: Graph, path) -> None:
         raise ContractError("a JSON bundle needs node labels")
     lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
     hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    pairs = SparseMatrix.from_coo(g.n_nodes, g.n_nodes, lo, hi, np.ones(lo.size))
     x = g.features
     nonzero = x.drop_zeros() if isinstance(x, SparseMatrix) else SparseMatrix.from_dense(x)
     size = g.n_nodes * g.feature_dim
@@ -365,7 +361,7 @@ def save_json_bundle(g: Graph, path) -> None:
         features = g.dense_features().tolist()
     obj = {
         "n_nodes": g.n_nodes,
-        "edges": pairs.tolist(),
+        "edges": np.stack([pairs.row_ids, pairs.col_indices], axis=1).tolist(),
         "features": features,
         "labels": g.node_labels.tolist(),
     }
@@ -390,72 +386,67 @@ def atomic_write(path, data: str | bytes) -> None:
 
 
 def normalize_adjacency(g: Graph) -> SparseMatrix:
-    """Symmetrically normalized adjacency with self-loops.
+    """Symmetrically normalized adjacency with self-loops: Â = D^-1/2 (A + I) D^-1/2.
 
-    Entry (i, j) is 1/sqrt(d_i d_j) where d is degree counted with the
-    self-loop. Isolated nodes reduce to a self-loop of weight 1.
+    A keeps each listed (i, j) pair once, however often it is listed; I
+    adds a self-loop per node on top of a listed one, so a listed [i, i]
+    gives entry (i, i) twice the weight. Entry (i, j) is 1/sqrt(d_i d_j),
+    where d_i counts row i of A + I. Isolated nodes reduce to a self-loop
+    of weight 1.
     """
-    pairs = np.unique(g.edges, axis=0)  # drop accidental duplicates
-    rows = np.concatenate([pairs[:, 0], np.arange(g.n_nodes)])
-    cols = np.concatenate([pairs[:, 1], np.arange(g.n_nodes)])
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n_nodes))
+    n = g.n_nodes
+    pattern = SparseMatrix.from_coo(n, n, g.edges[:, 0], g.edges[:, 1], np.ones(len(g.edges)))
+    rows = np.concatenate([pattern.row_ids, np.arange(n)])
+    cols = np.concatenate([pattern.col_indices, np.arange(n)])
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n))
     vals = inv_sqrt[rows] * inv_sqrt[cols]
-    return SparseMatrix.from_coo(g.n_nodes, g.n_nodes, rows, cols, vals)
+    return SparseMatrix.from_coo(n, n, rows, cols, vals)
 
 
 def random_split(
     n_items: int,
-    labels: np.ndarray | None,
+    labels: np.ndarray,
     ratios: tuple[float, float, float],
     seed: int,
 ) -> DatasetSplit:
-    """Seeded train/val/test split, stratified per class when labels are given.
+    """Seeded train/val/test split of ``n_items`` items, stratified per class.
 
-    Within each class, floor(ratio * count) items go to val and test and
-    the remainder to train. Classes smaller than the number of nonzero
-    parts fall back to a pooled unstratified split with a warning.
+    ``labels`` holds one class per item, and the three ratios sum to 1
+    (within 1e-9); anything else raises ConfigError. Within each class,
+    floor(ratio * count) items go to val and test and the remainder to
+    train, so every item is placed. Classes smaller than the number of
+    nonzero parts fall back to a pooled unstratified split with a warning.
     """
-    if sum(ratios) > 1.0 + 1e-9:
-        raise ConfigError(f"split ratios {ratios} sum to more than 1")
+    labels = np.asarray(labels)
+    if labels.shape != (n_items,):
+        raise ConfigError(f"random_split needs {n_items} labels, got shape {labels.shape}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios {ratios} must sum to 1")
     rng = np.random.default_rng(seed)
     n_parts = sum(1 for r in ratios if r > 0)
-
-    def split_pool(pool: np.ndarray) -> tuple[list, list, list]:
-        pool = rng.permutation(pool)
-        n_val = int(ratios[1] * len(pool))
-        n_test = int(ratios[2] * len(pool))
-        n_train = len(pool) - n_val - n_test if sum(ratios) > 1.0 - 1e-9 else int(
-            ratios[0] * len(pool)
-        )
-        train = pool[:n_train]
-        val = pool[n_train : n_train + n_val]
-        test = pool[n_train + n_val : n_train + n_val + n_test]
-        return list(train), list(val), list(test)
-
     train: list = []
     val: list = []
     test: list = []
-    if labels is not None:
-        labels = np.asarray(labels)
-        leftovers = []
-        for c in np.unique(labels):
-            members = np.flatnonzero(labels == c)
-            if len(members) < n_parts:
-                leftovers.append(members)
-                continue
-            tr, va, te = split_pool(members)
-            train += tr
-            val += va
-            test += te
-        if leftovers:
-            warnings.warn("classes too small to stratify; splitting them unstratified")
-            tr, va, te = split_pool(np.concatenate(leftovers))
-            train += tr
-            val += va
-            test += te
-    else:
-        tr, va, te = split_pool(np.arange(n_items))
-        train, val, test = tr, va, te
+
+    def split_pool(pool: np.ndarray) -> None:
+        pool = rng.permutation(pool)
+        n_val = int(ratios[1] * len(pool))
+        n_test = int(ratios[2] * len(pool))
+        n_train = len(pool) - n_val - n_test
+        train.extend(pool[:n_train])
+        val.extend(pool[n_train : n_train + n_val])
+        test.extend(pool[n_train + n_val :])
+
+    leftovers = []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        if len(members) < n_parts:
+            leftovers.append(members)
+        else:
+            split_pool(members)
+    if leftovers:
+        warnings.warn("classes too small to stratify; splitting them unstratified")
+        split_pool(np.concatenate(leftovers))
     return DatasetSplit(
         train_idx=np.asarray(train, dtype=np.int64),
         val_idx=np.asarray(val, dtype=np.int64),

@@ -277,13 +277,11 @@ class EvalResult:
 
 
 def evaluate(
-    model_or_preds, data: TaskData, split: str, h1: np.ndarray | None = None
+    model: GnnModel, data: TaskData, split: str, h1: np.ndarray | None = None
 ) -> EvalResult:
-    """Accuracy and per-sample correctness on one split.
+    """Accuracy and per-sample correctness of a model on one split.
 
-    Accepts a model or an already-computed full prediction vector (one
-    entry per sample), so any reported number can be recomputed from
-    persisted predictions. A model forwards only what the split scores
+    The model forwards only what the split scores
     (``TaskData.split_input``): the split's graphs, or a last layer over
     the split's nodes. Either gives the split's rows of a full forward,
     bit for bit for the node task and to rounding for the graph task.
@@ -296,19 +294,11 @@ def evaluate(
     idx = data.split_idx(split)
     if idx.size == 0:
         raise ContractError(f"split {split!r} is empty")
-    if not isinstance(model_or_preds, GnnModel):
-        preds = np.asarray(model_or_preds)
-        if preds.shape != (data.n_samples,):
-            raise ContractError(
-                f"prediction vector of shape {preds.shape}, want ({data.n_samples},)"
-            )
-        pred = preds[idx]
-    else:
-        ctx = data.split_input(model_or_preds.config, split)
-        if h1 is not None:
-            ctx = dict(ctx, h1=h1)
-        logits, _ = model_forward(model_or_preds, ctx, training=False)
-        pred = logits.data.argmax(axis=1)
+    ctx = data.split_input(model.config, split)
+    if h1 is not None:
+        ctx = dict(ctx, h1=h1)
+    logits, _ = model_forward(model, ctx, training=False)
+    pred = logits.data.argmax(axis=1)
     true = data.labels[idx]
     return EvalResult(
         accuracy=float((true == pred).mean()), sample_ids=idx, true=true, pred=pred

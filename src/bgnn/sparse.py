@@ -6,6 +6,11 @@ triples or a dense array, dense conversion, dropping stored zeros, sparse
 since the backward pass of every product needs it). Values are float64;
 indices are int64. No scipy.
 
+:meth:`SparseMatrix.from_coo` is the one place that sorts (row, col)
+pairs and merges repeated ones: the dense conversion, the transpose, the
+GCN adjacency's de-duplicated pattern and a bundle's canonical edge list
+all go through it.
+
 :func:`scatter_add` is the one scatter kernel of the package: the sparse
 product, the segment reductions and the gather backward all sum rows
 into buckets through it.
@@ -103,9 +108,12 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, values) -> "SparseMatrix":
-        """Build from coordinate triples; duplicate (row, col) entries are
-        summed. Without duplicates every value is kept bit for bit, so a
-        stored -0.0 stays -0.0 (a sum into a zeroed bucket would give 0.0)."""
+        """Build from coordinate triples, sorted by row, then column;
+        duplicate (row, col) entries are summed. The pattern
+        (``row_ids``, ``col_indices``) is the rows of ``np.unique`` over the
+        (row, col) pairs, in the same order. Without duplicates every value
+        is kept bit for bit, so a stored -0.0 stays -0.0 (a sum into a
+        zeroed bucket would give 0.0)."""
         r = np.asarray(rows, dtype=np.int64)
         c = np.asarray(cols, dtype=np.int64)
         v = np.asarray(values, dtype=np.float64)
@@ -131,16 +139,13 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, x: np.ndarray) -> "SparseMatrix":
-        """The nonzero entries of a 2-d array. ``np.nonzero`` lists them in
-        row-major order, which is already CSR order, so nothing is sorted."""
+        """The nonzero entries of a 2-d array (-0.0 counts as zero)."""
         rows, cols = np.nonzero(x)
-        row_offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=row_offsets[1:])
-        return cls(x.shape[0], x.shape[1], row_offsets, cols, x[rows, cols])
+        return cls.from_coo(x.shape[0], x.shape[1], rows, cols, x[rows, cols])
 
     def drop_zeros(self) -> "SparseMatrix":
-        """The stored entries whose value is nonzero, as ``from_dense`` of
-        ``to_dense()`` would list them (-0.0 counts as zero); this matrix
+        """The stored entries whose value is nonzero (-0.0 counts as zero),
+        the matrix ``from_dense(self.to_dense())`` gives; this matrix
         itself, not a copy, when it stores no zero."""
         keep = self.values != 0
         if keep.all():

@@ -51,10 +51,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -80,9 +76,6 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPE_STACK.remove(self)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 _TAPE_STACK: list[Tape] = []

@@ -108,7 +108,7 @@ class TestTuLoader:
         assert len(graphs) == 2
         for g in graphs:
             assert g.n_nodes == 3
-            assert g.n_edges == 6  # 3 undirected edges, both directions
+            assert len(g.edges) == 6  # 3 undirected edges, both directions
         assert sorted(g.graph_label for g in graphs) == [0, 1]  # remapped from {-1, 1}
 
     def test_node_labels_become_one_hot_features(self, tmp_path):
@@ -170,7 +170,7 @@ class TestTuLoader:
         (tmp_path / "E_graph_indicator.txt").write_text("1\n1\n")
         (tmp_path / "E_graph_labels.txt").write_text("5\n")
         graphs = load_tu_dataset(tmp_path, "E")
-        assert graphs[0].n_nodes == 2 and graphs[0].n_edges == 0
+        assert graphs[0].n_nodes == 2 and len(graphs[0].edges) == 0
 
     def test_node_count_matches_indicator_lines(self, tmp_path):
         self.write_two_triangles(tmp_path)
@@ -224,7 +224,7 @@ class TestJsonBundle:
     def test_minimal_bundle_mirrors_edges(self, tmp_path):
         g = load_json_bundle(self.minimal_bundle(tmp_path))
         assert g.n_nodes == 2
-        assert g.n_edges == 2  # one stored edge, two directions
+        assert len(g.edges) == 2  # one stored edge, two directions
         np.testing.assert_array_equal(g.split.train_idx, [0])
         np.testing.assert_array_equal(g.split.val_idx, [1])
         assert g.split.test_idx.size == 0
@@ -420,6 +420,35 @@ class TestJsonBundle:
         save_json_bundle(back, p2)
         assert p1.read_text() == p2.read_text()
 
+    def test_stored_self_loop_kept_once(self, tmp_path):
+        g = load_json_bundle(write_bundle(tmp_path / "a.json", 3, [[1.0]] * 3, [[0, 0], [0, 1]]))
+        np.testing.assert_array_equal(g.edges, [[0, 0], [0, 1], [1, 0]])
+        # GraphSage's mean over node 0's neighbors {0, 1}: each weighs 1/2
+        mean = mean_aggregator(*sample_neighbors(g), g.n_nodes).to_dense()
+        np.testing.assert_array_equal(mean[0], [0.5, 0.5, 0.0])
+        save_json_bundle(g, tmp_path / "b.json")
+        assert json.loads((tmp_path / "b.json").read_text())["edges"] == [[0, 0], [0, 1]]
+        np.testing.assert_array_equal(load_json_bundle(tmp_path / "b.json").edges, g.edges)
+
+    @given(n=st.integers(1, 8), pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                               max_size=30))
+    @example(n=4, pairs=[(2, 1), (1, 2), (1, 2), (3, 3), (3, 3), (0, 2)])
+    @example(n=3, pairs=[])
+    @settings(max_examples=40, deadline=None)
+    def test_saved_bytes_match_the_np_unique_reference(self, n, pairs):
+        """Edges listed in any order, repeated, reversed or as self-loops
+        are written as ``np.unique`` of their (min, max) pairs."""
+        edges = np.array([p for p in pairs if max(p) < n], dtype=np.int64).reshape(-1, 2)
+        g = Graph(n_nodes=n, edges=edges, features=np.ones((n, 2)),
+                  node_labels=np.zeros(n, dtype=np.int64))
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        want = np.unique(np.stack([lo, hi], axis=1), axis=0).tolist()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.json"
+            save_json_bundle(g, path)
+            text = path.read_text()
+        assert text == json.dumps(dict(json.loads(text), edges=want))
+
 
 def write_bundle(path: Path, n: int, features, edges=()) -> Path:
     """A bundle of ``n`` nodes of class 0 with ``features`` and no split."""
@@ -516,7 +545,34 @@ class TestSparseBundle:
         assert peak < n * d * 8 / 4
 
 
+def unique_pairs_adjacency(g: Graph) -> SparseMatrix:
+    """Â with its pattern de-duplicated by ``np.unique`` over the edge rows:
+    the reference the ``from_coo`` pattern must equal byte for byte."""
+    pairs = np.unique(g.edges, axis=0)
+    rows = np.concatenate([pairs[:, 0], np.arange(g.n_nodes)])
+    cols = np.concatenate([pairs[:, 1], np.arange(g.n_nodes)])
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n_nodes))
+    return SparseMatrix.from_coo(g.n_nodes, g.n_nodes, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
+
+
 class TestNormalizeAdjacency:
+    @given(n=st.integers(0, 10), pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                                                max_size=40))
+    @example(n=0, pairs=[])  # no nodes
+    @example(n=4, pairs=[])  # no edges: every node isolated
+    @example(n=5, pairs=[(1, 0), (0, 1), (0, 1), (1, 0), (2, 2), (2, 2), (3, 1)])  # 4 isolated
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_np_unique_reference(self, n, pairs):
+        edges = np.array([p for p in pairs if max(p) < n], dtype=np.int64).reshape(-1, 2)
+        g = Graph(n_nodes=n, edges=edges, features=np.zeros((n, 1)))
+        assert_same_csr(normalize_adjacency(g), unique_pairs_adjacency(g))
+
+    def test_repeated_pair_counted_once_listed_self_loop_added_to(self):
+        g = tiny_graph(n=2, edges=((0, 1), (0, 1), (1, 0), (1, 1)))
+        # d = (2, 3): row 1 holds (1, 0), the listed (1, 1) and the added one
+        np.testing.assert_allclose(normalize_adjacency(g).to_dense(),
+                                   [[0.5, 1 / np.sqrt(6)], [1 / np.sqrt(6), 2 / 3]])
+
     def test_single_node(self):
         g = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 1)))
         np.testing.assert_allclose(normalize_adjacency(g).to_dense(), [[1.0]])
@@ -575,7 +631,7 @@ class TestDegreeFeatures:
 
 class TestRandomSplit:
     def test_all_train(self):
-        s = random_split(10, None, (1.0, 0.0, 0.0), seed=0)
+        s = random_split(10, np.zeros(10, dtype=np.int64), (1.0, 0.0, 0.0), seed=0)
         assert len(s.train_idx) == 10 and len(s.val_idx) == 0 and len(s.test_idx) == 0
 
     def test_stratified_counts(self):
@@ -609,11 +665,17 @@ class TestRandomSplit:
 
     def test_ratios_above_one_rejected(self):
         with pytest.raises(ConfigError):
-            random_split(10, None, (0.8, 0.3, 0.3), seed=0)
+            random_split(10, np.zeros(10, dtype=np.int64), (0.8, 0.3, 0.3), seed=0)
 
-    def test_partial_ratios_leave_items_out(self):
-        s = random_split(100, None, (0.1, 0.1, 0.1), seed=0)
-        assert len(s.train_idx) == 10 and len(s.val_idx) == 10 and len(s.test_idx) == 10
+    def test_ratios_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="sum to 1"):
+            random_split(100, np.zeros(100, dtype=np.int64), (0.1, 0.1, 0.1), seed=0)
+
+    @pytest.mark.parametrize("labels", [None, np.zeros(9, dtype=np.int64),
+                                        np.zeros((10, 1), dtype=np.int64)])
+    def test_one_label_per_item_required(self, labels):
+        with pytest.raises(ConfigError, match="10 labels"):
+            random_split(10, labels, (0.8, 0.1, 0.1), seed=0)
 
     def test_index_lists_sorted_at_construction(self):
         split = DatasetSplit([3, 1], np.array([5, 0]), np.zeros(0, dtype=np.int64))
@@ -736,7 +798,7 @@ class TestSbm:
     def test_deterministic_limit_is_two_cliques(self):
         g = generate_sbm(3, 2, 1.0, 0.0, 2, seed=0)
         assert g.n_nodes == 6
-        assert g.n_edges == 12  # two triangles, both directions
+        assert len(g.edges) == 12  # two triangles, both directions
         blocks = g.node_labels
         for u, v in g.edges:
             assert blocks[u] == blocks[v]
@@ -744,7 +806,7 @@ class TestSbm:
     def test_equal_probabilities_mix_blocks(self):
         g = generate_sbm(100, 2, 0.3, 0.3, 2, seed=5)
         same = sum(1 for u, v in g.edges if g.node_labels[u] == g.node_labels[v])
-        frac_same = same / g.n_edges
+        frac_same = same / len(g.edges)
         # within-block pair share of all pairs is (2*C(100,2))/C(200,2) ≈ 0.497
         assert abs(frac_same - 0.497) < 0.03
 

@@ -605,7 +605,7 @@ class TestAggregatedInput:
             with Tape() as tape:
                 logits, _ = model_forward(m, ctx, training=True, rng=np.random.default_rng(0))
                 backward(T.sum_all(logits), tape)
-            return len(tape)
+            return len(tape.entries)
 
         assert "agg_x" in ctx
         assert step_entries(ctx) == step_entries({"adj": ctx["adj"], "x": g.features}) - 1
@@ -634,7 +634,7 @@ class TestAggregatedInput:
             with Tape() as tape:
                 logits, _ = model_forward(m, ctx, training=True, rng=np.random.default_rng(0))
                 backward(T.sum_all(T.mul(logits, weights)), tape)
-            return logits.data, {name: p.grad for name, p in m.params.items()}, len(tape)
+            return logits.data, {name: p.grad for name, p in m.params.items()}, len(tape.entries)
 
         out, grads, entries = step(ctx)
         ref_ctx = {k: v for k, v in ctx.items() if k != "agg_x"}
@@ -813,8 +813,9 @@ class TestHandedLayerOne:
         plan = pipeline.TrainPlan([cfg, cfg], task=cfg.task, epochs=3, batch_size=4, **(kd or {}))
         lengths = []
         orig = pipeline.backward
-        monkeypatch.setattr(pipeline, "backward",
-                            lambda loss, tape: lengths.append(len(tape)) or orig(loss, tape))
+        monkeypatch.setattr(
+            pipeline, "backward",
+            lambda loss, tape: lengths.append(len(tape.entries)) or orig(loss, tape))
         if kd is None:
             pipeline.train_supervised(cfg, data, plan, seed=0)
         else:

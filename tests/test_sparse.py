@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bgnn.errors import FormatError, ShapeError
 from bgnn.sparse import SparseMatrix, scatter_add
 
-from helpers import add_at_reference, wide_range
+from helpers import add_at_reference, assert_same_csr, wide_range
 
 
 class TestScatterAdd:
@@ -100,6 +100,31 @@ class TestFromCoo:
         np.add.at(dense, (r, c), v)
         s = SparseMatrix.from_coo(m, n, r, c, v)
         np.testing.assert_allclose(s.to_dense(), dense, atol=1e-12)
+
+
+def nonzero_csr_reference(x: np.ndarray) -> SparseMatrix:
+    """CSR straight from ``np.nonzero``'s row-major listing, no sort."""
+    rows, cols = np.nonzero(x)
+    row_offsets = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=row_offsets[1:])
+    return SparseMatrix(x.shape[0], x.shape[1], row_offsets, cols, x[rows, cols])
+
+
+class TestFromDense:
+    @given(seed=st.integers(0, 10**6), n=st.integers(0, 9), d=st.integers(0, 9))
+    @example(seed=0, n=0, d=4)  # no rows
+    @example(seed=0, n=4, d=0)  # no columns
+    @example(seed=1, n=6, d=6)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_nonzero_listing(self, seed, n, d):
+        g = np.random.default_rng(seed)
+        x = wide_range(g, (n, d))
+        kind = g.integers(0, 3, (n, d))  # a value, 0.0 or -0.0
+        x[kind == 1] = 0.0
+        x[kind == 2] = -0.0
+        if n:
+            x[g.integers(0, n)] = -0.0  # at least one empty row
+        assert_same_csr(SparseMatrix.from_dense(x), nonzero_csr_reference(x))
 
 
 class TestProducts:
