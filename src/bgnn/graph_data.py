@@ -26,8 +26,9 @@ SPARSE_FEATURE_DENSITY = 0.25
 
 @dataclass
 class Graph:
-    """A graph with node features; undirected edges appear in both directions.
-    The features, a constant of every forward, are a float64 array or a CSR
+    """A graph with node features; undirected edges appear in both directions,
+    and every architecture counts a listed pair once per listing. The
+    features, a constant of every forward, are a float64 array or a CSR
     ``SparseMatrix`` (a sparse bundle's own entries, stored zeros included)."""
 
     n_nodes: int
@@ -244,11 +245,19 @@ def _float_array(value, path: Path, key: str, matrix: bool = False) -> np.ndarra
     return arr
 
 
+def _undirected_pairs(n: int, edges: np.ndarray) -> SparseMatrix:
+    """The (min, max) pattern of ``edges``: each undirected pair once, sorted."""
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    return SparseMatrix.from_coo(n, n, lo, hi, np.ones(lo.size))
+
+
 def load_json_bundle(path) -> Graph:
     """Load a node-classification graph from a JSON bundle.
 
-    The bundle stores each undirected edge once; the Graph mirrors it in
-    both directions, except a stored self-loop ``[i, i]``, kept once.
+    A pair stored twice or in both orientations merges into its first copy,
+    as ``save_json_bundle`` merges them; the Graph mirrors each kept pair,
+    except a self-loop ``[i, i]``, kept once.
     Features may be dense (nested arrays), loaded as a float64 array, or
     sparse ({indices: [[row, col], ...], values, shape}), loaded as a CSR
     ``SparseMatrix`` of exactly those entries once they pass every check:
@@ -272,13 +281,15 @@ def load_json_bundle(path) -> Graph:
     stored = _int_array(obj["edges"], path, "edges", pairs=True)
     if stored.size and (stored.min() < 0 or stored.max() >= n):
         raise FormatError(f"bundle {path.name}: key 'edges' has endpoint out of range")
-    edges = np.concatenate([stored, stored[stored[:, 0] != stored[:, 1], ::-1]], axis=0)
     # labels first: an n_nodes that the labels do not back sizes no array
     labels = _int_array(obj["labels"], path, "labels")
     if labels.shape != (n,) or np.any(labels < 0):
         raise FormatError(f"bundle {path.name}: key 'labels' must hold {n} non-negative integers")
     if n and labels.max() >= n:  # more classes than nodes
         raise FormatError(f"bundle {path.name}: key 'labels' has class {labels.max()} >= {n} nodes")
+    if _undirected_pairs(n, stored).nnz < len(stored):  # keep each pair's first copy
+        stored = stored[np.sort(np.unique(np.sort(stored, axis=1), axis=0, return_index=True)[1])]
+    edges = np.concatenate([stored, stored[stored[:, 0] != stored[:, 1], ::-1]], axis=0)
 
     feats = obj["features"]
     if isinstance(feats, dict):
@@ -343,9 +354,7 @@ def save_json_bundle(g: Graph, path) -> None:
     """
     if g.node_labels is None:
         raise ContractError("a JSON bundle needs node labels")
-    lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
-    hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-    pairs = SparseMatrix.from_coo(g.n_nodes, g.n_nodes, lo, hi, np.ones(lo.size))
+    pairs = _undirected_pairs(g.n_nodes, g.edges)
     x = g.features
     nonzero = x.drop_zeros() if isinstance(x, SparseMatrix) else SparseMatrix.from_dense(x)
     size = g.n_nodes * g.feature_dim
@@ -388,19 +397,15 @@ def atomic_write(path, data: str | bytes) -> None:
 def normalize_adjacency(g: Graph) -> SparseMatrix:
     """Symmetrically normalized adjacency with self-loops: Â = D^-1/2 (A + I) D^-1/2.
 
-    A keeps each listed (i, j) pair once, however often it is listed; I
-    adds a self-loop per node on top of a listed one, so a listed [i, i]
-    gives entry (i, i) twice the weight. Entry (i, j) is 1/sqrt(d_i d_j),
-    where d_i counts row i of A + I. Isolated nodes reduce to a self-loop
-    of weight 1.
+    A counts each listing of a pair, and I adds to a listed self-loop;
+    entry (i, j) is c_ij / sqrt(d_i d_j), with c = A + I and d_i its row
+    sum. Isolated nodes reduce to a self-loop of weight 1.
     """
     n = g.n_nodes
-    pattern = SparseMatrix.from_coo(n, n, g.edges[:, 0], g.edges[:, 1], np.ones(len(g.edges)))
-    rows = np.concatenate([pattern.row_ids, np.arange(n)])
-    cols = np.concatenate([pattern.col_indices, np.arange(n)])
+    rows = np.concatenate([g.edges[:, 0], np.arange(n)])
+    cols = np.concatenate([g.edges[:, 1], np.arange(n)])
     inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n))
-    vals = inv_sqrt[rows] * inv_sqrt[cols]
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    return SparseMatrix.from_coo(n, n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
 def random_split(
@@ -469,8 +474,8 @@ def sample_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 def mean_aggregator(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> SparseMatrix:
     """Row-stochastic operator averaging each node's neighbors.
 
-    Each edge weighs 1 / (edges in its row); rows without edges stay
-    zero, so an isolated node's neighbor mean is the zero vector.
+    Entry (i, j) is the listings of (i, j) over those of row i; rows
+    without edges stay zero, so an isolated node's neighbor mean is zero.
     """
     counts = np.bincount(rows, minlength=n_nodes)
     return SparseMatrix.from_coo(n_nodes, n_nodes, rows, cols, 1.0 / counts[rows])

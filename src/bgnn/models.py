@@ -204,7 +204,7 @@ def gat_layer(
 
 
 def _attention_edges(edges: np.ndarray, n_nodes: int) -> dict:
-    """GAT's (src, dst) pairs: the edges, then a self-loop per node."""
+    """GAT's (src, dst) pairs: each listed edge, then a self-loop per node."""
     loops = np.arange(n_nodes)
     return {"src": np.concatenate([edges[:, 0], loops]),
             "dst": np.concatenate([edges[:, 1], loops])}

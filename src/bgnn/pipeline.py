@@ -9,9 +9,9 @@ the run seed: parameter init uses the seed itself, dropout and batch
 shuffling use spawned substreams, and the temperature module draws
 from its own substream so enabling it never shifts the others. Every
 forward reads only a forward context, which ``TaskData`` builds or cuts.
-A node-task epoch's validation reuses layer 1 of the next epoch's
-training forward, taken at the same parameters, so it runs only layers
-2..L; its numbers equal a standalone evaluation bit for bit.
+An epoch is validated in the next epoch's first step, before its update
+(the node task from that step's layer 1, so only layers 2..L run); its
+numbers equal a standalone evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -349,14 +349,13 @@ def _train_student(
 
     Each epoch ends with one ``evaluate(..., "val")`` of the model it
     trained, and the best-validation snapshot (parameters and batch-norm
-    state) is restored at the end. On the node task, epoch t is validated
-    during epoch t + 1's step, between its backward and its optimizer
-    step: the parameters are still epoch t's, batch norm reads the state
-    copied before that step's training forward, and layer 1 is read from
-    that forward (``reps[0]``, handed to ``evaluate`` as ``h1``), so only
-    layers 2..L run again. The last epoch is validated on its own. The
-    graph task trains on other graphs than it validates on, so it
-    validates each epoch after its last batch.
+    state) is restored at the end. Epoch t is validated during epoch
+    t + 1's first step, between its backward and its optimizer step: the
+    parameters are still epoch t's and batch norm reads the state copied
+    before that step's training forward. The node task's step forwards
+    the graph it validates on, so its layer 1 is read from that forward
+    (``reps[0]``, handed to ``evaluate`` as ``h1``) and only layers 2..L
+    run again. The last epoch is validated on its own.
     """
     t0 = time.perf_counter()
     streams = _rng_streams(seed)
@@ -394,15 +393,15 @@ def _train_student(
         if val_acc > best["val_acc"]:
             best.update(val_acc=val_acc, snap=_snapshot(trained))
 
-    node = data.kind == "node"
     for epoch in range(plan.epochs):
         losses = []
         for ctx, ids, rows in _epoch_batches(
             config, data, plan, train_idx, streams["shuffle"], distill
         ):
             label_ids = ids if rows is None else ids[rows]
+            closes = epoch > 0 and not losses  # the first step closes the last epoch
             # a training batch norm updates bn_state in place: keep the last epoch's
-            bn = {k: v.copy() for k, v in model.bn_state.items()} if node else None
+            bn = {k: v.copy() for k, v in model.bn_state.items()} if closes else None
             with Tape() as tape:
                 logits, reps = model_forward(model, ctx, training=True, rng=streams["dropout"])
                 scored = logits if rows is None else T.gather_rows(logits, rows)
@@ -424,17 +423,16 @@ def _train_student(
             # Every recorded tensor points back at its tape; emptying the tape
             # frees the step's activations now instead of at the next cyclic GC.
             tape.entries.clear()
-            if node and epoch > 0:
-                # the parameters are still the last epoch's: validate it from
-                # this forward's layer 1, before the step moves them
-                validate(replace(model, bn_state=bn), reps[0].data)
+            if closes:
+                # the parameters are still the last epoch's: validate it before
+                # the step moves them, the node task from this forward's layer 1
+                validate(replace(model, bn_state=bn),
+                         reps[0].data if data.kind == "node" else None)
             opt.step()
             opt.zero_grad()
             losses.append(loss_val)
         train_loss = float(np.mean(losses)) if losses else 0.0
-        if not node:
-            validate(model)
-    if node and plan.epochs:
+    if plan.epochs:
         validate(model)
 
     _restore(model, best["snap"])

@@ -364,14 +364,16 @@ def concat_cols(*xs: Tensor) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows (or elements of a vector) by index; backward scatter-adds."""
+    """Select rows of a matrix or a vector by a 1-d index; backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1 or x.ndim > 2:
+        raise ShapeError(f"gather_rows: index {idx.shape} into {x.shape}, want 1-d into rank 1-2")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise IndexError(f"row index out of range [0, {x.shape[0]})")
 
     def d_x(g):
         # the scatter sums into zeros before adding to an existing x.grad
-        return scatter_add(idx.ravel(), g.reshape((idx.size,) + x.shape[1:]), x.shape[0])
+        return scatter_add(idx, g, x.shape[0])
 
     # np.take copies 24,310 rows of an (n, 2) array in 0.02 ms, x.data[idx] in 0.29 ms (Xeon)
     return _record(Tensor(np.take(x.data, idx, axis=0)), [(x, d_x)])

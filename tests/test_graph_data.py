@@ -430,6 +430,56 @@ class TestJsonBundle:
         assert json.loads((tmp_path / "b.json").read_text())["edges"] == [[0, 0], [0, 1]]
         np.testing.assert_array_equal(load_json_bundle(tmp_path / "b.json").edges, g.edges)
 
+    def test_a_pair_stored_both_ways_loads_once_per_direction(self, tmp_path):
+        """[1, 0] repeats [0, 1]: GraphSage's mean for node 1 weighs 0 and
+        2 alike, GCN's Â is that of the bundle without the repeat, and GAT
+        attends once per neighbour."""
+        g = load_json_bundle(write_bundle(tmp_path / "a.json", 3, [[1.0]] * 3,
+                                          [[0, 1], [1, 0], [1, 2]]))
+        assert_bits(g.edges, np.array([[0, 1], [1, 2], [1, 0], [2, 1]]))
+        plain = load_json_bundle(write_bundle(tmp_path / "b.json", 3, [[1.0]] * 3,
+                                              [[0, 1], [1, 2]]))
+        ctx = {arch: build_forward_context(ModelConfig(arch, 1, 2, 1, heads=1), g)
+               for arch in ARCHITECTURES}
+        np.testing.assert_array_equal(ctx["sage"]["mean_op"].to_dense()[1], [0.5, 0.0, 0.5])
+        assert_same_csr(ctx["gcn"]["adj"], normalize_adjacency(plain))
+        pairs = np.stack([ctx["gat"]["src"], ctx["gat"]["dst"]], axis=1)
+        assert len(np.unique(pairs, axis=0)) == len(pairs) == 7  # 4 edges, 3 self-loops
+
+    @given(n=st.integers(1, 8), pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                               max_size=30))
+    @example(n=4, pairs=[(2, 1), (1, 2), (1, 2), (3, 3), (3, 3), (0, 2)])  # 0 and 3 apart
+    @example(n=3, pairs=[(0, 1), (1, 2)])  # no repeat: loads as stored, then mirrored
+    @settings(max_examples=40, deadline=None)
+    def test_each_undirected_pair_loads_once_per_direction(self, n, pairs):
+        """Repeated, reversed and self-loop pairs merge into their first
+        copy, in stored order; a second round trip keeps the edges."""
+        stored = [p for p in pairs if max(p) < n]
+        first, seen = [], set()
+        for a, b in stored:
+            if (min(a, b), max(a, b)) not in seen:
+                seen.add((min(a, b), max(a, b)))
+                first.append((a, b))
+        with tempfile.TemporaryDirectory() as tmp:
+            g = load_json_bundle(write_bundle(Path(tmp) / "a.json", n, [[1.0]] * n, stored))
+            save_json_bundle(g, Path(tmp) / "b.json")
+            back = load_json_bundle(Path(tmp) / "b.json")
+        want = first + [(b, a) for a, b in first if a != b]
+        assert_bits(g.edges, np.array(want, dtype=np.int64).reshape(-1, 2))
+        assert {tuple(e) for e in back.edges.tolist()} == set(want)
+        assert len(back.edges) == len(want)
+
+    def test_a_repeat_free_bundle_runs_no_unique_over_rows(self, tmp_path, monkeypatch):
+        """The pattern pass finds no repeat, so no row-wise ``np.unique``
+        runs; a repeat takes one."""
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(kw) or unique(*a, **kw))
+        load_json_bundle(write_bundle(tmp_path / "a.json", 3, [[1.0]] * 3, [[0, 1], [2, 1]]))
+        assert not any("axis" in kw for kw in calls)
+        load_json_bundle(write_bundle(tmp_path / "a.json", 3, [[1.0]] * 3, [[0, 1], [1, 0]]))
+        assert any("axis" in kw for kw in calls)
+
     @given(n=st.integers(1, 8), pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                                                max_size=30))
     @example(n=4, pairs=[(2, 1), (1, 2), (1, 2), (3, 3), (3, 3), (0, 2)])
@@ -545,14 +595,14 @@ class TestSparseBundle:
         assert peak < n * d * 8 / 4
 
 
-def unique_pairs_adjacency(g: Graph) -> SparseMatrix:
-    """Â with its pattern de-duplicated by ``np.unique`` over the edge rows:
-    the reference the ``from_coo`` pattern must equal byte for byte."""
-    pairs = np.unique(g.edges, axis=0)
-    rows = np.concatenate([pairs[:, 0], np.arange(g.n_nodes)])
-    cols = np.concatenate([pairs[:, 1], np.arange(g.n_nodes)])
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=g.n_nodes))
-    return SparseMatrix.from_coo(g.n_nodes, g.n_nodes, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
+def unique_pairs_adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Â's pattern, ``np.unique`` over the listed pairs and a self-loop per
+    node, and its values c_ij / sqrt(d_i d_j): c_ij counts the listings of
+    (i, j), one more on the diagonal, and d_i sums row i of those counts."""
+    loops = np.repeat(np.arange(g.n_nodes), 2).reshape(-1, 2)
+    pairs, counts = np.unique(np.concatenate([g.edges, loops]), axis=0, return_counts=True)
+    d = np.bincount(pairs[:, 0], weights=counts, minlength=g.n_nodes)
+    return pairs, counts / np.sqrt(d[pairs[:, 0]] * d[pairs[:, 1]])
 
 
 class TestNormalizeAdjacency:
@@ -563,15 +613,30 @@ class TestNormalizeAdjacency:
     @example(n=5, pairs=[(1, 0), (0, 1), (0, 1), (1, 0), (2, 2), (2, 2), (3, 1)])  # 4 isolated
     @settings(max_examples=60, deadline=None)
     def test_matches_the_np_unique_reference(self, n, pairs):
+        """Each listing of a pair counts, a listed self-loop included."""
         edges = np.array([p for p in pairs if max(p) < n], dtype=np.int64).reshape(-1, 2)
         g = Graph(n_nodes=n, edges=edges, features=np.zeros((n, 1)))
-        assert_same_csr(normalize_adjacency(g), unique_pairs_adjacency(g))
+        a = normalize_adjacency(g)
+        want_pairs, want_values = unique_pairs_adjacency(g)
+        assert_bits(np.stack([a.row_ids, a.col_indices], axis=1), want_pairs)
+        np.testing.assert_allclose(a.values, want_values, rtol=1e-15, atol=0.0)
 
-    def test_repeated_pair_counted_once_listed_self_loop_added_to(self):
+    def test_repeated_pair_counted_per_listing(self):
+        """A pair listed twice weighs twice; the added self-loop adds to a
+        listed one."""
         g = tiny_graph(n=2, edges=((0, 1), (0, 1), (1, 0), (1, 1)))
-        # d = (2, 3): row 1 holds (1, 0), the listed (1, 1) and the added one
+        # d = (3, 3): row 0 holds (0, 1) twice and the added (0, 0); row 1
+        # holds (1, 0), the listed (1, 1) and the added one
         np.testing.assert_allclose(normalize_adjacency(g).to_dense(),
-                                   [[0.5, 1 / np.sqrt(6)], [1 / np.sqrt(6), 2 / 3]])
+                                   [[1 / 3, 2 / 3], [1 / 3, 2 / 3]])
+
+    def test_one_from_coo_call(self, monkeypatch):
+        calls = []
+        build = SparseMatrix.from_coo
+        monkeypatch.setattr(SparseMatrix, "from_coo",
+                            lambda *a: calls.append(a) or build(*a))
+        normalize_adjacency(tiny_graph(n=3, edges=((0, 1), (1, 0), (0, 1))))
+        assert len(calls) == 1
 
     def test_single_node(self):
         g = Graph(n_nodes=1, edges=np.zeros((0, 2)), features=np.zeros((1, 1)))
@@ -744,6 +809,28 @@ class TestSampleNeighbors:
         want = np.divide(counts, deg, out=np.zeros_like(counts), where=deg > 0)
         got = mean_aggregator(*sample_neighbors(g), g.n_nodes).to_dense()
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+class TestEdgeRule:
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs())
+    @example(tiny_graph(n=4, edges=((0, 1), (1, 0), (0, 1), (2, 2), (2, 2), (1, 2)), dim=1))
+    def test_every_architecture_counts_each_listing(self, g):
+        """With c_ij the listings of (i, j): Â's off-diagonal entries are
+        c_ij / sqrt(d_i d_j), d counting listings plus the added self-loop;
+        GAT attends over the listed pairs, then one self-loop per node.
+        M̄'s entries, c_ij / deg_i, are pinned by ``TestSampleNeighbors``."""
+        n = g.n_nodes
+        c = np.zeros((n, n))
+        np.add.at(c, (g.edges[:, 0], g.edges[:, 1]), 1.0)
+        ctx = {arch: build_forward_context(ModelConfig(arch, 1, 2, 1, heads=1), g)
+               for arch in ("gcn", "gat")}
+        d = c.sum(axis=1) + 1.0
+        off = ~np.eye(n, dtype=bool)
+        np.testing.assert_allclose(ctx["gcn"]["adj"].to_dense()[off],
+                                   (c / np.sqrt(np.outer(d, d)))[off], rtol=1e-15, atol=0.0)
+        listed = np.stack([ctx["gat"]["src"], ctx["gat"]["dst"]], axis=1)
+        assert_bits(listed, np.concatenate([g.edges, np.repeat(np.arange(n), 2).reshape(-1, 2)]))
 
 
 class TestBatching:

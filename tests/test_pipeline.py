@@ -276,25 +276,48 @@ def train_for(cfg: ModelConfig, data: TaskData, epochs: int, kd: bool):
     return model, metrics
 
 
+def hard_graph_data(n: int = 40) -> TaskData:
+    """Noisy two-block graphs, denser within blocks for class 1: val_acc
+    moves from epoch to epoch."""
+    graphs = [replace(generate_sbm(3, 2, 0.9 if i % 2 else 0.4, 0.2, 3, seed=i, noise_scale=2.0),
+                      node_labels=None, graph_label=i % 2) for i in range(n)]
+    split = random_split(n, np.arange(n) % 2, (0.5, 0.25, 0.25), seed=2)
+    return TaskData(kind="graph", graphs=graphs, split=split)
+
+
+def _kd_id(kd: bool) -> str:
+    return "kd" if kd else "supervised"
+
+
+# node task: every case; graph task: batch norm on, two layers
+PREFIX_CASES = [
+    pytest.param("node", arch, bn, layers, kd, id=f"{_kd_id(kd)}-{layers}-{bn}-{arch}")
+    for kd in (False, True) for layers in (2, 3) for bn in (False, True) for arch in ARCHITECTURES
+] + [pytest.param("graph", arch, True, 2, kd, id=f"graph-{_kd_id(kd)}-2-True-{arch}")
+     for kd in (False, True) for arch in ARCHITECTURES]
+
+
 class TestPerEpochValidation:
     """Each epoch is validated once, outside the tape, on the model it
-    trained. A node-task epoch is validated during the next epoch's step,
-    from that step's layer 1, and the last one on its own; either way a
+    trained: during the next epoch's first step, before its update (the
+    node task from that step's layer 1), and the last one on its own; a
     k-epoch run is the first k epochs of a longer run."""
 
-    @pytest.mark.parametrize("arch", ARCHITECTURES)
-    @pytest.mark.parametrize("batch_norm", [False, True])
-    @pytest.mark.parametrize("n_layers", [2, 3])
-    @pytest.mark.parametrize("kd", [False, True], ids=["supervised", "kd"])
-    def test_a_shorter_run_is_a_prefix(self, arch, batch_norm, n_layers, kd):
+    @pytest.mark.parametrize("task, arch, batch_norm, n_layers, kd", PREFIX_CASES)
+    def test_a_shorter_run_is_a_prefix(self, task, arch, batch_norm, n_layers, kd):
         """Every k-epoch run's records are the first k of an E-epoch run's,
         and the E-run restores, bit for bit, the model that the run ending
         at its first best epoch restores, batch-norm state included."""
-        g = generate_sbm(30, 3, 0.2, 0.1, 8, seed=2, noise_scale=2.0)  # hard: val_acc moves
-        split = random_split(g.n_nodes, g.node_labels, (0.3, 0.3, 0.4), seed=2)
-        data = TaskData(kind="node", graph=replace(g, split=split))
-        cfg = gcn_cfg(arch=arch, n_classes=3, heads=2, batch_norm=batch_norm, n_layers=n_layers,
-                      dropout=0.5)
+        if task == "node":
+            g = generate_sbm(30, 3, 0.2, 0.1, 8, seed=2, noise_scale=2.0)  # hard: val_acc moves
+            split = random_split(g.n_nodes, g.node_labels, (0.3, 0.3, 0.4), seed=2)
+            data = TaskData(kind="node", graph=replace(g, split=split))
+            cfg = gcn_cfg(arch=arch, n_classes=3, heads=2, batch_norm=batch_norm,
+                          n_layers=n_layers, dropout=0.5)
+        else:
+            data = hard_graph_data()
+            cfg = graph_cfg(arch=arch, heads=2, batch_norm=batch_norm, n_layers=n_layers,
+                            dropout=0.5)
         runs = [train_for(cfg, data, k, kd) for k in range(1, 9)]
         model, metrics = runs[-1]
         for k, (_, m) in enumerate(runs, start=1):
