@@ -12,7 +12,9 @@ GCN adjacency and a bundle's undirected edge pairs all go through it.
 
 :func:`scatter_add` is the one scatter kernel of the package: the sparse
 product, the segment reductions and the gather backward all sum rows
-into buckets through it.
+into buckets through it. :func:`row_sums` and :func:`scaled_rows` are the
+row sum and row scaling of the tape ops, bit for bit numpy's own, but
+column by column on rows narrower than ``SHORT_ROW``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,44 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FormatError, ShapeError
+
+# numpy sums a row narrower than this one entry at a time, left to right
+# from +0.0; from this width up it keeps 8 partial sums (pairwise summation)
+SHORT_ROW = 8
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a matrix, bit for bit.
+
+    Below ``SHORT_ROW`` columns numpy's summation order is plain left to
+    right from +0.0, so adding whole columns in that order gives the same
+    bits (an all -0.0 row sums to +0.0) without numpy's per-row reduction
+    loop, several times slower on narrow rows.
+    """
+    k = x.shape[1]
+    # on a single row numpy runs += as a reduction, which keeps the later
+    # of two NaNs where the sum keeps the earlier
+    if k == 0 or k >= SHORT_ROW or x.shape[0] == 1:
+        return x.sum(axis=1)
+    out = x[:, 0] + 0.0
+    for j in range(1, k):
+        out += x[:, j]
+    return out
+
+
+def scaled_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x * v[:, None]``, bit for bit (a product is elementwise).
+
+    Below ``SHORT_ROW`` columns it scales column by column into a
+    Fortran-ordered array, faster than numpy's broadcast over narrow rows;
+    :func:`scatter_add` then reads the columns without a copy.
+    """
+    if x.shape[1] >= SHORT_ROW:
+        return x * v[:, None]
+    out = np.empty(x.shape, order="F")
+    for j in range(x.shape[1]):
+        np.multiply(x[:, j], v, out=out[:, j])
+    return out
 
 
 def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:

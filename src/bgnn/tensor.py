@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .sparse import SparseMatrix, scatter_add
+from .sparse import SparseMatrix, row_sums, scaled_rows, scatter_add
 
 PROB_FLOOR = 1e-10  # lower clamp applied before taking logs of probabilities
 LEAKY_SLOPE = 0.2  # leaky_relu's slope below zero, as in GAT's attention scores
@@ -115,9 +115,15 @@ def _record(
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``. A first gradient is stored as g + 0.0 in a
+    new float64 array of g's layout: bit for bit the sum into zeros, with
+    no zero-filled buffer; a 0-d gradient stays an array."""
+    if np.shape(g) != t.shape:
+        raise ContractError(f"gradient of shape {np.shape(g)} for a tensor of shape {t.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(g, dtype=np.float64))
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -215,10 +221,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor) -> Tensor:
+    """max(x, LEAKY_SLOPE·x): for 0 < slope < 1 that is x above zero and
+    slope·x otherwise, bit for bit (±0, ±inf and NaN included), without
+    np.where's slower select. The backward keeps only the bool mask."""
     mask = x.data > 0.0
     return _record(
-        Tensor(np.where(mask, x.data, LEAKY_SLOPE * x.data)),
-        [(x, lambda g: g * np.where(mask, 1.0, LEAKY_SLOPE))],
+        Tensor(np.maximum(x.data, LEAKY_SLOPE * x.data)),
+        [(x, lambda g: g * np.maximum(mask, LEAKY_SLOPE))],
     )
 
 
@@ -232,11 +241,8 @@ def elu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     # Split by sign to avoid overflow in exp.
-    v = np.where(
-        x.data >= 0.0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    e = np.exp(-np.abs(x.data))
+    v = np.where(x.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _record(Tensor(v), [(x, lambda g: g * v * (1.0 - v))])
 
 
@@ -249,12 +255,12 @@ def softmax_np(z: np.ndarray, tau=1.0) -> np.ndarray:
     s = z / tau
     s = s - s.max(axis=1, keepdims=True)
     e = np.exp(s)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / row_sums(e)[:, None]
 
 
 def cross_entropy_np(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-row soft cross-entropy -Σ_c q_ic log max(p_ic, PROB_FLOOR)."""
-    return -(q * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=1)
+    return -row_sums(q * np.log(np.maximum(p, PROB_FLOOR)))
 
 
 def _as_tau_column(tau, m: int) -> tuple[np.ndarray, Tensor | None]:
@@ -283,13 +289,13 @@ def softmax_rows(z: Tensor, tau=1.0) -> Tensor:
     y = softmax_np(z.data, tau_col)
 
     def d_s(g):  # the gradient with respect to z / τ
-        return y * (g - (g * y).sum(axis=1, keepdims=True))
+        return y * (g - row_sums(g * y)[:, None])
 
     rules = [(z, lambda g: d_s(g) / tau_col)]
     if tau_t is not None:
 
         def d_tau(g):
-            dtau = -(d_s(g) * z.data).sum(axis=1, keepdims=True) / (tau_col**2)
+            dtau = -row_sums(d_s(g) * z.data)[:, None] / (tau_col**2)
             # a scalar tau scales every row, so its gradient sums the rows' terms
             return dtau.reshape(tau_t.shape) if tau_t.ndim else dtau.sum()
 
@@ -388,12 +394,15 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def scale_rows(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply row i of x by v[i]."""
+    """Multiply row i of x by v[i]. The value and x's gradient come from
+    ``sparse.scaled_rows`` and v's gradient from ``sparse.row_sums``:
+    Fortran-ordered and column by column on rows narrower than
+    ``SHORT_ROW``, as GAT's per-head messages are."""
     if x.ndim != 2 or v.shape != (x.shape[0],):
         raise ShapeError(f"scale_rows: shapes {x.shape} and {v.shape} are incompatible")
     return _record(
-        Tensor(x.data * v.data[:, None]),
-        [(x, lambda g: g * v.data[:, None]), (v, lambda g: (g * x.data).sum(axis=1))],
+        Tensor(scaled_rows(x.data, v.data)),
+        [(x, lambda g: scaled_rows(g, v.data)), (v, lambda g: row_sums(g * x.data))],
     )
 
 

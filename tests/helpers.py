@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, bitwise
-array and CSR comparisons, the scatter reference the bincount kernel is checked
-against, a forward on a freshly built context, node degrees and one-hot
-degree features for graph fixtures, and a TU-format directory writer."""
+array and CSR comparisons, the numpy formulas the scatter kernel, the short-row
+helpers, leaky_relu and gradient seeding are checked against, a forward on a
+freshly built context, node degrees and one-hot degree features for graph
+fixtures, and a TU-format directory writer."""
 
 from __future__ import annotations
 
@@ -86,6 +87,36 @@ def wide_range(g: np.random.Generator, shape) -> np.ndarray:
     """Normal values scaled over 16 decades, so that summing them in a
     different order changes the bits."""
     return g.standard_normal(shape) * 10.0 ** g.integers(-8, 9, shape)
+
+
+def with_specials(g: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """x with about a fifth of its entries replaced by -0.0, +0.0, inf,
+    -inf or NaN."""
+    x = np.array(x, dtype=np.float64)
+    hit = g.random(x.shape) < 0.2
+    x[hit] = g.choice([-0.0, 0.0, np.inf, -np.inf, np.nan], size=int(hit.sum()))
+    return x
+
+
+def row_sum_reference(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=1)
+
+
+def scale_rows_reference(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return x * v[:, None]
+
+
+def leaky_relu_reference(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.2 * x)
+
+
+def leaky_relu_grad_reference(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return g * np.where(x > 0.0, 1.0, 0.2)
+
+
+def seeded_grad_reference(data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A first gradient, summed into zeros."""
+    return np.zeros_like(data) + g
 
 
 def forward(model: GnnModel, data: Graph | GraphBatch, training: bool = False, rng=None):

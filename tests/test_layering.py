@@ -5,7 +5,9 @@ forward, so nothing there needs a Tensor.
 Training cuts its contexts through ``models`` and does no CSR or
 block-layout index arithmetic, so it imports nothing from ``sparse``.
 Neighbourhoods are built in ``graph_data`` alone, so that one edge rule
-holds for every architecture: ``models`` merges no pairs itself."""
+holds for every architecture: ``models`` merges no pairs itself.
+The tape ops sum rows only through ``sparse.row_sums``, so numpy's slow
+path on narrow rows cannot come back unnoticed."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,25 @@ def called_names(path: Path) -> set[str]:
     return found
 
 
+def row_sum_calls(path: Path) -> list[str]:
+    """Every ``sum`` call in the file along axis 1 or -1, by keyword or
+    by position, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) != "sum":
+            continue
+        # np.sum(x, 1) takes the axis second, x.sum(1) first
+        on_array = isinstance(func, ast.Attribute) and ast.unparse(func.value) not in ("np", "numpy")
+        axes = [k.value for k in node.keywords if k.arg == "axis"]
+        axes += node.args[0 if on_array else 1:][:1]
+        if any(ast.unparse(a) in ("1", "-1") for a in axes):
+            found.append(ast.unparse(node))
+    return found
+
+
 @pytest.mark.parametrize("module", ["sparse", "graph_data"])
 def test_data_layer_imports_nothing_above_it(module):
     assert imported_modules(PACKAGE / f"{module}.py") & ABOVE == set()
@@ -86,3 +107,26 @@ def test_the_call_scan_sees_every_form(tmp_path, source, want):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert called_names(path) == want
+
+
+def test_tape_ops_sum_rows_through_one_helper():
+    assert row_sum_calls(PACKAGE / "tensor.py") == []
+
+
+@pytest.mark.parametrize("source, n_found", [
+    ("x.sum(axis=1)", 1),
+    ("(g * y).sum(axis=1, keepdims=True)", 1),
+    ("x.sum(1)", 1),
+    ("x.sum(-1)", 1),
+    ("np.sum(x, axis=1)", 1),
+    ("np.sum(x, 1)", 1),
+    ("from numpy import sum\nsum(x, 1)", 1),
+    ("x.sum(axis=0)", 0),
+    ("x.sum()", 0),
+    ("np.sum(x)", 0),
+    ("row_sums(x)", 0),
+])
+def test_the_row_sum_scan_sees_every_form(tmp_path, source, n_found):
+    path = tmp_path / "m.py"
+    path.write_text(source)
+    assert len(row_sum_calls(path)) == n_found

@@ -8,9 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgnn.errors import FormatError, ShapeError
-from bgnn.sparse import SparseMatrix, scatter_add
+from bgnn.sparse import SHORT_ROW, SparseMatrix, row_sums, scaled_rows, scatter_add
 
-from helpers import add_at_reference, assert_same_csr, wide_range
+from helpers import (
+    add_at_reference,
+    assert_bits,
+    assert_same_csr,
+    row_sum_reference,
+    scale_rows_reference,
+    wide_range,
+    with_specials,
+)
 
 
 class TestScatterAdd:
@@ -31,6 +39,60 @@ class TestScatterAdd:
         out = scatter_add(ids, x, n)
         assert out.shape == add_at_reference(ids, x, n).shape
         assert np.array_equal(out, add_at_reference(ids, x, n))
+
+
+short_rows = dict(
+    m=st.integers(0, 40),
+    k=st.integers(0, 12),
+    zero_row=st.booleans(),  # the first row all -0.0
+    seed=st.integers(0, 10**6),
+)
+
+
+def short_row_matrix(m, k, zero_row, seed):
+    """An (m, k) matrix over 16 decades with -0.0, ±inf and NaN entries."""
+    g = np.random.default_rng(seed)
+    x = with_specials(g, wide_range(g, (m, k)))
+    if zero_row and m:
+        x[0] = -0.0
+    return g, x
+
+
+class TestShortRows:
+    """The row sum and row scaling equal numpy's axis-1 sum and broadcast
+    product bit for bit, sign bits and NaNs included, on either side of
+    SHORT_ROW and in either memory order."""
+
+    @given(**short_rows)
+    @example(m=2, k=1, zero_row=True, seed=0)
+    @example(m=2, k=2, zero_row=True, seed=0)
+    @example(m=2, k=3, zero_row=True, seed=0)
+    @example(m=3, k=SHORT_ROW, zero_row=True, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_row_sums_bitwise_equal_numpy(self, m, k, zero_row, seed):
+        _, x = short_row_matrix(m, k, zero_row, seed)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for layout in (x, np.asfortranarray(x)):
+                assert_bits(row_sums(layout), row_sum_reference(layout))
+
+    @given(**short_rows)
+    @example(m=1, k=2, zero_row=True, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_rows_bitwise_equal_the_broadcast(self, m, k, zero_row, seed):
+        g, x = short_row_matrix(m, k, zero_row, seed)
+        v = with_specials(g, wide_range(g, m))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out = scaled_rows(x, v)
+            assert_bits(out, scale_rows_reference(x, v))
+        if k < SHORT_ROW:
+            assert np.asfortranarray(out) is out  # scatter_add reads it without a copy
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_first_of_two_nans_kept(self, m):
+        """numpy's sum keeps the earlier of two NaNs in a row, here -NaN."""
+        x = np.tile([-np.nan, np.nan, 1.0], (m, 1))
+        assert_bits(row_sums(x), row_sum_reference(x))
+        assert np.signbit(row_sums(x)).all()
 
 
 class TestConstruction:

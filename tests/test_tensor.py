@@ -6,11 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgnn.errors import ContractError, DomainError, ShapeError
-from bgnn.sparse import SparseMatrix
+from bgnn.sparse import SHORT_ROW, SparseMatrix
 from bgnn import tensor as T
 from bgnn.tensor import Tape, Tensor, backward
 
-from helpers import add_at_reference, assert_bits, check_grads, tape_grad, wide_range
+from helpers import (
+    add_at_reference,
+    assert_bits,
+    check_grads,
+    leaky_relu_grad_reference,
+    leaky_relu_reference,
+    row_sum_reference,
+    scale_rows_reference,
+    seeded_grad_reference,
+    tape_grad,
+    wide_range,
+    with_specials,
+)
 
 
 def rng(seed=0):
@@ -191,6 +203,41 @@ class TestSoftmaxRows:
 
         check_grads(loss, g.standard_normal((2, 3)), np.array([1.2, 2.7]))
 
+    @given(
+        m=st.integers(1, 20),
+        k=st.integers(1, 12),
+        per_row=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    @example(m=2, k=2, per_row=True, seed=0)
+    @example(m=2, k=SHORT_ROW, per_row=False, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_the_axis_sum_formulas(self, m, k, per_row, seed):
+        """softmax_np, cross_entropy_np and both gradients of softmax_rows
+        equal their numpy axis-1 sum forms, on either side of SHORT_ROW."""
+        g = np.random.default_rng(seed)
+        z = 3.0 * g.standard_normal((m, k))
+        w = wide_range(g, (m, k))
+        tau_data = 0.5 + g.random(m if per_row else ())
+        zt, tau = Tensor(z, requires_grad=True), Tensor(tau_data, requires_grad=True)
+        with Tape() as tape:
+            y = T.softmax_rows(zt, tau)
+            loss = T.sum_all(T.mul(y, Tensor(w)))
+        backward(loss, tape)
+        col = tau_data.reshape(-1, 1)
+        s = z / col
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        want_y = e / row_sum_reference(e)[:, None]
+        d_s = want_y * (w - row_sum_reference(w * want_y)[:, None])
+        dtau = -row_sum_reference(d_s * z)[:, None] / col**2
+        assert_bits(y.data, want_y)
+        assert_bits(zt.grad, seeded_grad_reference(z, d_s / col))
+        assert_bits(tau.grad, seeded_grad_reference(
+            tau_data, dtau.reshape(m) if per_row else dtau.sum()))
+        q = np.abs(wide_range(g, (m, k)))
+        assert_bits(T.cross_entropy_np(want_y, q),
+                    -row_sum_reference(q * np.log(np.maximum(want_y, T.PROB_FLOOR))))
+
 
 class TestElementwise:
     def test_relu(self):
@@ -211,6 +258,32 @@ class TestElementwise:
     def test_leaky_relu_slope(self):
         out = T.leaky_relu(Tensor([-2.0, 3.0]))
         np.testing.assert_allclose(out.data, [-0.4, 3.0])
+
+    @given(
+        shape=st.sampled_from([(0,), (1,), (17,), (0, 3), (5, 2), (9, 3)]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(shape=(5, 2), seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_leaky_relu_bitwise_equals_the_where_form(self, shape, seed):
+        """max(x, 0.2x) and the bool-mask backward equal np.where's select,
+        -0.0, ±inf and NaN included, in the value and in the gradient."""
+        g = np.random.default_rng(seed)
+        x = with_specials(g, wide_range(g, shape))
+        w = with_specials(g, wide_range(g, shape))
+        t = Tensor(x, requires_grad=True)
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            out = T.leaky_relu(t)
+            loss = T.sum_all(T.mul(out, Tensor(w)))  # passes w on exactly
+        backward(loss, tape)
+        assert_bits(out.data, leaky_relu_reference(x))
+        assert_bits(t.grad, seeded_grad_reference(x, leaky_relu_grad_reference(w, x)))
+
+    def test_sigmoid_bitwise_equals_the_split_form(self):
+        x = with_specials(rng(47), wide_range(rng(48), 40))
+        want = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        assert_bits(T.sigmoid(Tensor(x)).data, want)
 
     def test_gradients(self):
         g = rng(9)
@@ -524,6 +597,39 @@ class TestBackwardSemantics:
         (g,) = tape_grad(lambda t: T.sum_all(T.add(t, t)), x)
         np.testing.assert_allclose(g, [2.0])
 
+    def test_first_gradient_bitwise_equals_a_sum_into_zeros(self):
+        """A tensor's first gradient reads zeros + g bit for bit (-0.0 as
+        +0.0), in a float64 array of g's memory layout, not g itself."""
+        g = rng(45)
+        given_grad = np.asfortranarray(with_specials(g, wide_range(g, (6, 3))))
+        given_grad[0] = -0.0
+        x = Tensor(g.standard_normal((6, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = T._record(Tensor(x.data.copy()), [(x, lambda _: given_grad)])
+            loss = T.sum_all(out)
+        backward(loss, tape)
+        assert_bits(x.grad, seeded_grad_reference(x.data, given_grad))
+        assert x.grad.flags.f_contiguous and x.grad is not given_grad
+
+    def test_zero_d_gradient_stays_an_array(self):
+        z = Tensor(rng(46).standard_normal((3, 2)))
+        tau = Tensor(1.5, requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.softmax_rows(z, tau), Tensor(np.ones((3, 2)))))
+        backward(loss, tape)
+        assert isinstance(tau.grad, np.ndarray) and tau.grad.shape == ()
+
+    def test_gradient_of_another_shape_rejected(self):
+        """A gradient map that broadcasts (here to one row) is an error that
+        names both shapes, not a gradient silently spread over the rows."""
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            out = T._record(Tensor(x.data.copy()),
+                            [(x, lambda g: g.sum(axis=0, keepdims=True))])
+            loss = T.sum_all(out)
+        with pytest.raises(ContractError, match=r"\(1, 2\).*\(3, 2\)"):
+            backward(loss, tape)
+
     def test_non_scalar_loss_rejected(self):
         t = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
@@ -630,6 +736,35 @@ class TestScaleAndBias:
             g.standard_normal((3, 4)),
             g.standard_normal(4),
         )
+
+    @given(
+        m=st.integers(0, 20),
+        k=st.integers(0, 12),
+        seed=st.integers(0, 10**6),
+    )
+    @example(m=3, k=2, seed=0)
+    @example(m=3, k=SHORT_ROW, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_scale_rows_bitwise_equals_the_broadcast_forms(self, m, k, seed):
+        """The value and both gradients equal x * v[:, None], g * v[:, None]
+        and (g * x).sum(axis=1) bit for bit, with a row of -0.0 and
+        entries of ±inf and NaN."""
+        g = np.random.default_rng(seed)
+        x = with_specials(g, wide_range(g, (m, k)))
+        v = with_specials(g, wide_range(g, m))
+        w = with_specials(g, wide_range(g, (m, k)))
+        if m:
+            x[0] = -0.0
+        xt, vt = Tensor(x, requires_grad=True), Tensor(v, requires_grad=True)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            with Tape() as tape:
+                out = T.scale_rows(xt, vt)
+                loss = T.sum_all(T.mul(out, Tensor(w)))
+            backward(loss, tape)
+            want = scale_rows_reference(x, v), scale_rows_reference(w, v), row_sum_reference(w * x)
+        assert_bits(out.data, want[0])
+        assert_bits(xt.grad, seeded_grad_reference(x, want[1]))
+        assert_bits(vt.grad, seeded_grad_reference(v, want[2]))
 
     def test_scale_rows_gradient(self):
         g = rng(26)
