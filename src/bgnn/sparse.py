@@ -13,8 +13,9 @@ GCN adjacency and a bundle's undirected edge pairs all go through it.
 :func:`scatter_add` is the one scatter kernel of the package: the sparse
 product, the segment reductions and the gather backward all sum rows
 into buckets through it. :func:`row_sums` and :func:`scaled_rows` are the
-row sum and row scaling of the tape ops, bit for bit numpy's own, but
-column by column on rows narrower than ``SHORT_ROW``.
+row sum and row scaling of the tape ops, bit for bit numpy's own: the sum
+column by column on rows narrower than ``SHORT_ROW``, the scaling column
+by column into a Fortran-ordered array at every width.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ def row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def scaled_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``x * v[:, None]``, bit for bit (a product is elementwise).
+    """``x * v[:, None]``, bit for bit in value (a product is elementwise).
 
-    Below ``SHORT_ROW`` columns it scales column by column into a
-    Fortran-ordered array, faster than numpy's broadcast over narrow rows;
-    :func:`scatter_add` then reads the columns without a copy.
+    It scales column by column into a Fortran-ordered array, which
+    :func:`scatter_add` reads without a copy. The layout matters to a
+    layout-sensitive reduction (an axis-0 sum, or an axis-1 sum from
+    ``SHORT_ROW`` columns up), which may round it differently from the
+    C-ordered broadcast.
     """
-    if x.shape[1] >= SHORT_ROW:
-        return x * v[:, None]
     out = np.empty(x.shape, order="F")
     for j in range(x.shape[1]):
         np.multiply(x[:, j], v, out=out[:, j])
@@ -66,7 +67,7 @@ def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """Sum the rows of x into n buckets: ``out[b] = sum of x[j] with ids[j] == b``.
 
     x is a vector or a matrix with m rows, and ids an int64 vector of
-    length m. ``np.bincount`` adds each column's entries into a zeroed
+    length m; the result is float64, also when m is 0. ``np.bincount`` adds each column's entries into a zeroed
     bucket one at a time in index order, so the result is bitwise equal
     to an unbuffered in-place scatter (the ``at`` method of ``np.add``)
     into zeros. Callers check ``0 <= ids < n`` first, since
@@ -74,7 +75,8 @@ def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     ``minlength``.
     """
     if x.ndim == 1:
-        return np.bincount(ids, weights=x, minlength=n)
+        # with no ids np.bincount ignores the weights and counts in int64
+        return np.bincount(ids, weights=x, minlength=n).astype(np.float64, copy=False)
     cols = np.asfortranarray(x)  # columns contiguous for np.bincount
     out = np.empty((n, x.shape[1]))
     for j in range(x.shape[1]):

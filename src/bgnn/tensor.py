@@ -116,12 +116,12 @@ def _record(
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` to ``t.grad``. A first gradient is stored as g + 0.0 in a
-    new float64 array of g's layout: bit for bit the sum into zeros, with
+    new array of g's dtype and layout: bit for bit the sum into zeros, with
     no zero-filled buffer; a 0-d gradient stays an array."""
     if np.shape(g) != t.shape:
         raise ContractError(f"gradient of shape {np.shape(g)} for a tensor of shape {t.shape}")
     if t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(g, dtype=np.float64))
+        t.grad = np.add(g, 0.0, out=np.empty_like(g))
     else:
         t.grad += g
 
@@ -395,9 +395,14 @@ def sum_all(x: Tensor) -> Tensor:
 
 def scale_rows(x: Tensor, v: Tensor) -> Tensor:
     """Multiply row i of x by v[i]. The value and x's gradient come from
-    ``sparse.scaled_rows`` and v's gradient from ``sparse.row_sums``:
-    Fortran-ordered and column by column on rows narrower than
-    ``SHORT_ROW``, as GAT's per-head messages are."""
+    ``sparse.scaled_rows``, column by column and Fortran-ordered, and v's
+    gradient from ``sparse.row_sums``. The values equal the broadcast
+    product's bit for bit, but their layout is Fortran: they give the
+    C-ordered broadcast's bits downstream only through layout-blind steps,
+    elementwise ops and ``scatter_add`` (``segment_sum``, the
+    ``gather_rows`` backward), which is where ``gat_layer`` sends them. An
+    axis-0 sum (``add_bias``, ``batch_norm``) or an axis-1 sum from
+    ``SHORT_ROW`` columns up may round them differently."""
     if x.ndim != 2 or v.shape != (x.shape[0],):
         raise ShapeError(f"scale_rows: shapes {x.shape} and {v.shape} are incompatible")
     return _record(

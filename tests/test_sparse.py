@@ -38,7 +38,15 @@ class TestScatterAdd:
         x = wide_range(g, m if k is None else (m, k))
         out = scatter_add(ids, x, n)
         assert out.shape == add_at_reference(ids, x, n).shape
+        assert out.dtype == np.float64
         assert np.array_equal(out, add_at_reference(ids, x, n))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_ids_give_float64_zeros(self, shape):
+        """np.bincount counts in int64 when it has no ids; the sum does not."""
+        out = scatter_add(np.zeros(0, dtype=np.int64), np.zeros(shape), 4)
+        assert out.dtype == np.float64
+        assert_bits(out, np.zeros((4,) + shape[1:]))
 
 
 short_rows = dict(
@@ -77,6 +85,7 @@ class TestShortRows:
 
     @given(**short_rows)
     @example(m=1, k=2, zero_row=True, seed=0)
+    @example(m=3, k=SHORT_ROW + 4, zero_row=True, seed=0)
     @settings(max_examples=150, deadline=None)
     def test_scaled_rows_bitwise_equal_the_broadcast(self, m, k, zero_row, seed):
         g, x = short_row_matrix(m, k, zero_row, seed)
@@ -84,8 +93,7 @@ class TestShortRows:
         with np.errstate(invalid="ignore"):  # inf * 0
             out = scaled_rows(x, v)
             assert_bits(out, scale_rows_reference(x, v))
-        if k < SHORT_ROW:
-            assert np.asfortranarray(out) is out  # scatter_add reads it without a copy
+        assert np.asfortranarray(out) is out  # scatter_add reads it without a copy
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_the_first_of_two_nans_kept(self, m):
