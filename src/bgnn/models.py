@@ -29,9 +29,11 @@ ARCHITECTURES = ("gcn", "sage", "gat")
 # GCN and GAT hold node features below this density as CSR and run their
 # first projection X @ W as a sparse product. Measured on an Intel Xeon
 # with OpenBLAS on one thread, forward X @ W plus backward Xᵀ G at k = 16
-# (the hidden width): for 2708x1433 and 2708x300 inputs the sparse product
-# won below 1.5-2 % density and lost above it (2708x1433 at 1 %: 6.9 ms
-# against 18.4 ms dense; at 3 %: 24.4 against 18.8 ms). Inputs of 16
+# (the hidden width), uniformly placed entries: for 2708x1433 and 2708x300
+# inputs the position-major product wins up to 4 % density and loses from
+# 5 % (2708x1433 at 1 %: 2.7-4.1 ms against 15.7-21.9 ms dense; at 3 %:
+# 11.3-14.2 against 16.8-16.9 ms; at 5 %: 24.7 against 17.9 ms), so this
+# cutoff, set when an earlier kernel lost from 2 %, errs dense. Inputs of 16
 # columns or fewer never won, but their products take well under a
 # millisecond either way. The graph task decides once per dataset, on the
 # features of all its graphs, and cuts each batch's rows out of that one

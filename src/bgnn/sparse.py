@@ -10,9 +10,13 @@ indices are int64. No scipy.
 pairs and merges repeated ones: the dense conversion, the transpose, the
 GCN adjacency and a bundle's undirected edge pairs all go through it.
 
-:func:`scatter_add` is the one scatter kernel of the package: the sparse
-product, the segment reductions and the gather backward all sum rows
-into buckets through it. :func:`row_sums` and :func:`scaled_rows` are the
+:meth:`SparseMatrix.matmul_dense` sums each product row by entry
+position: step p adds the p-th entry of every row that has one, so each
+output entry is 0.0 plus its row's products in CSR order, the order of
+an in-order scatter into zeros. :func:`scatter_add` is the scatter kernel
+for ids in no order: the segment reductions, the gather backward and
+:meth:`SparseMatrix.from_coo`'s merge of repeated pairs sum rows into
+buckets through it. :func:`row_sums` and :func:`scaled_rows` are the
 row sum and row scaling of the tape ops, bit for bit numpy's own: the sum
 column by column on rows narrower than ``SHORT_ROW``, the scaling column
 by column into a Fortran-ordered array at every width.
@@ -67,12 +71,14 @@ def scatter_add(ids: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     """Sum the rows of x into n buckets: ``out[b] = sum of x[j] with ids[j] == b``.
 
     x is a vector or a matrix with m rows, and ids an int64 vector of
-    length m; the result is float64, also when m is 0. ``np.bincount`` adds each column's entries into a zeroed
-    bucket one at a time in index order, so the result is bitwise equal
-    to an unbuffered in-place scatter (the ``at`` method of ``np.add``)
-    into zeros. Callers check ``0 <= ids < n`` first, since
-    ``np.bincount`` raises on a negative id and silently grows past
-    ``minlength``.
+    length m; the result is float64, also when m is 0. ``np.bincount``
+    adds each column's entries into a zeroed bucket one at a time in index
+    order, so the result is bitwise equal to an unbuffered in-place
+    scatter (the ``at`` method of ``np.add``) into zeros. Callers check
+    ``0 <= ids < n`` first, since ``np.bincount`` raises on a negative id
+    and silently grows past ``minlength``. The sparse product does not
+    come through here: its ids are CSR rows, already sorted, which
+    :meth:`SparseMatrix.matmul_dense` sums by entry position.
     """
     if x.ndim == 1:
         # with no ids np.bincount ignores the weights and counts in int64
@@ -94,7 +100,7 @@ class SparseMatrix:
     """CSR matrix: within each row, column indices strictly increase."""
 
     __slots__ = (
-        "n_rows", "n_cols", "row_offsets", "col_indices", "values", "_transpose", "_row_ids"
+        "n_rows", "n_cols", "row_offsets", "col_indices", "values", "_transpose", "_layout"
     )
 
     def __init__(self, n_rows: int, n_cols: int, row_offsets, col_indices, values):
@@ -104,7 +110,7 @@ class SparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self._transpose: "SparseMatrix | None" = None
-        self._row_ids: np.ndarray | None = None
+        self._layout: tuple[np.ndarray, list[tuple[int, int]], np.ndarray] | None = None
         self._validate()
 
     def _validate(self) -> None:
@@ -138,10 +144,10 @@ class SparseMatrix:
 
     @property
     def row_ids(self) -> np.ndarray:
-        """Row of each stored entry (length nnz); computed once and cached."""
-        if self._row_ids is None:
-            self._row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        return self._row_ids
+        """Row of each stored entry (length nnz). Not cached: the product
+        does not use it, and its callers (the transpose, the dense
+        conversion, a bundle's saved pairs) each read it once."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
 
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, values) -> "SparseMatrix":
@@ -198,17 +204,61 @@ class SparseMatrix:
         return d
 
     def matmul_dense(self, d: np.ndarray) -> np.ndarray:
-        """self @ d for a dense matrix d of shape (n_cols, k)."""
+        """self @ d for a dense matrix d of shape (n_cols, k), C-ordered.
+
+        Summed by entry position over the rows sorted longest first
+        (:meth:`_position_layout`): one gather of the products in that
+        order, then step p adds the products of each row's entry p, one
+        contiguous block, into the first rows of a zeroed output, then one
+        gather puts the rows back in order. Each output entry is 0.0 plus
+        its row's products in CSR order, the order in which an in-order
+        scatter into zeros adds them, so the result is bit for bit that
+        scatter's, -0.0 and ±inf included. A NaN stays a NaN, but which of
+        two NaNs an add keeps is numpy's choice, by loop and by place.
+        """
         d = np.asarray(d, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != self.n_cols:
             raise ShapeError(
                 f"matmul_dense: sparse {self.n_rows}x{self.n_cols} incompatible with {d.shape}"
             )
-        # one (k, nnz) product array, scaled in place: row j holds
-        # values * d[col_indices, j], contiguous for the scatter
-        prods = np.take(np.ascontiguousarray(d.T), self.col_indices, axis=1)
-        prods *= self.values
-        return scatter_add(self.row_ids, prods.T, self.n_rows)
+        entries, steps, inverse = self._position_layout()
+        prods = np.take(d, np.take(self.col_indices, entries), axis=0)
+        prods *= np.take(self.values, entries)[:, None]
+        out = np.zeros((self.n_rows, d.shape[1]))
+        start = 0
+        for count, end in steps:
+            rows = out[:count]
+            np.add(rows, prods[start:end], out=rows)
+            start = end
+        del prods  # free the nnz x k products before the unpermuted copy is made
+        return np.take(out, inverse, axis=0)
+
+    def _position_layout(self) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+        """The entry order of the position-major product; built once and
+        cached.
+
+        With the rows sorted longest first (``order``), ``entries`` lists
+        entry 0 of every nonempty sorted row, then entry 1 of every row
+        that has one, and so on: entry p of sorted row i is
+        ``row_offsets[order[i]] + p``. Step p holds ``count`` rows, the
+        first ``count`` sorted rows, and ends at ``end`` in ``entries``.
+        ``inverse`` is the place of each row in ``order``.
+        """
+        if self._layout is None:
+            lengths = np.diff(self.row_offsets)
+            order = np.argsort(-lengths, kind="stable")
+            sorted_lengths = lengths[order]
+            n_steps = int(sorted_lengths[0]) if self.n_rows else 0
+            # rows with an entry p: those longer than p, a prefix of `order`
+            counts = np.searchsorted(-sorted_lengths, -np.arange(n_steps))
+            ends = np.cumsum(counts)
+            step = np.repeat(np.arange(n_steps), counts)
+            place = np.arange(self.nnz) - (ends - counts)[step]
+            entries = self.row_offsets[order][place] + step
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(self.n_rows)
+            self._layout = entries, list(zip(counts.tolist(), ends.tolist())), inverse
+        return self._layout
 
     def submatrix(self, rows, cols=None) -> "SparseMatrix":
         """Rows ``rows`` in that order and, when ``cols`` is given, the

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, bitwise
-array and CSR comparisons, the numpy formulas the scatter kernel, the short-row
+array and CSR comparisons (with NaNs compared as NaNs where sums may keep
+either of two), the numpy formulas the scatter kernel, the short-row
 helpers, leaky_relu and gradient seeding are checked against, a forward on a
 freshly built context, node degrees and one-hot degree features for graph
 fixtures, and a TU-format directory writer."""
@@ -66,6 +67,14 @@ def assert_bits(a, b) -> None:
     a, b = np.asarray(a), np.asarray(b)
     assert (a.dtype, a.shape) == (b.dtype, b.shape)
     assert a.tobytes() == b.tobytes()
+
+
+def same_nans(x: np.ndarray) -> np.ndarray:
+    """x with every NaN replaced by numpy's one default NaN. Which of two
+    NaNs an add keeps is numpy's choice, by loop (``np.bincount``, the
+    ``at`` method, a plain add) and even by place in the array, so a test
+    of sums over NaNs compares them as NaNs and everything else by bits."""
+    return np.where(np.isnan(x), np.nan, x)
 
 
 def assert_same_csr(a: SparseMatrix, b: SparseMatrix) -> None:

@@ -7,7 +7,10 @@ block-layout index arithmetic, so it imports nothing from ``sparse``.
 Neighbourhoods are built in ``graph_data`` alone, so that one edge rule
 holds for every architecture: ``models`` merges no pairs itself.
 The tape ops sum rows only through ``sparse.row_sums``, so numpy's slow
-path on narrow rows cannot come back unnoticed."""
+path on narrow rows cannot come back unnoticed. The sparse product sums
+by entry position alone: neither it nor a method it calls scatters
+through ``scatter_add`` or ``np.bincount``, so a second product path
+cannot come back unnoticed either."""
 
 import ast
 from pathlib import Path
@@ -43,11 +46,31 @@ def imported_modules(path: Path) -> set[str]:
 def called_names(path: Path) -> set[str]:
     """The last name of every callee in the file: ``unique`` for
     ``np.unique(...)``, ``from_coo`` for ``SparseMatrix.from_coo(...)``."""
+    return callees(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def callees(tree: ast.AST) -> set[str]:
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             found.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+    return found
+
+
+def method_callees(path: Path, cls: str, name: str) -> set[str]:
+    """The last name of every callee in method ``name`` of class ``cls``
+    and, in turn, in each method of ``cls`` that it calls."""
+    [klass] = [n for n in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(n, ast.ClassDef) and n.name == cls]
+    methods = {n.name: n for n in klass.body if isinstance(n, ast.FunctionDef)}
+    found, todo, seen = set(), [name], set()
+    while todo:
+        method = todo.pop()
+        seen.add(method)
+        names = callees(methods[method])
+        found |= names
+        todo += [n for n in names if n in methods and n not in seen]
     return found
 
 
@@ -130,3 +153,20 @@ def test_the_row_sum_scan_sees_every_form(tmp_path, source, n_found):
     path = tmp_path / "m.py"
     path.write_text(source)
     assert len(row_sum_calls(path)) == n_found
+
+
+def test_sparse_product_sums_by_position_alone():
+    names = method_callees(PACKAGE / "sparse.py", "SparseMatrix", "matmul_dense")
+    assert "_position_layout" in names
+    assert names & {"scatter_add", "bincount"} == set()
+
+
+def test_the_method_scan_follows_calls_within_the_class(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "class M:\n"
+        "    def product(self, d):\n        return self._sum(d)\n"
+        "    def _sum(self, d):\n        return np.bincount(d)\n"
+        "    def other(self):\n        return scatter_add()\n"
+    )
+    assert method_callees(path, "M", "product") == {"_sum", "bincount"}

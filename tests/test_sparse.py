@@ -15,6 +15,7 @@ from helpers import (
     assert_bits,
     assert_same_csr,
     row_sum_reference,
+    same_nans,
     scale_rows_reference,
     wide_range,
     with_specials,
@@ -197,6 +198,12 @@ class TestFromDense:
         assert_same_csr(SparseMatrix.from_dense(x), nonzero_csr_reference(x))
 
 
+def product_reference(a: SparseMatrix, d: np.ndarray) -> np.ndarray:
+    """a @ d as an in-order scatter of each entry's product into zeros."""
+    row_of = np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
+    return add_at_reference(row_of, a.values[:, None] * d[a.col_indices], a.n_rows)
+
+
 class TestProducts:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -211,28 +218,43 @@ class TestProducts:
         np.testing.assert_allclose(s.matmul_dense(d), s.to_dense() @ d, atol=1e-12)
 
     @given(
-        n_rows=st.integers(1, 15),
-        n_cols=st.integers(1, 15),
-        nnz=st.integers(0, 80),
-        k=st.sampled_from([0, 1, 16]),
+        n_rows=st.integers(0, 15),
+        n_cols=st.integers(1, 60),
+        nnz=st.integers(0, 400),
+        k=st.sampled_from([0, 1, 3, 7, 16]),
+        specials=st.booleans(),
         seed=st.integers(0, 10**6),
     )
-    @example(n_rows=4, n_cols=3, nnz=0, k=16, seed=0)
-    @settings(max_examples=60, deadline=None)
-    def test_matmul_dense_bitwise_equals_add_at(self, n_rows, n_cols, nnz, k, seed):
+    @example(n_rows=4, n_cols=3, nnz=0, k=16, specials=False, seed=0)  # every row empty
+    @example(n_rows=0, n_cols=3, nnz=0, k=16, specials=False, seed=0)  # no rows
+    @example(n_rows=2, n_cols=60, nnz=400, k=3, specials=False, seed=0)  # rows far longer than 8
+    @example(n_rows=2, n_cols=60, nnz=400, k=3, specials=True, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_matmul_dense_bitwise_equals_add_at(self, n_rows, n_cols, nnz, k, specials, seed):
         """Trailing empty rows (rows past `used`) and isolated columns
-        (columns never drawn) included; both products of the pair."""
+        (columns never drawn) included; both products of the pair. Rows up
+        to 60 entries long make many position steps. With ``specials``,
+        values and d also hold -0.0, ±inf and NaN: -0.0 and ±inf are
+        compared by their bits, a NaN as a NaN. Without, no row sum is a
+        NaN, so a long row added in another order shows."""
         g = np.random.default_rng(seed)
-        used = int(g.integers(1, n_rows + 1))
+
+        def draw(shape):
+            x = wide_range(g, shape)
+            return with_specials(g, x) if specials else x
+
+        used = int(g.integers(1, n_rows + 1)) if n_rows else 0
+        nnz = nnz if n_rows else 0
         s = SparseMatrix.from_coo(
-            n_rows, n_cols, g.integers(0, used, nnz), g.integers(0, n_cols, nnz),
-            wide_range(g, nnz),
+            n_rows, n_cols, g.integers(0, used, nnz), g.integers(0, n_cols, nnz), draw(nnz)
         )
         for a in (s, s.transpose()):
-            d = wide_range(g, (a.n_cols, k))
-            row_of = np.repeat(np.arange(a.n_rows), np.diff(a.row_offsets))
-            ref = add_at_reference(row_of, a.values[:, None] * d[a.col_indices], a.n_rows)
-            assert np.array_equal(a.matmul_dense(d), ref)
+            d = draw((a.n_cols, k))
+            with np.errstate(invalid="ignore"):  # inf * 0, inf - inf
+                ref = product_reference(a, d)
+                out = a.matmul_dense(d)
+            assert_bits(same_nans(out), same_nans(ref))
+            assert out.dtype == np.float64 and out.flags.c_contiguous
 
     def test_matmul_shape_error(self):
         s = SparseMatrix.from_coo(2, 3, [0], [0], [1.0])
@@ -293,6 +315,22 @@ class TestSubmatrix:
         finally:
             gc.enable()
         assert cyclic == 0
+
+    def test_cut_sums_by_a_layout_of_its_own(self):
+        """A cut has other rows, of other lengths, than its parent, so its
+        product must not reuse the parent's position layout, built here
+        first by the parent's own products."""
+        g = np.random.default_rng(5)
+        s = block_diagonal(g, [6, 1, 9, 3])
+        nodes = np.concatenate([np.arange(16, 19), np.arange(0, 6)])
+        d = wide_range(g, (s.n_cols, 4))
+        parent = s.matmul_dense(d), s.transpose().matmul_dense(d)
+        block_cut = s.submatrix(nodes, nodes)
+        for cut in (block_cut, block_cut.transpose(), s.submatrix(nodes[::-1])):
+            x = wide_range(g, (cut.n_cols, 4))
+            assert_bits(cut.matmul_dense(x), product_reference(cut, x))
+        assert_bits(s.matmul_dense(d), parent[0])
+        assert_bits(s.transpose().matmul_dense(d), parent[1])
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
