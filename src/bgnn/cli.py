@@ -1,10 +1,10 @@
 """Command-line entry point: train, sweep, cka, make-fixtures.
 
-Configuration comes from an INI file whose sections and keys are the
-``SETTINGS`` table; command-line flags override file values and parse
-exactly like them. Every input is validated before any training starts
-or any file is written. Exit codes: 0 success, 1 runtime failure,
-2 usage/config error.
+Configuration comes from an INI file whose sections and keys are
+``RunConfig``'s fields (``SETTINGS``), read literally; command-line flags
+override file values and parse exactly like them. Every input is
+validated before any training starts or any file is written. Exit codes:
+0 success, 1 runtime failure, 2 usage/config error.
 
 Datasets: ``sbm:small|medium|large`` (synthetic, fixed seed), a ``.json``
 node-classification bundle path, or ``tu:DIR`` for a TU-format directory.
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,30 +53,60 @@ SBM_PRESETS = {
 }
 
 
+def _parse_bool(s: str) -> bool:
+    low = s.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_int_list(s: str) -> tuple:
+    return tuple(int(x) for x in s.split(",") if x.strip())
+
+
+def _parse_str_list(s: str) -> tuple:
+    return tuple(x.strip() for x in s.split(",") if x.strip())
+
+
+def _setting(section: str, key: str, parse, default, switch: tuple | None = None):
+    """A RunConfig field that is the INI key ``[section] key``, read by
+    ``parse``. On the command line it is the flag --<key> with "-" for "_",
+    parsed the same way, unless it is a boolean ``switch``: (flag, the value
+    the flag sets)."""
+    return field(default=default, metadata={"ini": (section, key, parse), "switch": switch})
+
+
 @dataclass
 class RunConfig:
-    task: str = "node"
-    dataset: str = "sbm:small"
-    plan: str = "nokd"
-    teachers: tuple = ()
-    student: str = "gcn"
-    hidden: int = 64
-    layers: int = ModelConfig.n_layers
-    dropout: float = ModelConfig.dropout
-    heads: int = ModelConfig.heads
-    batch_norm: bool = ModelConfig.batch_norm
-    epochs: int | None = TrainPlan.epochs
-    lr: float = TrainPlan.lr
-    weight_decay: float = TrainPlan.weight_decay
-    batch_size: int = TrainPlan.batch_size
-    lam: float = TrainPlan.lam
-    boosting: bool = TrainPlan.boosting
-    adaptive_temp: bool = TrainPlan.adaptive_temp
-    fixed_tau: float = TrainPlan.fixed_tau
-    tau_min: float = TrainPlan.tau_min
-    tau_max: float = TrainPlan.tau_max
-    seeds: tuple = (0,)
-    out: str = "runs"
+    """The settings of a ``train`` or ``sweep`` run, in the README table's order."""
+
+    task: str = _setting("run", "task", str, "node")
+    dataset: str = _setting("run", "dataset", str, "sbm:small")
+    plan: str = _setting("run", "plan", str, "nokd")
+    seeds: tuple = _setting("run", "seeds", _parse_int_list, (0,))
+    out: str = _setting("run", "out", str, "runs")
+    student: str = _setting("model", "student", str, "gcn")
+    teachers: tuple = _setting("model", "teachers", _parse_str_list, ())
+    hidden: int = _setting("model", "hidden", int, 64)
+    layers: int = _setting("model", "layers", int, ModelConfig.n_layers)
+    dropout: float = _setting("model", "dropout", float, ModelConfig.dropout)
+    heads: int = _setting("model", "heads", int, ModelConfig.heads)
+    batch_norm: bool = _setting("model", "batch_norm", _parse_bool, ModelConfig.batch_norm,
+                                ("--batch-norm", True))
+    epochs: int | None = _setting("train", "epochs", int, TrainPlan.epochs)
+    lr: float = _setting("train", "lr", float, TrainPlan.lr)
+    weight_decay: float = _setting("train", "weight_decay", float, TrainPlan.weight_decay)
+    batch_size: int = _setting("train", "batch_size", int, TrainPlan.batch_size)
+    lam: float = _setting("distill", "lambda", float, TrainPlan.lam)
+    boosting: bool = _setting("distill", "boosting", _parse_bool, TrainPlan.boosting,
+                              ("--no-boost", False))
+    adaptive_temp: bool = _setting("distill", "adaptive_temp", _parse_bool,
+                                   TrainPlan.adaptive_temp, ("--no-adaptive-temp", False))
+    fixed_tau: float = _setting("distill", "fixed_tau", float, TrainPlan.fixed_tau)
+    tau_min: float = _setting("distill", "tau_min", float, TrainPlan.tau_min)
+    tau_max: float = _setting("distill", "tau_max", float, TrainPlan.tau_max)
 
     def validate(self) -> None:
         if self.task not in ("node", "graph"):
@@ -98,56 +127,9 @@ class RunConfig:
             raise ConfigError(f"duplicate seeds in {self.seeds}")
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _parse_int_list(s: str) -> tuple:
-    return tuple(int(x) for x in s.split(",") if x.strip())
-
-
-def _parse_str_list(s: str) -> tuple:
-    return tuple(x.strip() for x in s.split(",") if x.strip())
-
-
-# RunConfig attribute -> (INI section, INI key, parser). On the command line
-# each setting is the flag --<key> with "-" for "_", parsed by the same
-# parser, except the three booleans, which are the SWITCHES below.
-SETTINGS = {
-    "task": ("run", "task", str),
-    "dataset": ("run", "dataset", str),
-    "plan": ("run", "plan", str),
-    "seeds": ("run", "seeds", _parse_int_list),
-    "out": ("run", "out", str),
-    "student": ("model", "student", str),
-    "teachers": ("model", "teachers", _parse_str_list),
-    "hidden": ("model", "hidden", int),
-    "layers": ("model", "layers", int),
-    "dropout": ("model", "dropout", float),
-    "heads": ("model", "heads", int),
-    "batch_norm": ("model", "batch_norm", _parse_bool),
-    "epochs": ("train", "epochs", int),
-    "lr": ("train", "lr", float),
-    "weight_decay": ("train", "weight_decay", float),
-    "batch_size": ("train", "batch_size", int),
-    "lam": ("distill", "lambda", float),
-    "boosting": ("distill", "boosting", _parse_bool),
-    "adaptive_temp": ("distill", "adaptive_temp", _parse_bool),
-    "fixed_tau": ("distill", "fixed_tau", float),
-    "tau_min": ("distill", "tau_min", float),
-    "tau_max": ("distill", "tau_max", float),
-}
-# RunConfig attribute -> (flag, the value the flag sets)
-SWITCHES = {
-    "batch_norm": ("--batch-norm", True),
-    "boosting": ("--no-boost", False),
-    "adaptive_temp": ("--no-adaptive-temp", False),
-}
+# RunConfig attribute -> (INI section, INI key, parser), and -> (flag, value) of a switch
+SETTINGS = {f.name: f.metadata["ini"] for f in fields(RunConfig)}
+SWITCHES = {f.name: f.metadata["switch"] for f in fields(RunConfig) if f.metadata["switch"]}
 
 
 def _flag(key: str) -> str:
@@ -167,12 +149,16 @@ def load_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"config file {path} is a directory")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"config file {path} is not UTF-8 text: {e}") from None
     lines = text.splitlines()
-    cp = configparser.ConfigParser()
+    # no %-interpolation, and [DEFAULT] is a section like any other (so an
+    # unknown one): no section header can name the empty string
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text, source=str(path))
     except configparser.Error as e:
@@ -197,7 +183,8 @@ def load_config_file(path) -> dict:
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values, overridden by every flag given."""
+    """The config file's values, overridden by every flag given; an ``out``
+    that an existing file blocks is an error too."""
     values = load_config_file(args.config) if args.config else {}
     for attr, (_, key, parse) in SETTINGS.items():
         raw = getattr(args, attr)
@@ -209,6 +196,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"bad value for {_flag(key)}: {e}") from e
     cfg = RunConfig(**values)
     cfg.validate()
+    out = Path(cfg.out)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ConfigError(f"out directory {cfg.out!r} cannot be made: {nearest} is a file")
     return cfg
 
 
@@ -346,7 +337,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     points = []
     for v, name in zip(values, names):
-        sub = dataclasses.replace(cfg, **{SWEEP_PARAMS[args.parameter]: v})
+        sub = replace(cfg, **{SWEEP_PARAMS[args.parameter]: v})
         if args.parameter == "tau":
             sub.adaptive_temp = False  # a fixed-temperature sweep point
         points.append((sub, out / f"{args.parameter}={name}"))
@@ -429,11 +420,11 @@ def cmd_make_fixtures(args: argparse.Namespace) -> int:
     if args.kind == "sbm":
         g = generate_sbm(40, 2, 0.9, 0.05, 8, args.seed)
         split = random_split(g.n_nodes, g.node_labels, SPLIT_RATIOS, args.seed)
-        save_json_bundle(dataclasses.replace(g, split=split), out / "sbm_small.json")
+        save_json_bundle(replace(g, split=split), out / "sbm_small.json")
     elif args.kind == "json_toy":
         g = generate_sbm(6, 2, 0.9, 0.1, 4, args.seed)
         split = random_split(g.n_nodes, g.node_labels, (0.7, 0.15, 0.15), args.seed)
-        save_json_bundle(dataclasses.replace(g, split=split), out / "toy.json")
+        save_json_bundle(replace(g, split=split), out / "toy.json")
     else:
         _write_tu_toy(out, args.seed)
     return 0

@@ -188,10 +188,10 @@ def gat_layer(
     for p in head_params:
         hw = _project(h, p["W"])
         n_seg = hw.shape[0] if n_out is None else n_out
-        s_self = T.reshape(T.matmul(hw, p["a_self"]), (hw.shape[0],))
-        s_neigh = T.reshape(T.matmul(hw, p["a_neigh"]), (hw.shape[0],))
-        e = T.leaky_relu(T.add(T.gather_rows(s_self, dst), T.gather_rows(s_neigh, src)))
-        alpha = T.segment_softmax(e, seg, n_seg)
+        s_self = T.gather_rows(T.matmul(hw, p["a_self"]), dst)
+        s_neigh = T.gather_rows(T.matmul(hw, p["a_neigh"]), src)
+        e = T.leaky_relu(T.add(s_self, s_neigh))
+        alpha = T.segment_softmax(T.reshape(e, (-1,)), seg, n_seg)
         msgs = T.scale_rows(T.gather_rows(hw, src), alpha)
         outs.append(T.segment_sum(msgs, seg, n_seg))
     if combine == "concat":

@@ -13,7 +13,7 @@ from bgnn.cli import load_config_file, load_dataset, main
 from bgnn.errors import ConfigError
 from bgnn.graph_data import load_json_bundle, load_tu_dataset
 from bgnn.models import ModelConfig, init_model, load_checkpoint, save_checkpoint
-from bgnn.pipeline import predict
+from bgnn.pipeline import DEFAULT_EPOCHS, predict
 from bgnn.sparse import SparseMatrix
 from helpers import write_tu_dir
 
@@ -295,6 +295,19 @@ class TestTrain:
             ids, _, pred = np.array([line.split(",") for line in lines], dtype=int).T
             np.testing.assert_array_equal(predict(model, data)[ids], pred)
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_out_blocked_by_a_file_exits_2_before_loading(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        monkeypatch.setattr(cli, "load_dataset", fail_if_called)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        sweep = ["--parameter", "tau", "--values", "2"] if command == "sweep" else []
+        for out in (taken, taken / "sub"):
+            argv = train_args(out, plan="kd", teachers="gcn")
+            assert run(command, *argv[1:], *sweep) == 2
+            assert f"{taken} is a file" in capsys.readouterr().err
+        assert taken.read_text() == ""
+
     def test_task_dataset_mismatch_exits_2(self, tmp_path):
         assert run(*train_args(tmp_path / "r", task="graph")) == 2
 
@@ -348,10 +361,24 @@ class TestConfigFile:
         assert f"{ini}:4" in err  # line-anchored
         assert not (tmp_path / "run").exists()
 
-    def test_unknown_section_exits_2(self, tmp_path, capsys):
-        ini = self.write(tmp_path, "[run]\nplan = nokd\n[mystery]\nx = 1\n")
-        assert run("train", "--config", str(ini)) == 2
-        assert "[mystery]" in capsys.readouterr().err
+    def test_unknown_section_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where the default out, runs/, would go
+        for text, section, line in [
+            ("[run]\nplan = nokd\n[mystery]\nx = 1\n", "mystery", 3),
+            ("[DEFAULT]\nlr = 5\n", "DEFAULT", 1),  # not configparser's defaults
+            ("[DEFAULT]\ntask = graph\n[train]\nepochs = 1\n", "DEFAULT", 1),
+        ]:
+            ini = self.write(tmp_path, text)
+            assert run("train", "--config", str(ini)) == 2
+            assert f"{ini}:{line}: unknown section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_values_are_read_literally(self, tmp_path):
+        out = tmp_path / "o%x"
+        ini = self.write(tmp_path, f"[run]\nout = {out}\n[model]\nhidden = 8\n"
+                                   "[train]\nepochs = 1\n")
+        assert run("train", "--config", str(ini)) == 0
+        assert (out / "metrics_step0_seed0.json").exists()
 
     def test_bad_value_reports_key(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -368,6 +395,7 @@ class TestConfigFile:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "gone.ini")) == 2
+        assert run("train", "--config", str(tmp_path)) == 2  # a directory
 
     def test_loader_rejects_unknown_directly(self, tmp_path):
         ini = self.write(tmp_path, "[run]\nwhat = 1\n")
@@ -385,6 +413,19 @@ SAMPLES = {
 }
 
 
+def readme_default(attr: str) -> str:
+    """RunConfig's default for ``attr`` as README's settings table writes it."""
+    value = getattr(cli.RunConfig(), attr)
+    if attr == "epochs":
+        assert value is None  # TrainPlan picks it by task
+        return ", ".join(f"`{n}` ({task})" for task, n in DEFAULT_EPOCHS.items())
+    if value == ():
+        return "none"
+    if isinstance(value, tuple):
+        value = ",".join(map(str, value))
+    return f"`{str(value).lower() if isinstance(value, bool) else value}`"
+
+
 class TestSettingsTable:
     def test_every_field_has_a_key_and_a_flag(self, capsys):
         assert {f.name for f in fields(cli.RunConfig)} == set(cli.SETTINGS) == set(SAMPLES)
@@ -397,17 +438,20 @@ class TestSettingsTable:
             assert f"{flag} " in usage
 
     def test_readme_table_lists_every_setting(self):
-        """README's settings table names each setting's section, key and
-        flag, in SETTINGS order; a blank section cell repeats the one above."""
+        """README's settings table names each setting's section, key, flag
+        and default, in SETTINGS order; a blank section cell repeats the one
+        above."""
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         head = "| INI section | key | flag | default |"
         rows, section = [], None
         for line in readme[readme.index(head):].split("\n\n")[0].splitlines()[2:]:
-            sec, key, flag = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+            cells = [cell.strip() for cell in line.split("|")[1:5]]
+            sec, key, flag = (cell.strip("`") for cell in cells[:3])
             section = sec.strip("[]") or section
-            rows.append((section, key, flag))
+            rows.append((section, key, flag, cells[3]))
         assert rows == [
-            (sec, key, cli.SWITCHES[attr][0] if attr in cli.SWITCHES else cli._flag(key))
+            (sec, key, cli.SWITCHES[attr][0] if attr in cli.SWITCHES else cli._flag(key),
+             readme_default(attr))
             for attr, (sec, key, _) in cli.SETTINGS.items()
         ]
 

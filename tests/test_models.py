@@ -786,7 +786,7 @@ class TestHandedLayerOne:
             m.bn_state = bn
 
     @pytest.mark.parametrize("arch, extra, kd, entries", [
-        ("gat", dict(hidden_dim=32, heads=16, batch_norm=True, dropout=0.6), None, 426),
+        ("gat", dict(hidden_dim=32, heads=16, batch_norm=True, dropout=0.6), None, 394),
         ("gcn", {}, {}, 23),
         ("gcn", dict(in_dim=70), dict(boosting=False, adaptive_temp=False, fixed_tau=2.0), 15),
         ("sage", dict(in_dim=5, n_classes=2, task="graph"), {}, 27),
