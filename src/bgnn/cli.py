@@ -136,12 +136,12 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _anchor(path: Path, lines: list[str], pattern: str) -> str:
+def _anchor(path: Path, lines: list[str], pattern: str, start: int = 0) -> tuple[str, int]:
+    """``path:line`` of the first line from index ``start`` on that
+    ``pattern`` matches (``path`` alone if none does), and that index."""
     pat = re.compile(pattern)
-    for no, line in enumerate(lines, start=1):
-        if pat.match(line):
-            return f"{path}:{no}"
-    return str(path)
+    no = next((no for no in range(start, len(lines)) if pat.match(lines[no])), None)
+    return (str(path), start) if no is None else (f"{path}:{no + 1}", no)
 
 
 def load_config_file(path) -> dict:
@@ -167,11 +167,12 @@ def load_config_file(path) -> dict:
     sections = {sec for sec, _ in schema}
     values = {}
     for sec in cp.sections():
+        where, head = _anchor(path, lines, rf"\s*\[{re.escape(sec)}\]")
         if sec not in sections:
-            where = _anchor(path, lines, rf"\s*\[{re.escape(sec)}\]")
             raise ConfigError(f"{where}: unknown section [{sec}]")
         for key, raw in cp.items(sec):
-            where = _anchor(path, lines, rf"\s*{re.escape(key)}\s*[=:]")
+            # configparser lower-cases keys, so match them in any case
+            where, _ = _anchor(path, lines, rf"(?i)\s*{re.escape(key)}\s*[=:]", head)
             if (sec, key) not in schema:
                 raise ConfigError(f"{where}: unknown key {key!r} in [{sec}]")
             attr, parse = schema[(sec, key)]
@@ -182,9 +183,28 @@ def load_config_file(path) -> dict:
     return values
 
 
+def check_out(path, *, file: bool = False) -> Path:
+    """``path`` as a command's output, checked before anything loads: a
+    ConfigError (exit 2) if it cannot be written. A directory output is made
+    with its parents, so no file may stand at it or above it; a file output
+    is written into an existing directory and may not be a directory."""
+    p = Path(path)
+    if file:
+        if p.is_dir():
+            raise ConfigError(f"out file {str(p)!r} is a directory")
+        if not p.parent.is_dir():
+            raise ConfigError(f"out file {str(p)!r} cannot be written: "
+                              f"{p.parent} is not a directory")
+        return p
+    nearest = next((q for q in (p, *p.parents) if q.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ConfigError(f"out directory {str(p)!r} cannot be made: {nearest} is a file")
+    return p
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by every flag given; an ``out``
-    that an existing file blocks is an error too."""
+    that cannot be made is an error too (``check_out``)."""
     values = load_config_file(args.config) if args.config else {}
     for attr, (_, key, parse) in SETTINGS.items():
         raw = getattr(args, attr)
@@ -196,10 +216,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"bad value for {_flag(key)}: {e}") from e
     cfg = RunConfig(**values)
     cfg.validate()
-    out = Path(cfg.out)
-    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
-    if nearest is not None and not nearest.is_dir():
-        raise ConfigError(f"out directory {cfg.out!r} cannot be made: {nearest} is a file")
+    check_out(cfg.out)
     return cfg
 
 
@@ -333,15 +350,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     names = [f"{v:g}" for v in values]  # each point's directory and sweep.csv label
     if len(set(names)) != len(names):
         raise ConfigError(f"sweep values {args.values!r} give duplicate point names {names}")
-    data = _load_for_task(cfg)
     out = Path(cfg.out)
     points = []
     for v, name in zip(values, names):
         sub = replace(cfg, **{SWEEP_PARAMS[args.parameter]: v})
         if args.parameter == "tau":
             sub.adaptive_temp = False  # a fixed-temperature sweep point
-        points.append((sub, out / f"{args.parameter}={name}"))
-    accs = _run_points(points, data)
+        points.append((sub, check_out(out / f"{args.parameter}={name}")))
+    accs = _run_points(points, _load_for_task(cfg))
     lines = ["value,mean_acc,std"] + [
         f"{name},{np.mean(a):.6f},{np.std(a):.6f}" for name, a in zip(names, accs)
     ]
@@ -350,6 +366,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_cka(args: argparse.Namespace) -> int:
+    out = check_out(args.out, file=True)
     prefixes = _parse_str_list(args.checkpoints)
     if not prefixes:
         raise ConfigError("need at least one checkpoint")
@@ -376,7 +393,7 @@ def cmd_cka(args: argparse.Namespace) -> int:
         extract_layer_representations(m, data.graphs, tag)
         for m, tag in zip(models, tags)
     ]
-    save_cka_csv(cka_matrix(sets), args.out)
+    save_cka_csv(cka_matrix(sets), out)
     return 0
 
 
@@ -415,7 +432,7 @@ def _write_tu_toy(out: Path, seed: int) -> None:
 
 
 def cmd_make_fixtures(args: argparse.Namespace) -> int:
-    out = Path(args.out)
+    out = check_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "sbm":
         g = generate_sbm(40, 2, 0.9, 0.05, 8, args.seed)

@@ -8,6 +8,7 @@ Synthetic stochastic-block-model graphs cover fixtures and smoke tests.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 from array import array
@@ -381,13 +382,19 @@ def save_json_bundle(g: Graph, path) -> None:
 
 def atomic_write(path, data: str | bytes) -> None:
     """Write through a temporary file and a rename, so that ``path`` never
-    holds a partly written file."""
+    holds a partly written file. If the write or the rename fails, the
+    temporary file is removed and the error raised."""
     tmp = Path(str(path) + ".tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .tensor import Tensor
 
 ARCHITECTURES = ("gcn", "sage", "gat")
 
-# GCN and GAT hold node features below this density as CSR and run their
-# first projection X @ W as a sparse product. Measured on an Intel Xeon
+# Every architecture holds node features below this density as CSR and runs
+# its first projection X @ W as a sparse product. Measured on an Intel Xeon
 # with OpenBLAS on one thread, forward X @ W plus backward Xᵀ G at k = 16
 # (the hidden width), uniformly placed entries: for 2708x1433 and 2708x300
 # inputs the position-major product wins up to 4 % density and loses from
@@ -39,10 +39,10 @@ ARCHITECTURES = ("gcn", "sage", "gat")
 # features of all its graphs, and cuts each batch's rows out of that one
 # CSR copy (``cut_forward_context``).
 #
-# A GCN with CSR features projects first, Â (X W), rather than cache Â X,
-# which fills in: on a Cora-shaped 2708x1433 bundle nnz(X) is 47,744 but
-# nnz(Â X) is 205,320 (1.2 % against 5.3 % density), about 3.7 times the
-# work per step. GraphSage ignores the cutoff: [X ‖ M̄ X] holds X's rows.
+# CSR features are projected before they are aggregated, Â (X W) for GCN and
+# X W_top + M̄ (X W_bottom) for GraphSage, since the aggregate fills in: on a
+# Cora-shaped 2708x1433 bundle nnz(X) is 47,744, nnz(Â X) 205,320 and
+# nnz(M̄ X) 163,935 (1.2 % against 5.3 % and 4.2 % density).
 SPARSE_INPUT_DENSITY = 1.0 / 64
 
 
@@ -152,12 +152,19 @@ def gcn_layer(h: Tensor | SparseMatrix, adj_norm: SparseMatrix, W: Tensor, b: Te
     return T.add_bias(T.spmm(adj_norm, _project(h, W)), b)
 
 
-def sage_layer(h: Tensor, neighbor_mean_op: SparseMatrix, W: Tensor, b: Tensor) -> Tensor:
+def sage_layer(h: Tensor | SparseMatrix, neighbor_mean_op: SparseMatrix, W: Tensor,
+               b: Tensor) -> Tensor:
     """concat(h_v, mean of h over v's neighbors) @ W + b.
 
     ``neighbor_mean_op`` is the row-stochastic operator over each node's
     full neighborhood; its zero rows give isolated nodes a zero mean vector.
+    A CSR h (sparse input features) is projected first, h W_top + M̄ (h
+    W_bottom), with W_top and W_bottom W's two row blocks; it equals the
+    concatenated product to rounding.
     """
+    if isinstance(h, SparseMatrix):
+        top, bottom = (T.gather_rows(W, np.arange(lo, lo + h.n_cols)) for lo in (0, h.n_cols))
+        return T.add_bias(T.add(T.spmm(h, top), T.spmm(neighbor_mean_op, T.spmm(h, bottom))), b)
     return T.add_bias(T.matmul(T.concat_cols(h, T.spmm(neighbor_mean_op, h)), W), b)
 
 
@@ -225,17 +232,17 @@ def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict
     other than the self-loops, ``"edge_graph_ids"``, for the cut.
 
     This is the one place that picks layer 1's input, from array or CSR
-    features alike. Node features are constants, so GCN and GraphSage
-    aggregate them once, as the array ``"agg_x"``: Â X, or [X ‖ M̄ X], bit
-    for bit what ``sage_layer`` forms. Otherwise layer 1 reads ``"x"``:
-    GAT's dense features, or GCN's and GAT's features below
-    ``SPARSE_INPUT_DENSITY`` as CSR, projected first. CSR features are
-    densified only where a dense input is picked; below the cutoff they
-    are ``"x"`` themselves, less any stored zeros (a copy only if there
-    are some), so both forms of the same features give the same context.
-    Â X and the CSR product differ from dense Â (X W) by rounding only.
-    The context never holds layer 1's output; a caller that already has
-    it adds it to a copy as ``"h1"`` (see ``model_forward``).
+    features alike, by one rule for every architecture: features with
+    fewer than ``SPARSE_INPUT_DENSITY`` of their entries nonzero are
+    ``"x"`` as CSR, projected first; denser ones are ``"x"`` as an array,
+    except that a GCN, whose features are constants, aggregates them once
+    as the array ``"agg_x"``, Â X. CSR features are densified only where
+    a dense input is picked; below the cutoff they are ``"x"``
+    themselves, less any stored zeros (a copy only if there are some), so
+    both forms of the same features give the same context. Â X and the
+    CSR products differ from the dense ones by rounding only. The context
+    never holds layer 1's output; a caller that already has it adds it to
+    a copy as ``"h1"`` (see ``model_forward``).
     """
     want = GraphBatch if config.task == "graph" else Graph
     if not isinstance(data, want):
@@ -245,14 +252,14 @@ def build_forward_context(config: ModelConfig, data: Graph | GraphBatch) -> dict
         g, ctx = data.graph, {"graph_ids": data.graph_ids, "n_graphs": data.n_graphs}
     if g.feature_dim != config.in_dim:
         raise ShapeError(f"feature dim {g.feature_dim} != configured in_dim {config.in_dim}")
-    if config.arch == "sage":
-        x = g.dense_features()
-        op = mean_aggregator(*sample_neighbors(g), g.n_nodes)
-        return dict(ctx, mean_op=op, agg_x=np.concatenate([x, op.matmul_dense(x)], axis=1))
-    ctx.update({"adj": normalize_adjacency(g)} if config.arch == "gcn"
-               else _attention_edges(g.edges, g.n_nodes))
-    if config.task == "graph" and config.arch == "gat":
-        ctx["edge_graph_ids"] = data.graph_ids[g.edges[:, 1]]
+    if config.arch == "gcn":
+        ctx["adj"] = normalize_adjacency(g)
+    elif config.arch == "sage":
+        ctx["mean_op"] = mean_aggregator(*sample_neighbors(g), g.n_nodes)
+    else:
+        ctx.update(_attention_edges(g.edges, g.n_nodes))
+        if config.task == "graph":
+            ctx["edge_graph_ids"] = data.graph_ids[g.edges[:, 1]]
     x = g.features
     csr = x.drop_zeros() if isinstance(x, SparseMatrix) else None
     n_nonzero = np.count_nonzero(x) if csr is None else csr.nnz
@@ -287,10 +294,11 @@ def cut_forward_context(ctx: dict, graphs: np.ndarray) -> dict:
     ``edge_graph_ids`` too, and shift by as much as its nodes do.
 
     Equal, bit for bit, to ``build_forward_context`` on the batch of those
-    graphs with the same choice of CSR features, and every operator keeps
-    its transpose. That holds for the rows of ``agg_x`` too: Â and M̄ are
-    block-diagonal over the graphs, so each row of Â X or M̄ X sums the
-    same entries in the same order.
+    graphs with the same choice of CSR or dense ``"x"`` (the one rule of
+    every architecture, applied once to the features of all the graphs),
+    and every operator keeps its transpose. That holds for the rows of
+    GCN's ``agg_x`` too: Â is block-diagonal over the graphs, so each row
+    of Â X sums the same entries in the same order.
     """
     starts, n_nodes = _graph_ranges(ctx["graph_ids"], graphs)
     nodes = concat_ranges(starts, n_nodes)
@@ -366,7 +374,7 @@ def model_forward(
     and ReLU otherwise. Representations are post-activation, pre-dropout
     (the node task's last one is its logits). Dropout is the rng's one
     user, so eval mode never touches it. Layer 1 is ``agg_x`` @ W + b when
-    the context holds ``"agg_x"`` and reads ``"x"`` otherwise. A context
+    a GCN's context holds ``"agg_x"`` and reads ``"x"`` otherwise. A context
     cut by ``cut_scored_rows`` yields only its rows' logits.
 
     A context may instead hand over layer 1's output as the array

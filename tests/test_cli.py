@@ -393,6 +393,17 @@ class TestConfigFile:
             assert key in capsys.readouterr().err
             assert not out.exists()
 
+    def test_key_error_anchored_in_its_section(self, tmp_path, capsys):
+        """At the key's line in the failing section, in whatever case it is
+        written (configparser lower-cases keys), not at the first line
+        anywhere that sets a key of that name."""
+        for text, line in [("[train]\nepochs = 1\n[run]\nepochs = 2\n", 4),
+                           ("[train]\nepochs = 1\n[run]\nEPOCHS = 2\n", 4),
+                           ("[run]\nSeeds = x\n", 2)]:
+            ini = self.write(tmp_path, text)
+            assert run("train", "--config", str(ini)) == 2
+            assert f"{ini}:{line}: " in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "gone.ini")) == 2
         assert run("train", "--config", str(tmp_path)) == 2  # a directory
@@ -552,6 +563,48 @@ class TestSweep:
                     assert a["plan"] == b["plan"]
                 for name in ("predictions_seed0.csv", "model_seed0.json", "model_seed0.bin"):
                     assert (point / name).read_bytes() == (train_out / name).read_bytes()
+
+
+class TestOutputPath:
+    """Every command checks its output path before it loads anything: a
+    path that cannot be written exits 2 and leaves nothing behind."""
+
+    @pytest.fixture
+    def no_loading(self, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", fail_if_called)
+
+    @pytest.mark.parametrize("case", ["missing parent", "parent is a file", "a directory"])
+    def test_cka_out_exits_2(self, tmp_path, capsys, no_loading, case):
+        ckpt = TestCka().make_checkpoint(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"missing parent": tmp_path / "gone" / "cka.csv",
+               "parent is a file": blocker / "cka.csv",
+               "a directory": tmp_path / "dir"}[case]
+        if case == "a directory":
+            out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run("cka", "--checkpoints", str(ckpt), "--dataset", "tu:x", "--out", str(out)) == 2
+        assert f"out file {str(out)!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_sweep_point_blocked_by_a_file_exits_2(self, tmp_path, capsys, no_loading):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "tau=2").write_text("")
+        assert run(*TestSweep().sweep_args(out, "tau", "1,2")) == 2
+        assert f"{out / 'tau=2'} is a file" in capsys.readouterr().err
+        assert sorted(out.iterdir()) == [out / "tau=2"]
+
+    def test_make_fixtures_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                         no_loading):
+        monkeypatch.setattr(cli, "generate_sbm", fail_if_called)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            assert run("make-fixtures", "--kind", "sbm", "--out", str(out)) == 2
+            assert f"{taken} is a file" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [taken]
 
 
 class TestFixtures:

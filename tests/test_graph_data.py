@@ -15,6 +15,7 @@ from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
 from bgnn.graph_data import (
     DatasetSplit,
     Graph,
+    atomic_write,
     batch_graphs,
     generate_sbm,
     load_json_bundle,
@@ -500,6 +501,19 @@ class TestJsonBundle:
         assert text == json.dumps(dict(json.loads(text), edges=want))
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("case", ["write", "rename"])
+    def test_failure_leaves_no_temporary(self, tmp_path, case):
+        """A failed write (text that UTF-8 cannot encode) or rename (onto a
+        directory) raises, and leaves nothing new beside ``path``."""
+        path = tmp_path / "out"
+        if case == "rename":
+            path.mkdir()
+        with pytest.raises(UnicodeEncodeError if case == "write" else OSError):
+            atomic_write(path, "\ud800" if case == "write" else "text")
+        assert [p.name for p in tmp_path.iterdir()] == (["out"] if case == "rename" else [])
+
+
 def write_bundle(path: Path, n: int, features, edges=()) -> Path:
     """A bundle of ``n`` nodes of class 0 with ``features`` and no split."""
     obj = {"n_nodes": n, "edges": [list(e) for e in edges], "features": features,
@@ -564,10 +578,9 @@ class TestSparseBundle:
                     same = assert_same_csr if isinstance(value, SparseMatrix) else assert_bits
                     same(value, ref[key])
                 picked_csr = n_nonzero < SPARSE_INPUT_DENSITY * size
-                if arch != "sage":
-                    assert isinstance(got.get("x"), SparseMatrix) == picked_csr
-                    if picked_csr and not n_zero:
-                        assert got["x"] is g.features  # taken as it is, no copy
+                assert isinstance(got.get("x"), SparseMatrix) == picked_csr
+                if picked_csr and not n_zero:
+                    assert got["x"] is g.features  # taken as it is, no copy
 
             paths = [tmp / f"{k}.json" for k in ("a", "b", "c")]
             save_json_bundle(g, paths[0])
@@ -576,22 +589,45 @@ class TestSparseBundle:
             first, *rest = (p.read_bytes() for p in paths)
             assert rest == [first, first]
 
-    def test_loading_makes_no_dense_matrix(self, tmp_path):
-        """A 2000x5000 bundle at 0.5 % density: a dense float64 copy of its
-        features would take 80 MB, and loading it allocates well under that."""
-        n, d = 2000, 5000
+    BIG = (2000, 5000)  # at 0.5 % density: a dense float64 copy takes 80 MB
+
+    def big_bundle(self, tmp_path: Path) -> Path:
+        """The BIG bundle, with 4000 random edges between distinct nodes."""
+        n, d = self.BIG
         rng = np.random.default_rng(0)
         rows, cols = np.divmod(np.sort(rng.choice(n * d, n * d // 200, replace=False)), d)
         features = {"indices": np.stack([rows, cols], axis=1).tolist(),
                     "values": [1.0] * rows.size, "shape": [n, d]}
-        path = write_bundle(tmp_path / "big.json", n, features)
+        edges = rng.integers(0, n, (4000, 2))
+        return write_bundle(tmp_path / "big.json", n, features,
+                            edges[edges[:, 0] != edges[:, 1]].tolist())
+
+    @staticmethod
+    def traced_peak(f):
+        """f's result and the peak of the memory traced while it ran."""
         tracemalloc.start()
         try:
-            g = load_json_bundle(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            return f(), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert isinstance(g.features, SparseMatrix) and g.features.nnz == rows.size
+
+    def test_loading_makes_no_dense_matrix(self, tmp_path):
+        """Loading the BIG bundle allocates well under a dense copy."""
+        n, d = self.BIG
+        path = self.big_bundle(tmp_path)
+        g, peak = self.traced_peak(lambda: load_json_bundle(path))
+        assert isinstance(g.features, SparseMatrix) and g.features.nnz == n * d // 200
+        assert peak < n * d * 8 / 4
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_context_makes_no_dense_matrix(self, tmp_path, arch):
+        """Every architecture's context of the BIG bundle holds its CSR
+        features as they are and allocates well under a dense copy."""
+        n, d = self.BIG
+        g = load_json_bundle(self.big_bundle(tmp_path))
+        cfg = ModelConfig(arch=arch, in_dim=d, hidden_dim=16, n_classes=2, heads=2)
+        ctx, peak = self.traced_peak(lambda: build_forward_context(cfg, g))
+        assert ctx["x"] is g.features and "agg_x" not in ctx
         assert peak < n * d * 8 / 4
 
 

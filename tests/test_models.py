@@ -15,7 +15,8 @@ from bgnn import tensor as T
 from bgnn.boosting import init_weights
 from bgnn.errors import ConfigError, ContractError, FormatError, ShapeError
 from bgnn.graph_data import (
-    DatasetSplit, Graph, GraphBatch, batch_graphs, generate_sbm, normalize_adjacency, random_split,
+    DatasetSplit, Graph, GraphBatch, batch_graphs, generate_sbm, mean_aggregator,
+    normalize_adjacency, random_split,
 )
 from bgnn.models import (
     ARCHITECTURES,
@@ -190,6 +191,36 @@ class TestSageLayer:
             loss = T.sum_all(T.mul(out, out))
         backward(loss, tape)
         np.testing.assert_allclose(W.grad, numeric_grad(loss_np, w0), rtol=1e-4, atol=1e-7)
+
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 12),
+        k=st.integers(1, 5),
+        density=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(n=5, d=4, k=3, density=0.0, seed=0)  # nnz = 0
+    @settings(max_examples=80, deadline=None)
+    def test_csr_input_matches_the_concat_formula(self, n, d, k, density, seed):
+        """A CSR h runs h W_top + M̄ (h W_bottom): its value and W's and b's
+        gradients agree with [h ‖ M̄ h] @ W + b to rounding; nodes with no
+        neighbor, rows with no feature and empty columns included."""
+        g = np.random.default_rng(seed)
+        x = np.where(g.random((n, d)) < density, g.standard_normal((n, d)), 0.0)
+        x[g.integers(0, n)] = 0.0  # at least one empty row
+        x[:, g.integers(0, d)] = 0.0  # and one empty column
+        pairs = g.integers(0, n, (int(g.integers(0, 2 * n + 1)), 2))
+        pairs = pairs[pairs[:, 0] != n - 1]  # node n - 1 has no neighbor
+        op = mean_aggregator(pairs[:, 0], pairs[:, 1], n)
+        w, b, grad_out = (g.standard_normal(shape) for shape in ((2 * d, k), (k,), (n, k)))
+        W, B = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            out = sage_layer(SparseMatrix.from_dense(x), op, W, B)
+            backward(T.sum_all(T.mul(out, Tensor(grad_out))), tape)
+        cat = np.concatenate([x, op.to_dense() @ x], axis=1)
+        np.testing.assert_allclose(out.data, cat @ w + b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(W.grad, cat.T @ grad_out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(B.grad, grad_out.sum(axis=0), rtol=1e-12, atol=1e-12)
 
 
 class TestGatLayer:
@@ -469,23 +500,24 @@ class TestSparseFeatures:
         np.testing.assert_allclose(out.data, x @ w, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(W.grad, x.T @ grad_out, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("arch", ["gcn", "gat", "sage"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     @pytest.mark.parametrize("nnz", [0, 3, 4])
     def test_csr_exactly_below_the_cutoff(self, arch, nnz):
-        """64 entries per row over 4 rows: the cutoff is 4 nonzeros."""
+        """64 entries per row over 4 rows: the cutoff is 4 nonzeros, for
+        every architecture."""
         x = np.zeros((4, 64))
         x.reshape(-1)[:nnz] = 1.0
         g = Graph(n_nodes=4, edges=np.array([[0, 1], [1, 0]]), features=x)
         cfg = ModelConfig(arch=arch, in_dim=64, hidden_dim=4, n_classes=2, heads=2)
         ctx = build_forward_context(cfg, g)
-        assert isinstance(ctx.get("x"), SparseMatrix) == (arch != "sage" and nnz < 4)
-        # a CSR-feature GCN projects first: its context holds no Â X
-        assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and nnz >= 4))
+        assert isinstance(ctx.get("x"), SparseMatrix) == (nnz < 4)
+        # CSR features are projected first: no context holds Â X or M̄ X of them
+        assert ("agg_x" in ctx) == (arch == "gcn" and nnz >= 4)
         assert ("x" in ctx) != ("agg_x" in ctx)  # layer 1 reads exactly one of them
         if isinstance(ctx.get("x"), SparseMatrix):
             np.testing.assert_array_equal(ctx["x"].to_dense(), x)
         elif "x" in ctx:
-            assert ctx["x"] is g.features  # a dense GAT reads X itself
+            assert ctx["x"] is g.features  # dense GAT and GraphSage read X itself
 
     @pytest.mark.parametrize("arch", ["gcn", "gat"])
     def test_logits_match_the_dense_path(self, arch, monkeypatch):
@@ -512,7 +544,7 @@ class TestSparseFeatures:
         dense_input = dense_ctx.get("agg_x", g.features)
         assert not reads(sparse_tape, g.features) and reads(dense_tape, dense_input)
 
-    @pytest.mark.parametrize("arch", ["gcn", "gat"])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_model_loss_gradients_match_finite_differences(self, arch):
         g = sparse_graph(5, n=10, dim=70, nnz=8)
         y = np.eye(3)[g.node_labels % 3]
@@ -528,6 +560,34 @@ class TestSparseFeatures:
             return T.cross_entropy(T.softmax_rows(logits), y)
 
         check_grads(loss, *[m.params[name].data.copy() for name in names])
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_csr_features_and_their_dense_twin_give_the_same_bits(self, arch):
+        """The same features given as CSR and as an array, both below the
+        cutoff, build the same context, so a training step's logits and
+        parameter gradients agree bit for bit (isolated nodes and nodes
+        with no feature included)."""
+        g = random_node_graph(8, 20, sparse=True)
+        twin = replace(g, features=SparseMatrix.from_dense(g.features))
+        cfg = ModelConfig(arch=arch, in_dim=70, hidden_dim=8, n_classes=3, heads=2, dropout=0.4)
+        m = init_model(cfg, 2)
+        weights = Tensor(np.random.default_rng(8).standard_normal((20, 3)))
+
+        def step(graph):
+            for p in m.params.values():
+                p.grad = None
+            ctx = build_forward_context(cfg, graph)
+            assert isinstance(ctx["x"], SparseMatrix)
+            with Tape() as tape:
+                logits, _ = model_forward(m, ctx, training=True, rng=np.random.default_rng(0))
+                backward(T.sum_all(T.mul(logits, weights)), tape)
+            return logits.data, {name: p.grad for name, p in m.params.items()}
+
+        out, grads = step(g)
+        ref, ref_grads = step(twin)
+        assert_bits(out, ref)
+        for name in m.params:
+            assert_bits(grads[name], ref_grads[name])
 
 
 def project_first_forward(m: GnnModel, batch: GraphBatch) -> Tensor:
@@ -547,10 +607,9 @@ def project_first_forward(m: GnnModel, batch: GraphBatch) -> Tensor:
 
 
 class TestAggregatedInput:
-    """Layer 1 runs on the context's aggregated input, computed once: Â X
-    for a dense-feature GCN, which agrees with the project-first Â (X W)
-    to rounding, and [X ‖ M̄ X] for GraphSage, which is the product its
-    ``sage_layer`` forms, bit for bit."""
+    """A dense-feature GCN's layer 1 runs on the context's aggregated
+    input Â X, computed once, which agrees with the project-first Â (X W)
+    to rounding."""
 
     GRAPHS = {
         "isolated nodes": (6, [[0, 1], [1, 0], [1, 2], [2, 1]]),
@@ -610,40 +669,6 @@ class TestAggregatedInput:
         assert "agg_x" in ctx
         assert step_entries(ctx) == step_entries({"adj": ctx["adj"], "x": g.features}) - 1
 
-    @pytest.mark.parametrize("task", ["node", "graph"])
-    @pytest.mark.parametrize("batch_norm", [False, True])
-    def test_sage_equals_the_sage_layer_path(self, task, batch_norm):
-        """A training step (dropout from same-seeded rngs) on the built
-        context against one whose layer 1 runs ``sage_layer`` on X and M̄:
-        logits, every parameter gradient and the tape length agree."""
-        rng = np.random.default_rng(5)
-        graphs = [Graph(n_nodes=n, edges=edges, features=rng.standard_normal((n, 5)))
-                  for n, edges in self.GRAPHS.values()]
-        batch = batch_graphs(graphs if task == "graph" else graphs[:1])
-        data = batch if task == "graph" else batch.graph
-        cfg = ModelConfig(arch="sage", in_dim=5, hidden_dim=6, n_classes=3, dropout=0.3,
-                          batch_norm=batch_norm, task=task)
-        m = init_model(cfg, 7)
-        ctx = build_forward_context(cfg, data)
-        assert "agg_x" in ctx and "x" not in ctx
-        weights = Tensor(rng.standard_normal((data.n_graphs if task == "graph" else data.n_nodes, 3)))
-
-        def step(ctx):
-            for p in m.params.values():
-                p.grad = None
-            with Tape() as tape:
-                logits, _ = model_forward(m, ctx, training=True, rng=np.random.default_rng(0))
-                backward(T.sum_all(T.mul(logits, weights)), tape)
-            return logits.data, {name: p.grad for name, p in m.params.items()}, len(tape.entries)
-
-        out, grads, entries = step(ctx)
-        ref_ctx = {k: v for k, v in ctx.items() if k != "agg_x"}
-        ref, ref_grads, ref_entries = step(dict(ref_ctx, x=batch.graph.features))
-        assert_bits(out, ref)
-        for name in m.params:
-            assert_bits(grads[name], ref_grads[name])
-        assert entries == ref_entries
-
 
 def random_node_graph(seed: int, n: int, sparse: bool) -> Graph:
     """``n`` nodes, the last one isolated when n > 1; directed edges drawn
@@ -693,8 +718,8 @@ class TestScoredRows:
             for name, stat in m.bn_state.items():  # running stats away from 0 and 1
                 stat[...] = rng.random(stat.shape) + 0.5
             ctx = build_forward_context(cfg, g)
-            assert isinstance(ctx.get("x"), SparseMatrix) == (sparse and arch != "sage")
-            assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and not sparse))
+            assert isinstance(ctx.get("x"), SparseMatrix) == sparse
+            assert ("agg_x" in ctx) == (arch == "gcn" and not sparse)
             cut = cut_scored_rows(ctx, rows, n)
             full, _ = model_forward(m, ctx, training=False)
             scored, reps = model_forward(m, cut, training=False)

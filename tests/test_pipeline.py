@@ -780,9 +780,9 @@ class TestBatchCut:
             ctx = data.batch(cfg, idx)
             ref_ctx = build_forward_context(cfg, batch_graphs([graphs[i] for i in idx]))
             assert ctx.keys() == ref_ctx.keys() >= {"graph_ids", "n_graphs"}
-            assert isinstance(ctx.get("x"), SparseMatrix) == (sparse and arch != "sage")
-            assert ("x" in ctx) == (arch == "gat" or (arch == "gcn" and sparse))
-            assert ("agg_x" in ctx) == (arch == "sage" or (arch == "gcn" and not sparse))
+            assert isinstance(ctx.get("x"), SparseMatrix) == sparse
+            assert ("agg_x" in ctx) == (arch == "gcn" and not sparse)
+            assert ("x" in ctx) != ("agg_x" in ctx)
             for key, value in ctx.items():
                 if isinstance(value, SparseMatrix):
                     assert_same_csr(value, ref_ctx[key])
